@@ -116,13 +116,13 @@ _CATALOGUE = (
          "instances.",
          "default to None and create the container inside the function"),
     Rule("LPC107", "direct heapq use outside the kernel", ERROR,
-         "Event ordering is the kernel's contract: heap and batch entries "
-         "share one global sequence counter, and the two-source merge in "
-         "Simulator.run is the only place allowed to decide what fires "
+         "Event ordering is the kernel's contract: every entry, batch "
+         "classes included, takes one global sequence number, and the "
+         "kernel heap is the only place allowed to decide what fires "
          "next. A private heapq elsewhere re-implements that ordering "
          "without the tie-break, span-context, and cancellation "
-         "semantics, and its outcomes silently diverge from the "
-         "batching=False oracle.",
+         "semantics, and its outcomes silently diverge from the kernel "
+         "heap.",
          "schedule through sim.schedule/schedule_at or a sim.batch_class "
          "timer queue instead of a private heap"),
     Rule("LPC108", "cross-shard state access outside the shard runtime",

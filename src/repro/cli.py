@@ -450,14 +450,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     print(f"kernel: {kernel['events_per_sec']:,.0f} events/sec "
           f"(public schedule {kernel['events_per_sec_public_schedule']:,.0f})"
           f" -> {kernel_path}")
-    if kernel.get("compiled_available"):
-        print(f"kernel backend: {kernel['backend']} "
-              f"(requested {kernel['backend_requested']})")
-    else:
-        # Explicit skip marker: the compiled backend must never degrade
-        # to pure Python silently (ISSUE 10 acceptance).
-        print(f"kernel backend: python — compiled backend skipped: "
-              f"{kernel.get('compiled_skipped_reason', 'unknown')}")
 
     if args.kernel_only:
         kernel_baseline = bench.load_baseline(baseline_path)
@@ -510,13 +502,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
           f"({cache['warm_speedup']:.0f}x, "
           f"identical={cache['rows_identical']}) -> {cache_path}")
 
-    storm = bench.bench_storm(repeats=args.repeats)
-    storm_path = bench.write_bench_json(out_dir, storm)
-    print(f"storm: batched {storm['batched_events_per_sec']:,.0f} events/sec "
-          f"vs legacy {storm['legacy_events_per_sec']:,.0f} "
-          f"({storm['speedup']:.1f}x, "
-          f"identical={storm['outcomes_identical']}) -> {storm_path}")
-
     telemetry = bench.bench_telemetry()
     telemetry_path = bench.write_bench_json(out_dir, telemetry)
     print(f"telemetry: columnar {telemetry['size_ratio']:.1f}x smaller / "
@@ -550,7 +535,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     scale_baseline_path = baseline_path.parent / "baseline_scale.json"
     cache_baseline_path = baseline_path.parent / "baseline_cache.json"
-    storm_baseline_path = baseline_path.parent / "baseline_storm.json"
     telemetry_baseline_path = baseline_path.parent / "baseline_telemetry.json"
     shard_baseline_path = baseline_path.parent / "baseline_shard.json"
     checks_baseline_path = baseline_path.parent / "baseline_checks.json"
@@ -559,14 +543,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         baseline_path.write_text(kernel_path.read_text())
         scale_baseline_path.write_text(scale_path.read_text())
         cache_baseline_path.write_text(cache_path.read_text())
-        storm_baseline_path.write_text(storm_path.read_text())
         telemetry_baseline_path.write_text(telemetry_path.read_text())
         shard_baseline_path.write_text(shard_path.read_text())
         checks_baseline_path.write_text(checks_path.read_text())
         print(f"baseline updated -> {baseline_path}")
         print(f"baseline updated -> {scale_baseline_path}")
         print(f"baseline updated -> {cache_baseline_path}")
-        print(f"baseline updated -> {storm_baseline_path}")
         print(f"baseline updated -> {telemetry_baseline_path}")
         print(f"baseline updated -> {shard_baseline_path}")
         print(f"baseline updated -> {checks_baseline_path}")
@@ -592,11 +574,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     # cache baseline when one exists.
     failures += bench.check_cache_regression(
         cache, bench.load_baseline(cache_baseline_path))
-    # Storm gate: batched/legacy outcome identity and the batched-engine
-    # speedup floor always; absolute batched throughput vs the committed
-    # storm baseline when one exists.
-    failures += bench.check_storm_regression(
-        storm, bench.load_baseline(storm_baseline_path))
     # Telemetry gate: streaming/replay byte-identity, columnar size and
     # speed floors, bounded streaming memory, and the PR 2-style
     # disabled-path ceiling vs the committed kernel baseline.

@@ -103,7 +103,8 @@ class ServiceDiscoveryClient:
         self.timeouts = 0
         # Request timeouts are the kernel's cancel-heaviest timer class
         # (nearly every one is cancelled by the reply); renewals are the
-        # lease-storm class.  Both run batched, shared across clients.
+        # lease-storm class.  Both are batch classes shared across
+        # clients.
         self._timeout_q = sim.batch_class(
             "discovery.timeout", _fire_timeout, cancellable=True,
             shared=True)

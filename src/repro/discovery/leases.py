@@ -19,7 +19,7 @@ from ..kernel.events import Priority
 from ..kernel.scheduler import Simulator
 
 def _fire_sweep(_owner: int, table: "LeaseTable") -> None:
-    """Batched sweep-timer callback (module-level so every table shares
+    """Sweep-timer callback (module-level so every table shares
     one ``lease.sweep`` class; see repro.kernel.batchq)."""
     table._sweep_fire()
 

@@ -109,31 +109,9 @@ def _calibration_ops_per_sec(repeats: int = 5) -> float:
     return CALIBRATION_OPS / best
 
 
-def backend_payload() -> Dict[str, Any]:
-    """Compiled-backend availability, recorded in every kernel payload.
-
-    The compiled backend must never *silently* degrade to pure Python: when
-    it is unavailable the payload carries the probe's reason so a reader of
-    ``BENCH_kernel.json`` (or the CI log) sees an explicit skip marker
-    rather than a pass that quietly measured the fallback.
-    """
-    from ..kernel.backend import compiled_info, resolve
-
-    available, reason = compiled_info()
-    kernels = resolve()
-    payload: Dict[str, Any] = {
-        "backend": kernels.name,
-        "backend_requested": kernels.requested,
-        "compiled_available": available,
-    }
-    if not available:
-        payload["compiled_skipped_reason"] = reason
-    return payload
-
-
 def bench_kernel(repeats: int = 5) -> Dict[str, Any]:
     """Measure kernel event throughput on both scheduling paths."""
-    out = {
+    return {
         "name": "kernel",
         "events_per_run": KERNEL_EVENTS,
         "events_per_sec": _events_per_sec(_timer_chain_bound, repeats),
@@ -142,8 +120,6 @@ def bench_kernel(repeats: int = 5) -> Dict[str, Any]:
         "calibration_ops_per_sec": _calibration_ops_per_sec(repeats),
         "source": "in-process",
     }
-    out.update(backend_payload())
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -478,162 +454,6 @@ def check_cache_regression(current: Dict[str, Any],
 
 
 # ---------------------------------------------------------------------------
-# Homogeneous-timer storm benchmark (the batched event engine)
-# ---------------------------------------------------------------------------
-
-#: MAC-style backoff expiries in the storm (DIFS + slot-quantised delays,
-#: so deadlines collide into large same-time cohorts like a dense channel).
-STORM_BACKOFFS: int = 100_000
-
-#: Self-rescheduling lease renewals in the storm (Jini-style: renew at
-#: 45% of the lease duration, forever).
-STORM_RENEWALS: int = 10_000
-
-#: Simulated horizon; every lease renews several times within it.
-STORM_HORIZON_S: float = 120.0
-
-#: Machine-independent floor on the batched-vs-legacy events/sec ratio.
-#: Both modes run the same seeded storm in the same process back to back,
-#: so the ratio is portable; the ISSUE requires >=10x.
-STORM_MIN_SPEEDUP: float = 10.0
-
-
-def _storm_run(batching: bool) -> Dict[str, Any]:
-    """One seeded storm run: 100k backoff expiries + 10k renewal chains.
-
-    The two batch classes mirror the hot producers the kernel serves —
-    ``mac.attempt`` (slot-quantised one-shot timers) and ``lease.sweep``/
-    renewal chains (self-rescheduling periodics) — with bodies small
-    enough to vectorise, which is exactly the homogeneous-storm regime
-    the batched engine targets.  With ``batching=False`` the same classes
-    run as plain per-event heap entries (the legacy path), and outcomes
-    must match exactly.
-    """
-    import numpy as np
-
-    from ..phys.mac import DIFS_S, SLOT_S
-
-    sim = Simulator(seed=5, trace=False, batching=batching)
-    rng = sim.rng("storm")
-    fired = [0, 0]
-
-    def backoff_fire(_owner: int, _payload: Any) -> None:
-        fired[0] += 1
-
-    def backoff_cohort(owners, _payloads) -> None:
-        fired[0] += owners.shape[0]
-
-    backoff_q = sim.batch_class("storm.backoff", backoff_fire,
-                                cohort_fn=backoff_cohort, cancellable=False)
-
-    # Lease durations are configured constants, not continuous draws: a
-    # deployment hands out a handful of standard durations, so leases
-    # granted together renew together — the renewal side of the storm
-    # arrives as large same-deadline cohorts, like the backoff side.
-    durations = np.asarray([30.0, 45.0, 60.0, 90.0, 120.0])
-    periods = 0.45 * durations[rng.integers(0, durations.shape[0],
-                                            size=STORM_RENEWALS)]
-
-    def renew_fire(owner: int, _payload: Any) -> None:
-        fired[1] += 1
-        renew_q.schedule(periods[owner], owner)
-
-    def renew_cohort(owners, _payloads) -> None:
-        fired[1] += owners.shape[0]
-        renew_q.schedule_many(periods[owners], owners=owners)
-
-    renew_q = sim.batch_class("storm.renew", renew_fire,
-                              cohort_fn=renew_cohort, cancellable=False)
-
-    slots = rng.integers(0, 32, size=STORM_BACKOFFS)
-    backoff_q.schedule_many(DIFS_S + slots * SLOT_S)
-    renew_q.schedule_many(periods, owners=np.arange(STORM_RENEWALS))
-
-    t0 = time.perf_counter()
-    sim.run(until=STORM_HORIZON_S)
-    wall = time.perf_counter() - t0
-    return {
-        "wall_s": wall,
-        "events": sim.events_executed,
-        "events_per_sec": sim.events_executed / wall if wall else 0.0,
-        "fired_backoffs": fired[0],
-        "fired_renewals": fired[1],
-        "now": sim.now,
-    }
-
-
-def bench_storm(repeats: int = 3) -> Dict[str, Any]:
-    """Batched vs legacy throughput on the homogeneous-timer storm.
-
-    Best-of-``repeats`` per mode, interleaved so a host-load phase cannot
-    land on one mode only.  ``outcomes_identical`` must hold on every
-    machine: the batched engine is only allowed to be faster, never
-    different.
-    """
-    batched = legacy = None
-    batched_wall = legacy_wall = float("inf")
-    for _ in range(max(1, repeats)):
-        b = _storm_run(batching=True)
-        l = _storm_run(batching=False)
-        if b["wall_s"] < batched_wall:
-            batched_wall, batched = b["wall_s"], b
-        if l["wall_s"] < legacy_wall:
-            legacy_wall, legacy = l["wall_s"], l
-    identical = all(batched[key] == legacy[key] for key in
-                    ("events", "fired_backoffs", "fired_renewals", "now"))
-    return {
-        "name": "storm",
-        "backoffs": STORM_BACKOFFS,
-        "renewals": STORM_RENEWALS,
-        "horizon_s": STORM_HORIZON_S,
-        "events": batched["events"],
-        "batched_wall_s": batched["wall_s"],
-        "legacy_wall_s": legacy["wall_s"],
-        "batched_events_per_sec": batched["events_per_sec"],
-        "legacy_events_per_sec": legacy["events_per_sec"],
-        "speedup": (batched["events_per_sec"] / legacy["events_per_sec"]
-                    if legacy["events_per_sec"] else 0.0),
-        "outcomes_identical": identical,
-        "source": "in-process",
-    }
-
-
-def check_storm_regression(current: Dict[str, Any],
-                           baseline: Optional[Dict[str, Any]],
-                           tolerance: float = REGRESSION_TOLERANCE,
-                           ) -> List[str]:
-    """Gate the storm benchmark.
-
-    Machine-independent checks always run: batched and legacy outcomes
-    must match exactly and the speedup must clear
-    :data:`STORM_MIN_SPEEDUP`.  A like-sourced committed baseline
-    additionally floors absolute batched throughput.
-    """
-    failures = []
-    if not current.get("outcomes_identical", False):
-        failures.append(
-            "outcomes_identical: batched and legacy storm runs diverged — "
-            "the batch engine changed simulation outcomes")
-    speedup = current.get("speedup") or 0.0
-    if speedup < STORM_MIN_SPEEDUP:
-        failures.append(
-            f"speedup: {speedup:.1f}x below the {STORM_MIN_SPEEDUP:.0f}x "
-            f"floor — batched execution is no longer paying on the "
-            f"homogeneous storm")
-    if baseline is not None and baseline.get("source") == current.get("source"):
-        base = baseline.get("batched_events_per_sec")
-        now = current.get("batched_events_per_sec")
-        if base and now:
-            floor = base * (1.0 - tolerance)
-            if now < floor:
-                failures.append(
-                    f"batched_events_per_sec: {now:,.0f} is more than "
-                    f"{tolerance:.0%} below the committed baseline "
-                    f"{base:,.0f} (floor {floor:,.0f})")
-    return failures
-
-
-# ---------------------------------------------------------------------------
 # Population-scale benchmark (spatial-grid audibility culling)
 # ---------------------------------------------------------------------------
 
@@ -786,7 +606,7 @@ def bench_shard(cells: int = SHARD_CELLS,
     """Sharded multi-cell run vs the single-process culled oracle.
 
     Two configurations, mirroring the equivalence methodology of the
-    culling and batching benches:
+    culling bench:
 
     * **disjoint rooms** — cells further apart than the interference
       radius, one shard per cell.  Outcomes (per-room delivery logs) and
@@ -1350,9 +1170,6 @@ def kernel_metrics_from_pytest_json(path: pathlib.Path) -> Optional[Dict[str, An
         return None
     out.update(name="kernel", events_per_run=KERNEL_EVENTS,
                source="pytest-benchmark")
-    # Ingested payloads carry the same backend marker as in-process ones,
-    # so BENCH_kernel.json never hides a compiled-backend skip.
-    out.update(backend_payload())
     return out
 
 

@@ -191,10 +191,9 @@ def _assemble(sim: Simulator, layout: CellLayout,
                      indices=list(indices))
 
 
-def cell_rooms(layout: CellLayout, *, trace: bool = False,
-               batching: bool = True) -> CellRooms:
+def cell_rooms(layout: CellLayout, *, trace: bool = False) -> CellRooms:
     """The whole grid in one simulator — the single-process oracle."""
-    sim = Simulator(seed=layout.seed, trace=trace, batching=batching)
+    sim = Simulator(seed=layout.seed, trace=trace)
     return _assemble(sim, layout, range(layout.stations))
 
 

@@ -23,7 +23,7 @@ from .errors import (
     SimulationFinished,
     TransportError,
 )
-from .batchq import BatchHandle, BatchQueue, UnbatchedQueue
+from .batchq import BatchClass
 from .events import Event, Priority
 from .process import Process, Signal, spawn
 from .random import RandomStreams
@@ -32,8 +32,7 @@ from .trace import NULL_SPAN, Span, TraceRecord, Tracer
 
 __all__ = [
     "AddressError",
-    "BatchHandle",
-    "BatchQueue",
+    "BatchClass",
     "ConfigurationError",
     "ConstraintViolation",
     "DiscoveryError",
@@ -60,6 +59,5 @@ __all__ = [
     "TraceRecord",
     "Tracer",
     "TransportError",
-    "UnbatchedQueue",
     "spawn",
 ]

@@ -1,824 +1,36 @@
-"""Batched homogeneous-event execution: the kernel's storm fast path.
+"""Homogeneous event classes: named timer families on the kernel heap.
 
-Most simulated work in the pervasive stack is *storms of identical tiny
-events* — CSMA/CA backoff expiries, genie-ACK turnarounds, lease-expiry
-sweeps, framebuffer poll pacing.  The generic heap dispatches each one
-through a Python ``Event`` object and O(log n) ``__lt__`` comparisons;
-:class:`BatchQueue` instead stores one *event class* (same callback,
-per-instance payload) struct-of-arrays — NumPy columns of deadline,
-sequence number, owner index and generation — and drains entire
-same-deadline cohorts per call.
+Much of the simulated work in the pervasive stack is *families of
+identical tiny timers* — CSMA/CA backoff expiries, genie-ACK turnarounds,
+lease-expiry sweeps, framebuffer poll pacing.  A producer registers each
+family once through :meth:`Simulator.batch_class` (same callback
+``fn(owner, payload)``, per-entry owner and payload) and schedules
+entries on the returned :class:`BatchClass`.
 
-Design (timer-wheel-style lazy cancellation over LSM-style sorted runs):
+Every entry is an ordinary heap entry: uncancellable classes take the
+``schedule_bound`` fast path (one tuple, no handle), cancellable ones the
+public ``schedule``/``schedule_at`` path and return its :class:`Event`
+handle.  Entries consume the kernel's global sequence counter like any
+other event, so a seeded run's interleaving is fixed by the
+``(time, priority, seq)`` key alone.
 
-* **Pending buffer** — ``schedule`` is O(1) list appends; nothing is
-  sorted until an entry must actually execute.  ``schedule_many`` appends
-  a whole NumPy chunk at once.
-* **Sorted runs** — on first drain the pending buffer is sorted into a
-  *run* (stable argsort by deadline: appends happen in sequence order, so
-  time-stable ordering *is* ``(time, seq)`` ordering).  New runs
-  carry-merge with their neighbour whenever the neighbour is within 2x
-  their size (LSM-style tiering), so each entry is re-sorted O(log n)
-  times amortised even when entries trickle in one at a time; a hard cap
-  of :data:`MAX_RUNS` runs triggers full consolidation as a backstop.
-* **Lazy cancel** — cancellable classes allocate a slot in a generation
-  table; ``handle.cancel()`` bumps the generation (O(1)) and the dead
-  entry is skipped at drain or dropped by a threshold compaction (same
-  ``2 * dead > queued`` rule as the event heap — see
-  ``Simulator._note_cancel``).
-* **Cohorts** — all entries sharing ``(time, priority)`` that sort before
-  the next foreign event execute in one drain.  Classes may supply a
-  vectorised ``cohort_fn(owners, payloads)``; otherwise the scalar
-  callback runs per entry with the same span-context restore as the heap
-  loop, so outcomes are byte-identical either way.
-
-Interleaving with the heap is exact: every entry consumes a sequence
-number from the *same* counter as heap events, and ``Simulator.run``
-merges the two sources on the full ``(time, priority, seq)`` key.  With
-``Simulator(batching=False)`` the same registration API returns an
-:class:`UnbatchedQueue` that schedules plain heap events — the oracle
-path the equivalence tests hold this module against.
-
-Constraints on batch callbacks (checked by the equivalence suite, relied
-on for cohort execution): a callback may schedule freely and cancel any
-*future* entry, but must not schedule a same-time event at a *more
-urgent* (numerically lower) priority than its own class — the remaining
-cohort members run first.  None of the converted producers do this.
+There is deliberately no separate store for these classes: on every
+real workload same-deadline cohorts average 1.00-1.01 entries, so
+per-cohort bookkeeping never amortises and one C ``heappush``/``heappop``
+per timer is the cheapest dispatch (see docs/performance.md).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Optional, Sequence
 
-import numpy as np
-
-from .errors import ScheduleError, SimulationFinished
-
-#: Hard cap on sorted runs per class before full consolidation.  The
-#: carry-merge policy keeps the count near O(log n) by itself; the cap is
-#: a backstop bounding head-scan cost per drain.
-MAX_RUNS: int = 24
-
-#: Minimum dead-entry count before cancellation-triggered compaction kicks
-#: in — below this, lazy skip-at-head is always cheap enough.  Shared with
-#: the event heap (re-exported as ``scheduler.COMPACT_MIN_QUEUE``) so both
-#: stores compact on the same threshold.
-COMPACT_MIN_QUEUE: int = 64
+from .errors import ScheduleError
 
 
-class BatchHandle:
-    """Cancellation handle for one entry in a cancellable batch class.
+class BatchClass:
+    """One registered timer family; entries land on the simulator heap.
 
-    Mirrors :meth:`Event.cancel` semantics: cancelling is O(1) and
-    idempotent, and cancelling an entry that already fired (or was
-    discarded by ``Simulator.stop``) is a true no-op.
-    """
-
-    __slots__ = ("queue", "slot", "gen")
-
-    def __init__(self, queue: "BatchQueue", slot: int, gen: int) -> None:
-        self.queue = queue
-        self.slot = slot
-        self.gen = gen
-
-    def cancel(self) -> None:
-        self.queue._cancel(self.slot, self.gen)
-
-
-class _Run:
-    """One sorted batch of entries, drained front-to-back via a cursor."""
-
-    __slots__ = ("time", "seq", "owner", "slot", "gen", "payload", "ctx",
-                 "cursor", "n")
-
-    def __init__(self, time: np.ndarray, seq: np.ndarray, owner: np.ndarray,
-                 slot: Optional[np.ndarray], gen: Optional[np.ndarray],
-                 payload: Optional[list], ctx: Optional[list]) -> None:
-        self.time = time        # float64, non-decreasing
-        self.seq = seq          # int64, ascending within equal time
-        self.owner = owner      # int64
-        self.slot = slot        # int64 (None: class is not cancellable)
-        self.gen = gen          # int64 (entry generation at schedule time)
-        self.payload = payload  # parallel list (None: all payloads None)
-        self.ctx = ctx          # parallel list (None: all span ctx None)
-        self.cursor = 0
-        self.n = len(time)
-
-
-class BatchQueue:
-    """One homogeneous event class: same callback, struct-of-arrays store.
-
-    Create through :meth:`Simulator.batch_class`, never directly.  The
-    scalar callback signature is ``fn(owner, payload)``; ``cohort_fn``,
-    when given, receives ``(owners, payloads)`` for a whole same-deadline
-    cohort (``owners`` an int64 array view, ``payloads`` a list or None)
-    and must be observably identical to looping ``fn`` over the cohort.
-    """
-
-    def __init__(self, sim, name: str, fn: Callable[[int, Any], None],
-                 priority: int,
-                 cohort_fn: Optional[Callable[[np.ndarray, Optional[list]],
-                                              None]] = None,
-                 cancellable: bool = True) -> None:
-        self.sim = sim
-        self.name = name
-        self.fn = fn
-        self.cohort_fn = cohort_fn
-        self.priority = int(priority)
-        self.cancellable = bool(cancellable)
-        #: per-slot generation numbers; an entry is live iff its recorded
-        #: generation still matches its slot's.
-        self._gen_table: List[int] = []
-        self._free_slots: List[int] = []
-        # Unsorted pending appends (insertion order == sequence order).
-        self._p_time: List[float] = []
-        self._p_seq: List[int] = []
-        self._p_owner: List[int] = []
-        self._p_slot: List[int] = []
-        self._p_gen: List[int] = []
-        self._p_payload: List[Any] = []
-        self._p_ctx: List[Any] = []
-        self._p_any_payload = False
-        self._p_any_ctx = False
-        #: (time, seq) of the earliest pending entry, or None.
-        self._p_min: Optional[Tuple[float, int]] = None
-        #: column chunks awaiting a sort, in sequence order.
-        self._chunks: List[tuple] = []
-        self._runs: List[_Run] = []
-        self._live = 0
-        self._dead = 0
-        self._draining = False
-        self._epoch = 0
-        # Observability (surfaced through the "kernel" metrics probe).
-        self.scheduled = 0
-        self.executed = 0
-        self.cancelled = 0
-        self.cohorts = 0
-        self.compactions = 0
-
-    # ------------------------------------------------------------------
-    # Scheduling
-    # ------------------------------------------------------------------
-    def schedule(self, delay: float, owner: int = 0,
-                 payload: Any = None) -> Optional[BatchHandle]:
-        """Schedule one entry ``delay`` seconds from now.
-
-        Fast path like ``schedule_bound``: no negative-delay validation
-        (callers pass protocol constants).  Returns a cancellation handle
-        for cancellable classes, None otherwise.
-        """
-        return self._enqueue(self.sim._now + delay, owner, payload)
-
-    def schedule_at(self, time: float, owner: int = 0,
-                    payload: Any = None) -> Optional[BatchHandle]:
-        """Schedule one entry at absolute simulation time ``time``."""
-        if time < self.sim._now:
-            raise ScheduleError(
-                f"cannot schedule at {time!r}, now is {self.sim._now!r}")
-        return self._enqueue(time, owner, payload)
-
-    def _enqueue(self, time: float, owner: int,
-                 payload: Any) -> Optional[BatchHandle]:
-        sim = self.sim
-        seq = sim._seq
-        sim._seq = seq + 1
-        handle = None
-        if self.cancellable:
-            # Mirrors Simulator.schedule: handle-returning entries refuse
-            # a stopped simulator (the uncancellable path mirrors
-            # schedule_bound, which skips the check).
-            if sim._stopped:
-                raise SimulationFinished("simulator has been stopped")
-            free = self._free_slots
-            if free:
-                slot = free.pop()
-            else:
-                slot = len(self._gen_table)
-                self._gen_table.append(0)
-            gen = self._gen_table[slot]
-            handle = BatchHandle(self, slot, gen)
-        else:
-            slot = -1
-            gen = 0
-        self._p_time.append(time)
-        self._p_seq.append(seq)
-        self._p_owner.append(owner)
-        self._p_slot.append(slot)
-        self._p_gen.append(gen)
-        self._p_payload.append(payload)
-        if payload is not None:
-            self._p_any_payload = True
-        ctx = sim._span_ctx
-        self._p_ctx.append(ctx)
-        if ctx is not None:
-            self._p_any_ctx = True
-        pm = self._p_min
-        if pm is None or time < pm[0]:
-            self._p_min = (time, seq)
-        self._live += 1
-        self.scheduled += 1
-        sim._note_batch_key(time, self.priority, seq, self)
-        return handle
-
-    def schedule_many(self, delays: Sequence[float],
-                      owners: Optional[Sequence[int]] = None,
-                      payloads: Optional[Sequence[Any]] = None) -> None:
-        """Vectorised bulk scheduling: one chunk append for N entries.
-
-        Only non-cancellable classes — bulk entries return no handles, so
-        there is nothing a generation slot would protect.
-        """
-        if self.cancellable:
-            raise ScheduleError(
-                "schedule_many requires a non-cancellable batch class")
-        sim = self.sim
-        if not isinstance(delays, np.ndarray) and len(delays) < 8:
-            # Tiny batches: array setup (asarray/argmin/arange) costs more
-            # than scalar appends.  Same sequence consumption either way.
-            for i, delay in enumerate(delays):
-                self._enqueue(sim._now + delay,
-                              owners[i] if owners is not None else 0,
-                              payloads[i] if payloads is not None else None)
-            return
-        time = sim._now + np.asarray(delays, dtype=np.float64)
-        n = time.shape[0]
-        if n == 0:
-            return
-        seq0 = sim._seq
-        sim._seq = seq0 + n
-        seqs = np.arange(seq0, seq0 + n, dtype=np.int64)
-        if owners is None:
-            owner_col = np.zeros(n, dtype=np.int64)
-        else:
-            owner_col = np.asarray(owners, dtype=np.int64)
-            if owner_col.shape[0] != n:
-                raise ScheduleError("owners length must match delays")
-        payload_col = list(payloads) if payloads is not None else None
-        if payload_col is not None and len(payload_col) != n:
-            raise ScheduleError("payloads length must match delays")
-        ctx = sim._span_ctx
-        ctx_col = [ctx] * n if ctx is not None else None
-        if self._p_time:
-            self._chunks.append(self._take_scalar_chunk())
-        self._chunks.append((time, seqs, owner_col, None, None,
-                             payload_col, ctx_col))
-        j = int(np.argmin(time))
-        candidate = (float(time[j]), int(seqs[j]))
-        pm = self._p_min
-        if pm is None or candidate[0] < pm[0]:
-            self._p_min = candidate
-        self._live += n
-        self.scheduled += n
-        sim._note_batch_key(candidate[0], self.priority, candidate[1], self)
-
-    def schedule_many_at(self, times: Sequence[float],
-                         owners: Optional[Sequence[int]] = None,
-                         payloads: Optional[Sequence[Any]] = None) -> None:
-        """Vectorised bulk scheduling at *absolute* simulation times.
-
-        The cross-shard injection path (:mod:`repro.kernel.shard`): a
-        boundary batch arrives as struct-of-arrays columns stamped with
-        effect times computed on the sending shard, and lands here in one
-        chunk append.  Same constraints as :meth:`schedule_many`
-        (non-cancellable classes only); every time must be ``>= now``,
-        validated up front so a bad batch consumes no sequence numbers.
-        """
-        if self.cancellable:
-            raise ScheduleError(
-                "schedule_many_at requires a non-cancellable batch class")
-        sim = self.sim
-        n = len(times)
-        if n == 0:
-            return
-        if not isinstance(times, np.ndarray) and n < 8:
-            now = sim._now
-            for time in times:
-                if time < now:
-                    raise ScheduleError(
-                        f"cannot schedule at {time!r}, now is {now!r}")
-            for i, time in enumerate(times):
-                self._enqueue(float(time),
-                              owners[i] if owners is not None else 0,
-                              payloads[i] if payloads is not None else None)
-            return
-        time = np.asarray(times, dtype=np.float64)
-        n = time.shape[0]
-        j = int(np.argmin(time))
-        if time[j] < sim._now:
-            raise ScheduleError(
-                f"cannot schedule at {float(time[j])!r}, "
-                f"now is {sim._now!r}")
-        seq0 = sim._seq
-        sim._seq = seq0 + n
-        seqs = np.arange(seq0, seq0 + n, dtype=np.int64)
-        if owners is None:
-            owner_col = np.zeros(n, dtype=np.int64)
-        else:
-            owner_col = np.asarray(owners, dtype=np.int64)
-            if owner_col.shape[0] != n:
-                raise ScheduleError("owners length must match times")
-        payload_col = list(payloads) if payloads is not None else None
-        if payload_col is not None and len(payload_col) != n:
-            raise ScheduleError("payloads length must match times")
-        ctx = sim._span_ctx
-        ctx_col = [ctx] * n if ctx is not None else None
-        if self._p_time:
-            self._chunks.append(self._take_scalar_chunk())
-        self._chunks.append((time, seqs, owner_col, None, None,
-                             payload_col, ctx_col))
-        candidate = (float(time[j]), int(seqs[j]))
-        pm = self._p_min
-        if pm is None or candidate[0] < pm[0]:
-            self._p_min = candidate
-        self._live += n
-        self.scheduled += n
-        sim._note_batch_key(candidate[0], self.priority, candidate[1], self)
-
-    # ------------------------------------------------------------------
-    # Cancellation
-    # ------------------------------------------------------------------
-    def _cancel(self, slot: int, gen: int) -> None:
-        sim = self.sim
-        if sim._stopped:
-            return  # entries were discarded wholesale; nothing to count
-        table = self._gen_table
-        if table[slot] != gen:
-            return  # already fired, cancelled, or compacted away
-        table[slot] = gen + 1
-        self._free_slots.append(slot)
-        self._live -= 1
-        self._dead += 1
-        self.cancelled += 1
-        sim._bdirty = True
-        sim._update_cancel_gauge()
-        if (not self._draining and self._dead > COMPACT_MIN_QUEUE
-                and self._dead * 2 > self._live + self._dead):
-            self._compact()
-
-    def _compact(self) -> None:
-        """Drop dead entries from every run (satellite of the heap's own
-        threshold compaction — cancel-heavy workloads stay bounded)."""
-        self._flush_pending()
-        table = np.asarray(self._gen_table, dtype=np.int64)
-        kept: List[_Run] = []
-        for run in self._runs:
-            cursor = run.cursor
-            if cursor >= run.n:
-                continue
-            if run.slot is None:
-                alive = None
-            else:
-                alive = self.sim._kernels.alive_mask(
-                    table, run.slot[cursor:], run.gen[cursor:])
-                if bool(alive.all()):
-                    alive = None
-            if alive is None:
-                if cursor == 0:
-                    kept.append(run)
-                else:
-                    kept.append(self._slice_run(run, np.arange(
-                        cursor, run.n, dtype=np.int64)))
-                continue
-            idx = np.nonzero(alive)[0] + cursor
-            if idx.shape[0]:
-                kept.append(self._slice_run(run, idx))
-        self._runs = kept
-        self._dead = 0
-        self.compactions += 1
-        self.sim._bdirty = True
-
-    @staticmethod
-    def _slice_run(run: _Run, idx: np.ndarray) -> _Run:
-        positions = idx.tolist()
-        return _Run(
-            run.time[idx], run.seq[idx], run.owner[idx],
-            run.slot[idx] if run.slot is not None else None,
-            run.gen[idx] if run.gen is not None else None,
-            [run.payload[j] for j in positions] if run.payload is not None
-            else None,
-            [run.ctx[j] for j in positions] if run.ctx is not None else None)
-
-    def _clear(self) -> None:
-        """Discard everything (``Simulator.stop``)."""
-        self._runs = []
-        self._chunks = []
-        self._reset_pending()
-        self._live = 0
-        self._dead = 0
-        # Invalidate any in-flight drain accounting: a callback that calls
-        # ``Simulator.stop`` clears the queue mid-cohort, and the drain's
-        # ``finally`` must not re-subtract entries from the zeroed counters.
-        self._epoch += 1
-
-    def _reset_pending(self) -> None:
-        self._p_time = []
-        self._p_seq = []
-        self._p_owner = []
-        self._p_slot = []
-        self._p_gen = []
-        self._p_payload = []
-        self._p_ctx = []
-        self._p_any_payload = False
-        self._p_any_ctx = False
-        self._p_min = None
-
-    # ------------------------------------------------------------------
-    # Sorting machinery
-    # ------------------------------------------------------------------
-    def _take_scalar_chunk(self) -> tuple:
-        if self.cancellable:
-            slot_col = np.asarray(self._p_slot, dtype=np.int64)
-            gen_col = np.asarray(self._p_gen, dtype=np.int64)
-        else:
-            slot_col = gen_col = None
-        chunk = (np.asarray(self._p_time, dtype=np.float64),
-                 np.asarray(self._p_seq, dtype=np.int64),
-                 np.asarray(self._p_owner, dtype=np.int64),
-                 slot_col, gen_col,
-                 self._p_payload if self._p_any_payload else None,
-                 self._p_ctx if self._p_any_ctx else None)
-        self._reset_pending()
-        return chunk
-
-    @staticmethod
-    def _combine_lists(chunks: List[tuple], index: int) -> Optional[list]:
-        if all(chunk[index] is None for chunk in chunks):
-            return None
-        combined: List[Any] = []
-        for chunk in chunks:
-            column = chunk[index]
-            if column is None:
-                combined.extend([None] * chunk[0].shape[0])
-            else:
-                combined.extend(column)
-        return combined
-
-    def _flush_pending(self) -> None:
-        """Sort everything pending into a new run."""
-        if self._p_time:
-            self._chunks.append(self._take_scalar_chunk())
-        chunks = self._chunks
-        if not chunks:
-            return
-        self._chunks = []
-        self._p_min = None
-        if len(chunks) == 1:
-            time, seq, owner, slot, gen, payload, ctx = chunks[0]
-        else:
-            time = np.concatenate([c[0] for c in chunks])
-            seq = np.concatenate([c[1] for c in chunks])
-            owner = np.concatenate([c[2] for c in chunks])
-            if self.cancellable:
-                slot = np.concatenate([c[3] for c in chunks])
-                gen = np.concatenate([c[4] for c in chunks])
-            else:
-                slot = gen = None
-            payload = self._combine_lists(chunks, 5)
-            ctx = self._combine_lists(chunks, 6)
-        if time.shape[0] > 1 and not bool(np.all(time[:-1] <= time[1:])):
-            # Appends happen in sequence order, so the (time, seq) merge
-            # order equals a stable sort by time alone — either way the
-            # backend kernel returns the identical permutation (keys are
-            # unique; see repro.kernel.backend).
-            order = self.sim._kernels.merge_order(time, seq)
-            time = time[order]
-            seq = seq[order]
-            owner = owner[order]
-            if slot is not None:
-                slot = slot[order]
-                gen = gen[order]
-            positions = order.tolist()
-            if payload is not None:
-                payload = [payload[j] for j in positions]
-            if ctx is not None:
-                ctx = [ctx[j] for j in positions]
-        self._runs.append(_Run(time, seq, owner, slot, gen, payload, ctx))
-        self._carry_merge()
-
-    def _carry_merge(self) -> None:
-        """LSM-style tail merging: while the next-to-last run's remainder
-        is within 2x of the last run's, merge the two.  Single entries
-        trickling in (a self-rescheduling timer population) then cost
-        O(log n) re-sorts each, amortised, instead of a full-queue sort
-        every :data:`MAX_RUNS` appends."""
-        runs = self._runs
-        while len(runs) > 1:
-            a = runs[-2]
-            b = runs[-1]
-            if (a.n - a.cursor) <= 2 * (b.n - b.cursor):
-                runs[-2:] = [self._merged_run([a, b])]
-            else:
-                break
-        if len(runs) > MAX_RUNS:
-            self._consolidate()
-
-    def _consolidate(self) -> None:
-        """Merge every run's remainder into one (and shed dead entries)."""
-        runs = [r for r in self._runs if r.cursor < r.n]
-        if len(runs) <= 1:
-            self._runs = runs
-            return
-        merged = self._merged_run(runs)
-        if merged.slot is not None:
-            table = np.asarray(self._gen_table, dtype=np.int64)
-            alive = self.sim._kernels.alive_mask(table, merged.slot,
-                                                 merged.gen)
-            dead = int(alive.shape[0] - int(alive.sum()))
-            if dead:
-                self._dead -= dead
-                idx = np.nonzero(alive)[0]
-                merged = self._slice_run(merged, idx)
-        self._runs = [merged]
-
-    def _merged_run(self, runs: List[_Run]) -> _Run:
-        """One sorted run from the remainders of ``runs``."""
-        time = np.concatenate([r.time[r.cursor:] for r in runs])
-        seq = np.concatenate([r.seq[r.cursor:] for r in runs])
-        owner = np.concatenate([r.owner[r.cursor:] for r in runs])
-        if self.cancellable:
-            slot = np.concatenate([r.slot[r.cursor:] for r in runs])
-            gen = np.concatenate([r.gen[r.cursor:] for r in runs])
-        else:
-            slot = gen = None
-        if any(r.payload is not None for r in runs):
-            payload: Optional[list] = []
-            for r in runs:
-                if r.payload is None:
-                    payload.extend([None] * (r.n - r.cursor))
-                else:
-                    payload.extend(r.payload[r.cursor:])
-        else:
-            payload = None
-        if any(r.ctx is not None for r in runs):
-            ctx: Optional[list] = []
-            for r in runs:
-                if r.ctx is None:
-                    ctx.extend([None] * (r.n - r.cursor))
-                else:
-                    ctx.extend(r.ctx[r.cursor:])
-        else:
-            ctx = None
-        # Cross-run entries interleave arbitrarily: the full two-key sort
-        # (backend kernel; identical permutation on every backend).
-        order = self.sim._kernels.merge_order(time, seq)
-        time = time[order]
-        seq = seq[order]
-        owner = owner[order]
-        if slot is not None:
-            slot = slot[order]
-            gen = gen[order]
-        positions = order.tolist()
-        if payload is not None:
-            payload = [payload[j] for j in positions]
-        if ctx is not None:
-            ctx = [ctx[j] for j in positions]
-        return _Run(time, seq, owner, slot, gen, payload, ctx)
-
-    # ------------------------------------------------------------------
-    # Head inspection (for the two-source merge)
-    # ------------------------------------------------------------------
-    def _skip_dead(self, run: _Run) -> int:
-        """Advance the cursor past cancelled head entries; return it."""
-        cursor = run.cursor
-        if run.slot is None:
-            return cursor
-        table = self._gen_table
-        slot = run.slot
-        gen = run.gen
-        n = run.n
-        while cursor < n and table[int(slot[cursor])] != gen[cursor]:
-            self._dead -= 1
-            if run.payload is not None:
-                run.payload[cursor] = None
-            cursor += 1
-        run.cursor = cursor
-        return cursor
-
-    def _head_key(self) -> Optional[Tuple[float, int, int]]:
-        """``(time, priority, seq)`` of the next live entry, or None.
-
-        This is the batch half of the two-source merge peek.  The run
-        heads are scanned by the backend's ``head_scan`` kernel when a
-        compiled one is active; the pure backend keeps the scalar path
-        (for the handful of runs a class holds, ``min`` on tuples beats
-        building arrays) — both pick the identical lexicographic minimum
-        because sequence numbers are unique.
-        """
-        runs = self._runs
-        heads: List[Tuple[float, int]] = []
-        i = 0
-        while i < len(runs):
-            run = runs[i]
-            cursor = self._skip_dead(run)
-            if cursor >= run.n:
-                runs.pop(i)
-                continue
-            heads.append((float(run.time[cursor]), int(run.seq[cursor])))
-            i += 1
-        best: Optional[Tuple[float, int]] = None
-        if heads:
-            scan = self.sim._kernels.head_scan
-            if scan is not None and len(heads) > 1:
-                best = heads[int(scan(
-                    np.array([h[0] for h in heads], dtype=np.float64),
-                    np.array([h[1] for h in heads], dtype=np.int64)))]
-            else:
-                best = min(heads)
-        pm = self._p_min
-        if pm is not None and (best is None or pm < best):
-            best = pm
-        if best is None:
-            return None
-        return (best[0], self.priority, best[1])
-
-    def __len__(self) -> int:
-        return self._live
-
-    def stats(self) -> dict:
-        """Per-class counters for the "kernel" metrics probe."""
-        return {"scheduled": self.scheduled, "executed": self.executed,
-                "cancelled": self.cancelled, "cohorts": self.cohorts,
-                "compactions": self.compactions, "pending": self._live}
-
-    # ------------------------------------------------------------------
-    # Draining
-    # ------------------------------------------------------------------
-    def _drain(self, limit: Optional[Tuple[float, int, int]],
-               until: Optional[float], budget: Optional[int]) -> int:
-        """Execute entries with key strictly below ``limit`` (and time
-        within ``until``), at most ``budget`` of them.  Returns the count.
-
-        Runs cohort after cohort; exits back to the two-source merge as
-        soon as a callback schedules *anything* (the new entry — in this
-        class, another class, or the heap — may interleave before our
-        remaining entries), when the budget is spent, or on ``stop()``.
-        """
-        sim = self.sim
-        executed = 0
-        self._draining = True
-        try:
-            while True:
-                if budget is not None and executed >= budget:
-                    break
-                seq_mark = sim._seq
-                best_run: Optional[_Run] = None
-                best: Optional[Tuple[float, int]] = None
-                runs = self._runs
-                i = 0
-                while i < len(runs):
-                    run = runs[i]
-                    cursor = self._skip_dead(run)
-                    if cursor >= run.n:
-                        runs.pop(i)
-                        continue
-                    key = (float(run.time[cursor]), int(run.seq[cursor]))
-                    if best is None or key < best:
-                        best = key
-                        best_run = run
-                    i += 1
-                pm = self._p_min
-                if pm is not None and (best is None or pm < best):
-                    self._flush_pending()
-                    continue
-                if best_run is None:
-                    break
-                if until is not None and best[0] > until:
-                    break
-                if limit is not None and (best[0], self.priority,
-                                          best[1]) >= limit:
-                    break
-                lo, hi = self._cohort_bounds(best_run, limit)
-                if budget is not None:
-                    hi = min(hi, lo + (budget - executed))
-                count = self._exec_cohort(best_run, best[0], lo, hi)
-                executed += count
-                if count == 0 or sim._stopped or sim._seq != seq_mark:
-                    break
-        finally:
-            self._draining = False
-        if (self._dead > COMPACT_MIN_QUEUE
-                and self._dead * 2 > self._live + self._dead):
-            self._compact()
-        return executed
-
-    def _cohort_bounds(self, run: _Run,
-                       limit: Optional[Tuple[float, int, int]]
-                       ) -> Tuple[int, int]:
-        """[lo, hi) bounds of the executable cohort at the run's head.
-
-        The cohort is the maximal same-deadline prefix, clipped to the
-        limit's sequence number when the limit shares our (time, priority)
-        — and to any sibling run's head sequence, so equal-deadline entries
-        split across runs still interleave in exact sequence order.
-        """
-        lo = run.cursor
-        head_time = float(run.time[lo])
-        hi = lo + int(np.searchsorted(run.time[lo:run.n], head_time,
-                                      side="right"))
-        if (limit is not None and limit[0] == head_time
-                and limit[1] == self.priority):
-            hi = lo + int(np.searchsorted(run.seq[lo:hi], limit[2]))
-        for other in self._runs:
-            if other is run or other.cursor >= other.n:
-                continue
-            if float(other.time[other.cursor]) == head_time:
-                other_seq = int(other.seq[other.cursor])
-                hi = lo + int(np.searchsorted(run.seq[lo:hi], other_seq))
-        return lo, hi
-
-    def _exec_cohort(self, run: _Run, head_time: float,
-                     lo: int, hi: int) -> int:
-        """Execute the cohort ``run[lo:hi]`` at ``head_time``."""
-        sim = self.sim
-        count = hi - lo
-        if count <= 0:
-            return 0
-        sim._now = head_time
-        span = None
-        if sim.batch_spans and sim.tracer.enabled:
-            span = sim.span_begin("kernel.cohort", self.name,
-                                  activate=False, n=count)
-        if (self.cohort_fn is not None and run.slot is None
-                and run.ctx is None and sim._span_ctx is None):
-            owners = run.owner[lo:hi]
-            payloads = run.payload[lo:hi] if run.payload is not None else None
-            run.cursor = hi
-            epoch = self._epoch
-            try:
-                self.cohort_fn(owners, payloads)
-            finally:
-                if epoch == self._epoch:
-                    self._live -= count
-                self.executed += count
-                self.cohorts += 1
-            if span is not None:
-                sim.span_end(span)
-            return count
-        fn = self.fn
-        owners = run.owner[lo:hi].tolist()
-        payloads = run.payload
-        ctxs = run.ctx
-        if run.slot is not None:
-            slots = run.slot[lo:hi].tolist()
-            gens = run.gen[lo:hi].tolist()
-            table = self._gen_table
-            free = self._free_slots
-        else:
-            slots = None
-        consumed = 0
-        executed = 0
-        k = 0
-        epoch = self._epoch
-        try:
-            while k < count:
-                idx = lo + k
-                k += 1
-                if slots is not None:
-                    slot = slots[k - 1]
-                    if table[slot] != gens[k - 1]:
-                        self._dead -= 1
-                        if payloads is not None:
-                            payloads[idx] = None
-                        continue
-                    # Fired: bump the generation so a late cancel() of this
-                    # handle is a no-op and the slot can be reused safely.
-                    table[slot] += 1
-                    free.append(slot)
-                consumed += 1
-                owner = owners[k - 1]
-                if payloads is not None:
-                    payload = payloads[idx]
-                    payloads[idx] = None  # break ref cycles, like the heap
-                else:
-                    payload = None
-                ctx = ctxs[idx] if ctxs is not None else None
-                if ctx is not None or sim._span_ctx is not None:
-                    sim._span_ctx = ctx
-                    fn(owner, payload)
-                    sim._span_ctx = None
-                else:
-                    fn(owner, payload)
-                executed += 1
-                if sim._stopped:
-                    break
-        finally:
-            run.cursor = lo + k
-            if epoch == self._epoch:
-                self._live -= consumed
-            self.executed += executed
-            self.cohorts += 1
-        if span is not None:
-            sim.span_end(span)
-        return executed
-
-
-class UnbatchedQueue:
-    """The ``batching=False`` oracle: same API, plain heap events.
-
-    Every call maps onto exactly the scheduling the pre-batching code
-    performed — ``schedule_bound`` for uncancellable entries, a public
-    handle-returning schedule otherwise — so a seeded run is byte-identical
-    to the legacy kernel, which is what the equivalence tests assert.
+    Create through :meth:`Simulator.batch_class`, never directly.
     """
 
     __slots__ = ("sim", "name", "fn", "priority", "cancellable")
@@ -832,6 +44,8 @@ class UnbatchedQueue:
         self.cancellable = bool(cancellable)
 
     def schedule(self, delay: float, owner: int = 0, payload: Any = None):
+        """Schedule one entry ``delay`` seconds from now.  Returns its
+        :class:`Event` handle for cancellable classes, None otherwise."""
         if self.cancellable:
             return self.sim.schedule(delay, self.fn, owner, payload,
                                      priority=self.priority)
@@ -840,28 +54,18 @@ class UnbatchedQueue:
         return None
 
     def schedule_at(self, time: float, owner: int = 0, payload: Any = None):
+        """Schedule one entry at absolute simulation time ``time``."""
         event = self.sim.schedule_at(time, self.fn, owner, payload,
                                      priority=self.priority)
         return event if self.cancellable else None
 
-    def schedule_many(self, delays: Sequence[float],
-                      owners: Optional[Sequence[int]] = None,
-                      payloads: Optional[Sequence[Any]] = None) -> None:
-        if self.cancellable:
-            raise ScheduleError(
-                "schedule_many requires a non-cancellable batch class")
-        sim = self.sim
-        fn = self.fn
-        priority = self.priority
-        for i, delay in enumerate(delays):
-            owner = owners[i] if owners is not None else 0
-            payload = payloads[i] if payloads is not None else None
-            sim.schedule_bound(float(delay), fn, (owner, payload),
-                               priority=priority)
-
     def schedule_many_at(self, times: Sequence[float],
                          owners: Optional[Sequence[int]] = None,
                          payloads: Optional[Sequence[Any]] = None) -> None:
+        """Bulk scheduling at *absolute* times: the cross-shard injection
+        path (:mod:`repro.kernel.shard`).  Non-cancellable classes only;
+        every time must be ``>= now``, validated up front so a bad batch
+        consumes no sequence numbers."""
         if self.cancellable:
             raise ScheduleError(
                 "schedule_many_at requires a non-cancellable batch class")
@@ -877,14 +81,12 @@ class UnbatchedQueue:
             owner = owners[i] if owners is not None else 0
             payload = payloads[i] if payloads is not None else None
             # schedule_at keeps the stored deadline exact (now + (t - now)
-            # would round); one event per entry, same seq consumption as
-            # the batched engine's chunk append.
+            # would round).
             sim.schedule_at(float(time), fn, owner, payload,
                             priority=priority)
 
-    def __len__(self) -> int:
-        return 0  # entries live in the simulator's heap, counted there
-
     def stats(self) -> dict:
-        return {"scheduled": 0, "executed": 0, "cancelled": 0,
-                "cohorts": 0, "compactions": 0, "pending": 0}
+        """Per-class entry for the "kernel" metrics probe.  Entries are
+        plain heap events and are not counted per class, so both fields
+        read 0; the keys stay for probe consumers."""
+        return {"executed": 0, "cohorts": 0}

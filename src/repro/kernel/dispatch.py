@@ -35,8 +35,6 @@ traced    ``tracer.enabled`` or a span context is ambient at
 bounded   an ``until`` horizon or ``max_events`` budget was given.
           The unbounded loops drain the heap with no limit tests
           at all.
-batched   batch classes exist — handled by the two-source merge in
-          ``Simulator._run_merged``, not here.
 metrics   *no variant*: the kernel does no per-event metrics work
           (gauges/probes are sampled, not event-driven), so the
           metrics axis collapses onto the same loops by design.

@@ -76,16 +76,15 @@ class DropTailQueue:
 
 
 class Pacer:
-    """A named batched timer class for frame pacing and queue draining.
+    """A named timer class for frame pacing and queue draining.
 
     Thin veneer over :meth:`Simulator.batch_class`: a layer that paces
     homogeneous work — wired serialisation/propagation, framebuffer
     frame-rate pacing, drain timers — registers one callback here and
-    schedules entries through :meth:`after`/:meth:`at`, which puts the
-    timers on the kernel's struct-of-arrays batch path instead of the
-    per-event heap.  ``shared=True`` (the default) means every pacer of
-    the same name on one simulator drains from the same queue, so the
-    callback must be a module-level function, not a bound method.
+    schedules entries through :meth:`after`/:meth:`at`.  ``shared=True``
+    (the default) means every pacer of the same name on one simulator
+    shares one class, so the callback must be a module-level function,
+    not a bound method.
     """
 
     def __init__(self, sim: Simulator, name: str,
@@ -105,9 +104,6 @@ class Pacer:
     def at(self, time: float, owner: int = 0, payload: Any = None):
         """Fire at absolute simulation time ``time``."""
         return self._q.schedule_at(time, owner, payload)
-
-    def __len__(self) -> int:
-        return len(self._q)
 
 
 class TokenBucket:

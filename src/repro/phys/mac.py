@@ -74,11 +74,11 @@ _VECTORISE_MIN: int = 8
 FADE_MARGIN_DB: float = 30.0
 
 # ----------------------------------------------------------------------
-# Batched timer callbacks (module-level so `shared=True` batch classes
+# Timer-class callbacks (module-level so `shared=True` batch classes
 # registered by several media on one simulator compare equal).  These are
 # the three hottest timers in the whole simulator — DIFS/backoff expiry,
 # genie-ACK turnaround, and transmission end — and they run through the
-# kernel's struct-of-arrays batch queues (see repro.kernel.batchq).
+# kernel's homogeneous event classes (see repro.kernel.batchq).
 # ----------------------------------------------------------------------
 def _fire_attempt(_owner: int, mac: "CsmaMac") -> None:
     mac._attempt()
@@ -240,10 +240,9 @@ class WirelessMedium:
         })
         #: cumulative airtime per channel — what a passive scan observes.
         self.channel_airtime: Dict[int, float] = {}
-        # Homogeneous timer classes on the kernel's batched path.  All
-        # three are fire-and-forget (the legacy code used schedule_bound,
-        # which returns no handle either), and shared so several media on
-        # one simulator drain from the same struct-of-arrays queues.
+        # Homogeneous timer classes.  All three are fire-and-forget
+        # (schedule_bound entries, no handle), and shared so several
+        # media on one simulator register each class once.
         self._attempt_q = sim.batch_class(
             "mac.attempt", _fire_attempt, priority=_PROTOCOL_PRI,
             cancellable=False, shared=True)
@@ -661,7 +660,7 @@ class CsmaMac:
         self.medium = medium
         # Pre-bound handler table for the per-frame timer producers:
         # ``_kick``/``_backoff``/``_tx_done`` fire once per frame attempt,
-        # and the two-attribute walk to the shared batch queues was
+        # and the two-attribute walk to the shared batch classes was
         # measurable at storm rates.
         self._schedule_attempt = medium._attempt_q.schedule
         self._schedule_ack = medium._ack_q.schedule

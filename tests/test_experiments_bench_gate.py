@@ -1,23 +1,15 @@
 """Unit fixtures for the kernel bench gate — synthetic payloads, no
 actual benchmarking, so these run in milliseconds inside tier-1.
 
-Two contracts are pinned:
-
-* the **calibration-relative dispatch floor**: events/sec divided by
-  the machine-speed calibration figure must be at least
-  ``DISPATCH_MIN_SPEEDUP`` times the committed baseline's same ratio —
-  so host speed cancels out of the ≥2x claim in both directions;
-* the **backend marker**: every kernel payload records whether the
-  compiled backend was available, and when it was not, *why* — the
-  explicit skip marker that keeps the compiled path from silently
-  degrading to the Python fallback.
+The contract pinned is the **calibration-relative dispatch floor**:
+events/sec divided by the machine-speed calibration figure must be at
+least ``DISPATCH_MIN_SPEEDUP`` times the committed baseline's same ratio —
+so host speed cancels out of the ≥2x claim in both directions.
 """
 
 from __future__ import annotations
 
-from repro.experiments.bench import (DISPATCH_MIN_SPEEDUP, backend_payload,
-                                     check_regression)
-from repro.kernel.backend import compiled_info
+from repro.experiments.bench import DISPATCH_MIN_SPEEDUP, check_regression
 
 BASELINE = {
     "name": "kernel",
@@ -78,16 +70,3 @@ def test_tolerance_floor_still_fires():
     assert any("events_per_sec" in f and "below the committed baseline" in f
                for f in failures)
 
-
-def test_backend_payload_marks_skip_explicitly():
-    payload = backend_payload()
-    available, reason = compiled_info()
-    assert payload["compiled_available"] is available
-    if available:
-        assert "compiled_skipped_reason" not in payload
-    else:
-        # Never a silent fallback: the reason must travel with the
-        # payload and be non-empty.
-        assert payload["backend"] == "python"
-        assert payload["compiled_skipped_reason"] == reason
-        assert payload["compiled_skipped_reason"]

@@ -1,24 +1,27 @@
-"""Batched execution oracle: ``batching=True`` must be byte-identical to
-the legacy per-event heap on seeded workloads.
+"""Golden digests: batch-class producers keep their seeded outcomes.
 
-The batched engine shares the kernel's global sequence counter, so every
-entry — heap or batch — consumes the same ``(time, priority, seq)`` key
-in both modes and the interleaving is *exactly* reproduced, not merely
-statistically equivalent.  These tests pin that contract on the three
-workloads that exercise the converted producers hardest: the full
-projector room with co-channel interferers (MAC backoff/ACK/finish
-timers), the broadcast-heavy scale room, and a lease storm (sweep +
-renewal chains).
+Batch-class timers (MAC backoff/ACK/finish, lease sweeps, discovery and
+queueing timers) are plain heap entries: every entry consumes the kernel's
+global sequence counter, so a seeded run's interleaving is fixed by the
+``(time, priority, seq)`` key alone.  These tests pin that run, byte for
+byte, as sha256 digests of the outcome of the three workloads that
+exercise the producers hardest: the full projector room with co-channel
+interferers, the broadcast-heavy scale room, and a lease storm (sweep +
+renewal chains).  The digests were recorded on the struct-of-arrays batch
+engine these timers used to run on, so they also pin that retiring it
+changed no outcome.
 
 Process-global id counters (frame ids, lease ids, transport message ids,
 service-id suffixes) advance in construction order, not execution order,
-so absolute values differ between two rooms built in one process no
-matter the engine; messages are compared with those ids normalised away
-— the same convention as ``test_phys_culling_equivalence``.
+so absolute values depend on what else the process built first; messages
+are digested with those ids normalised away — the same convention as
+``test_phys_culling_equivalence``.  ``kernel*`` metrics describe the event
+store itself, not the simulation, and are left out.
 """
 
 from __future__ import annotations
 
+import hashlib
 import re
 
 from repro.discovery.leases import LeaseTable
@@ -27,11 +30,22 @@ from repro.experiments.workloads import (broadcast_room, interferer_field,
 from repro.kernel.scheduler import Simulator
 
 #: Process-global id artifacts scrubbed from trace messages before
-#: comparison: frame ids ("#12"), lease/request ids, service-id suffixes.
+#: digesting: frame ids ("#12"), lease/request ids, service-id suffixes.
 _ID = re.compile(r"#\d+|\b(?:lease|request) \d+|-\d{4}\b")
 
 #: Span/record data keys carrying those same process-global ids.
 _ID_KEYS = {"frame", "lease", "request", "msg"}
+
+PROJECTOR_ROOM_SHA256 = (
+    "aefd288d64145e96302fefe2dcc899269bc3c29a17bba670e816d8067757fdf7")
+BROADCAST_ROOM_SHA256 = (
+    "45c23ac48760bfc2c4f024f05b3108f17cf9895f407588b61c49b5ccc17ea02d")
+LEASE_STORM_SHA256 = (
+    "7830f1e66c875b265d5665f0ffe22b7caf4bceb4fb8976ce615fd492a086c256")
+
+
+def _digest(outcome) -> str:
+    return hashlib.sha256(repr(outcome).encode()).hexdigest()
 
 
 def _records(sim):
@@ -46,13 +60,7 @@ def _spans(sim):
 
 
 def _metrics(sim):
-    """Metrics snapshot minus the kernel's own engine internals.
-
-    ``kernel.*`` gauges and the "kernel" probe report *how* events were
-    executed (cohorts, compactions, cancelled ratio) — legitimately
-    different between engines — while everything else reports *what*
-    the simulation did, which must match.
-    """
+    """Metrics snapshot minus the kernel's own event-store internals."""
     snap = sim.metrics.snapshot()
     out = {}
     for section, values in snap.items():
@@ -69,8 +77,8 @@ def _outcome(sim):
             _metrics(sim))
 
 
-def _projector_outcome(batching: bool):
-    room = projector_room(seed=3, batching=batching)
+def projector_outcome():
+    room = projector_room(seed=3)
     interferer_field(room, 6, frames_per_second=40.0)
     room.sim.run(until=12.0)
     macs = {name: dict(room.medium._macs[name].stats)
@@ -78,28 +86,17 @@ def _projector_outcome(batching: bool):
     return _outcome(room.sim) + (macs,)
 
 
-def test_projector_room_byte_identical():
-    batched = _projector_outcome(batching=True)
-    legacy = _projector_outcome(batching=False)
-    for got, want in zip(batched, legacy):
-        assert got == want
-
-
-def _broadcast_outcome(batching: bool):
-    room = broadcast_room(60, seed=11, batching=batching)
+def broadcast_outcome():
+    room = broadcast_room(60, seed=11)
     room.sim.run(until=6.0)
     return (room.sim.now, room.sim.events_executed, list(room.deliveries))
 
 
-def test_broadcast_room_byte_identical():
-    assert _broadcast_outcome(True) == _broadcast_outcome(False)
-
-
-def _lease_storm_outcome(batching: bool):
+def lease_storm_outcome():
     """A renewal-chain storm straight on the lease table: grants with a
     handful of standard durations, each renewed at 45% of its duration
     until the horizon, under a fast sweep."""
-    sim = Simulator(seed=9, batching=batching)
+    sim = Simulator(seed=9)
     table = LeaseTable(sim, sweep_interval=0.5)
     rng = sim.rng("storm")
     durations = [2.0, 3.0, 5.0]
@@ -123,20 +120,13 @@ def _lease_storm_outcome(batching: bool):
             _records(sim), _metrics(sim))
 
 
+def test_projector_room_byte_identical():
+    assert _digest(projector_outcome()) == PROJECTOR_ROOM_SHA256
+
+
+def test_broadcast_room_byte_identical():
+    assert _digest(broadcast_outcome()) == BROADCAST_ROOM_SHA256
+
+
 def test_lease_storm_byte_identical():
-    batched = _lease_storm_outcome(batching=True)
-    legacy = _lease_storm_outcome(batching=False)
-    for got, want in zip(batched, legacy):
-        assert got == want
-
-
-def test_storm_bench_outcomes_identical():
-    """The bench gate's identity invariant, pinned in tier-1: the
-    100k-backoff/10k-renewal storm executes the same events to the same
-    clock in both modes."""
-    from repro.experiments.bench import _storm_run
-
-    batched = _storm_run(batching=True)
-    legacy = _storm_run(batching=False)
-    for key in ("events", "fired_backoffs", "fired_renewals", "now"):
-        assert batched[key] == legacy[key]
+    assert _digest(lease_storm_outcome()) == LEASE_STORM_SHA256

@@ -2,27 +2,21 @@
 byte-identical on seeded workloads.
 
 ``Simulator.run`` selects a monomorphic loop variant at entry (see
-:mod:`repro.kernel.dispatch`) and the batch engine routes its sort /
-liveness / peek kernels through a resolved backend (see
-:mod:`repro.kernel.backend`).  None of that specialisation may change
+:mod:`repro.kernel.dispatch`).  That specialisation may not change
 *what* the simulation computes — only how fast.  These tests sweep the
 full variant matrix:
 
 * **trace**: off / ``head`` / ``ring`` / ``stream`` — the traced and
   untraced loops, and every retention policy of the traced one;
 * **metrics**: a periodic MONITOR-priority sampler on or off — the
-  monitor events ride the same queue as everything else;
-* **batching**: the batched timer engine vs the legacy per-event heap;
-* **backend**: pure Python vs the compiled kernels.  When no compiler
-  is available the compiled column *skips with an explicit reason* — it
-  must never silently pass by measuring the Python fallback.
+  monitor events ride the same queue as everything else.
 
-Within each metrics arm, every (trace, batching, backend) combination is
-compared against one reference outcome (trace off, batching on, Python
-backend).  The fingerprint deliberately excludes retained trace records
-— ``ring`` keeps a suffix and ``stream`` keeps nothing by design — and
-the ``kernel.*`` engine-internal metrics, which legitimately differ
-between engines; everything else must match exactly.
+Within each metrics arm, every trace mode is compared against one
+reference outcome (trace off).  The fingerprint deliberately excludes
+retained trace records — ``ring`` keeps a suffix and ``stream`` keeps
+nothing by design — and the ``kernel.*`` metrics, which describe the
+event store rather than the simulation; everything else must match
+exactly.
 """
 
 from __future__ import annotations
@@ -33,45 +27,26 @@ import pytest
 
 from repro.discovery.leases import LeaseTable
 from repro.experiments.workloads import interferer_field, projector_room
-from repro.kernel.backend import compiled_info
 from repro.kernel.events import Priority
 from repro.kernel.scheduler import Simulator
-
-_COMPILED_AVAILABLE, _COMPILED_REASON = compiled_info()
-
-#: One pytest param per backend; the compiled column carries an explicit
-#: skip reason straight from the probe (ISSUE 10: auto-skip, never a
-#: silent pass on the fallback).
-BACKENDS = [
-    pytest.param("python", id="backend-python"),
-    pytest.param("compiled", id="backend-compiled",
-                 marks=pytest.mark.skipif(
-                     not _COMPILED_AVAILABLE,
-                     reason=f"compiled backend unavailable: "
-                            f"{_COMPILED_REASON}")),
-]
 
 #: None = tracing disabled (the untraced loop variants).
 TRACE_MODES = (None, "head", "ring", "stream")
 
 
-def _sim_kwargs(trace_mode: Optional[str], batching: bool,
-                backend: str) -> Dict[str, Any]:
-    kwargs: Dict[str, Any] = {"batching": batching, "backend": backend}
+def _sim_kwargs(trace_mode: Optional[str]) -> Dict[str, Any]:
     if trace_mode is None:
-        kwargs["trace"] = False
-    else:
-        kwargs["trace"] = True
-        kwargs["trace_mode"] = trace_mode
-        if trace_mode == "ring":
-            kwargs["trace_capacity"] = 512
+        return {"trace": False}
+    kwargs: Dict[str, Any] = {"trace": True, "trace_mode": trace_mode}
+    if trace_mode == "ring":
+        kwargs["trace_capacity"] = 512
     return kwargs
 
 
 def _metrics_fingerprint(sim: Simulator) -> Dict[str, Any]:
     """Non-kernel metrics: *what* the simulation did.  ``kernel.*``
-    gauges report how the engine executed it and legitimately differ
-    between batching modes (same convention as the batch oracle)."""
+    gauges report how the event store executed it (same convention as
+    the golden-digest tests)."""
     if sim._metrics is None:
         return {}
     out: Dict[str, Any] = {}
@@ -100,10 +75,8 @@ def _attach_monitor(sim: Simulator, samples: list) -> None:
 # Workload 1: the projector room with co-channel interferers
 # ---------------------------------------------------------------------------
 
-def _projector_outcome(trace_mode: Optional[str], metrics: bool,
-                       batching: bool, backend: str) -> Tuple:
-    room = projector_room(seed=3, **_sim_kwargs(trace_mode, batching,
-                                                backend))
+def _projector_outcome(trace_mode: Optional[str], metrics: bool) -> Tuple:
+    room = projector_room(seed=3, **_sim_kwargs(trace_mode))
     interferer_field(room, 4, frames_per_second=40.0)
     samples: list = []
     if metrics:
@@ -121,24 +94,19 @@ def projector_reference():
 
     def get(metrics: bool) -> Tuple:
         if metrics not in cache:
-            cache[metrics] = _projector_outcome(None, metrics, True,
-                                                "python")
+            cache[metrics] = _projector_outcome(None, metrics)
         return cache[metrics]
 
     return get
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("batching", (True, False),
-                         ids=("batched", "unbatched"))
 @pytest.mark.parametrize("metrics", (True, False),
                          ids=("metrics", "no-metrics"))
 @pytest.mark.parametrize("trace_mode", TRACE_MODES,
                          ids=("trace-off", "trace-head", "trace-ring",
                               "trace-stream"))
-def test_projector_room_matrix(projector_reference, trace_mode, metrics,
-                               batching, backend):
-    got = _projector_outcome(trace_mode, metrics, batching, backend)
+def test_projector_room_matrix(projector_reference, trace_mode, metrics):
+    got = _projector_outcome(trace_mode, metrics)
     want = projector_reference(metrics)
     for got_part, want_part in zip(got, want):
         assert got_part == want_part
@@ -148,9 +116,8 @@ def test_projector_room_matrix(projector_reference, trace_mode, metrics,
 # Workload 2: the lease storm (sweep + renewal chains)
 # ---------------------------------------------------------------------------
 
-def _lease_storm_outcome(trace_mode: Optional[str], metrics: bool,
-                         batching: bool, backend: str) -> Tuple:
-    sim = Simulator(seed=9, **_sim_kwargs(trace_mode, batching, backend))
+def _lease_storm_outcome(trace_mode: Optional[str], metrics: bool) -> Tuple:
+    sim = Simulator(seed=9, **_sim_kwargs(trace_mode))
     table = LeaseTable(sim, sweep_interval=0.5)
     rng = sim.rng("storm")
     durations = [2.0, 3.0, 5.0]
@@ -183,61 +150,20 @@ def storm_reference():
 
     def get(metrics: bool) -> Tuple:
         if metrics not in cache:
-            cache[metrics] = _lease_storm_outcome(None, metrics, True,
-                                                  "python")
+            cache[metrics] = _lease_storm_outcome(None, metrics)
         return cache[metrics]
 
     return get
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("batching", (True, False),
-                         ids=("batched", "unbatched"))
 @pytest.mark.parametrize("metrics", (True, False),
                          ids=("metrics", "no-metrics"))
 @pytest.mark.parametrize("trace_mode", TRACE_MODES,
                          ids=("trace-off", "trace-head", "trace-ring",
                               "trace-stream"))
-def test_lease_storm_matrix(storm_reference, trace_mode, metrics,
-                            batching, backend):
-    got = _lease_storm_outcome(trace_mode, metrics, batching, backend)
+def test_lease_storm_matrix(storm_reference, trace_mode, metrics):
+    got = _lease_storm_outcome(trace_mode, metrics)
     want = storm_reference(metrics)
     for got_part, want_part in zip(got, want):
         assert got_part == want_part
 
-
-# ---------------------------------------------------------------------------
-# Backend resolution contract
-# ---------------------------------------------------------------------------
-
-def test_compiled_request_records_fallback_reason():
-    """Requesting the compiled backend on a host without a compiler must
-    resolve to Python *with the probe's reason recorded* — the silent
-    degradation the bench payload and CI marker exist to prevent."""
-    sim = Simulator(seed=0, trace=False, backend="compiled")
-    assert sim._kernels.requested == "compiled"
-    if _COMPILED_AVAILABLE:
-        assert sim._kernels.name == "compiled"
-    else:
-        assert sim._kernels.name == "python"
-        assert sim._kernels.reason == _COMPILED_REASON
-        assert sim._kernels.reason  # non-empty: never silent
-
-
-def test_default_backend_is_python_and_probe_free(monkeypatch):
-    monkeypatch.delenv("REPRO_KERNEL_BACKEND", raising=False)
-    sim = Simulator(seed=0, trace=False)
-    assert sim._kernels.name == "python"
-    assert sim._kernels.requested == "python"
-
-
-def test_env_var_requests_backend_for_default_sims(monkeypatch):
-    """The CI smoke leg sets REPRO_KERNEL_BACKEND=compiled; default-
-    constructed simulators must honour it — and record the fallback
-    reason when no compiler exists."""
-    monkeypatch.setenv("REPRO_KERNEL_BACKEND", "compiled")
-    sim = Simulator(seed=0, trace=False)
-    assert sim._kernels.requested == "compiled"
-    if not _COMPILED_AVAILABLE:
-        assert sim._kernels.name == "python"
-        assert sim._kernels.reason == _COMPILED_REASON
