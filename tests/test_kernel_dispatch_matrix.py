@@ -33,6 +33,13 @@ from repro.kernel.scheduler import Simulator
 #: None = tracing disabled (the untraced loop variants).
 TRACE_MODES = (None, "head", "ring", "stream")
 
+#: Case ids of the metrics arms.  Every case runs the one event store:
+#: timer classes are heap entries, the engine the matrix used to select
+#: with its ``unbatched`` / ``backend-python`` columns, so the ids keep
+#: that suffix and each case still names the run it has always pinned.
+METRICS_IDS = ("metrics-unbatched-backend-python",
+               "no-metrics-unbatched-backend-python")
+
 
 def _sim_kwargs(trace_mode: Optional[str]) -> Dict[str, Any]:
     if trace_mode is None:
@@ -100,8 +107,7 @@ def projector_reference():
     return get
 
 
-@pytest.mark.parametrize("metrics", (True, False),
-                         ids=("metrics", "no-metrics"))
+@pytest.mark.parametrize("metrics", (True, False), ids=METRICS_IDS)
 @pytest.mark.parametrize("trace_mode", TRACE_MODES,
                          ids=("trace-off", "trace-head", "trace-ring",
                               "trace-stream"))
@@ -156,8 +162,7 @@ def storm_reference():
     return get
 
 
-@pytest.mark.parametrize("metrics", (True, False),
-                         ids=("metrics", "no-metrics"))
+@pytest.mark.parametrize("metrics", (True, False), ids=METRICS_IDS)
 @pytest.mark.parametrize("trace_mode", TRACE_MODES,
                          ids=("trace-off", "trace-head", "trace-ring",
                               "trace-stream"))
