@@ -50,7 +50,13 @@ class LinkCache:
         self.invalidations = 0
 
     # ------------------------------------------------------------------
-    def _terms(self, a: str, b: str) -> Tuple[float, float]:
+    def terms(self, a: str, b: str) -> Tuple[float, float]:
+        """``(path_loss_db, shadowing_db)`` for the pair ``{a, b}``.
+
+        Callers that need both the total attenuation and the received
+        power of one link take the terms once and combine them in the
+        orders :meth:`attenuation_db` and :meth:`rx_power_dbm` use.
+        """
         epoch = self.world.epoch
         if epoch != self._epoch:
             self._links.clear()
@@ -70,12 +76,12 @@ class LinkCache:
 
     def rx_power_dbm(self, tx_power_dbm: float, tx: str, rx: str) -> float:
         """Received power in dBm over the cached link."""
-        loss, shadow = self._terms(tx, rx)
+        loss, shadow = self.terms(tx, rx)
         return tx_power_dbm - loss - shadow
 
     def attenuation_db(self, a: str, b: str) -> float:
         """Total attenuation (path loss + shadowing) for the pair ``{a, b}``."""
-        loss, shadow = self._terms(a, b)
+        loss, shadow = self.terms(a, b)
         return loss + shadow
 
     # ------------------------------------------------------------------

@@ -219,10 +219,11 @@ def deliveries_by_room(layout: CellLayout,
     interleaving of *different* rooms' same-time deliveries is an engine
     artefact with no observable meaning.
     """
+    room_of = {layout.name_of(i): layout.room_of(i)
+               for i in range(layout.stations)}
     out: Dict[int, List[Tuple[float, str, str]]] = {}
     for entry in deliveries:
-        out.setdefault(layout.room_of(layout.index_of(entry[2])),
-                       []).append(entry)
+        out.setdefault(room_of[entry[2]], []).append(entry)
     return out
 
 

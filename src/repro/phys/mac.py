@@ -33,6 +33,7 @@ from ..env.radio import (
     RATES,
     PropagationModel,
     RateMode,
+    best_rate,
     interference_sum_mw,
     sinr_from_mw,
 )
@@ -141,6 +142,44 @@ class Transmission:
         self.span = None
 
 
+class ReceiveTable:
+    """One sender's receive table: who can hear it, and how well.
+
+    Cached per sender and keyed like the audible set it carries: ``key``
+    is ``(topology epoch, config epoch)`` and ``tx_power`` the sender's
+    power when the table was built.  ``macs`` are the audible receivers
+    in attach order and ``names`` their addresses; ``signals[i]`` is the
+    received power of ``macs[i]`` in dBm, evaluated as
+    ``tx_power - loss - shadow`` like :meth:`LinkCache.rx_power_dbm`.
+    :meth:`fers` memoises every receiver's frame error rate at zero
+    interference, so a frame with no in-band overlap and no fading costs
+    each receiver one delivery draw (see docs/performance.md, "Receive
+    tables").
+    """
+
+    __slots__ = ("key", "tx_power", "macs", "names", "signals", "_fers")
+
+    def __init__(self, key: Tuple[int, int], tx_power: float,
+                 macs: Tuple["CsmaMac", ...],
+                 signals: Tuple[float, ...]) -> None:
+        self.key = key
+        self.tx_power = tx_power
+        self.macs = macs
+        self.names = frozenset(mac.address for mac in macs)
+        self.signals = signals
+        self._fers: Dict[Tuple[RateMode, int], Tuple[float, ...]] = {}
+
+    def fers(self, rate: RateMode, wire_bytes: int) -> Tuple[float, ...]:
+        """Per-receiver FER at zero interference, parallel to ``macs``:
+        the expression :meth:`WirelessMedium._decode` evaluates."""
+        fers = self._fers.get((rate, wire_bytes))
+        if fers is None:
+            fers = tuple(rate.fer(sinr_from_mw(10.0 ** (signal / 10.0), 0.0),
+                                  wire_bytes) for signal in self.signals)
+            self._fers[(rate, wire_bytes)] = fers
+        return fers
+
+
 class WirelessMedium:
     """The shared 2.4 GHz medium for one deployment.
 
@@ -151,8 +190,9 @@ class WirelessMedium:
     carrier-sense and base-rate decode sensitivity, credited with a
     conservative fast-fading margin when fading is on).  Audible sets are
     found through a :class:`~repro.env.spatialindex.SpatialGrid` radius
-    query and cached per (sender, topology epoch, config epoch), so the
-    cost of a transmission tracks physical neighbours, not population.
+    query and cached per (sender, topology epoch, config epoch) in a
+    :class:`ReceiveTable`, so the cost of a transmission tracks physical
+    neighbours, not population.
     ``culling=False`` keeps the exhaustive scan over every station — the
     reference mode the equivalence tests hold the grid path against
     (outcomes are byte-identical either way; see docs/performance.md).
@@ -207,8 +247,8 @@ class WirelessMedium:
         self._partitions: Optional[Dict[int, List["CsmaMac"]]] = None
         self._promisc_cache: Optional[Tuple["CsmaMac", ...]] = None
         self._caches_key = (-1, -1)
-        #: sender address -> (key, tx_power, audible macs, audible names).
-        self._audible: Dict[str, tuple] = {}
+        #: sender address -> its receive table (culling mode only).
+        self._tables: Dict[str, ReceiveTable] = {}
         self._min_cs_dbm = float("inf")
         self._decode_floor_dbm = NOISE_FLOOR_DBM + _decode_floor_sinr_db()
         # Medium health lives in the per-simulator registry; ``unique=True``
@@ -343,24 +383,25 @@ class WirelessMedium:
             tx_power_dbm, self.audibility_floor_dbm(),
             FADE_MARGIN_DB if self.fast_fading else 0.0)
 
-    def _audible_entry(self, sender: "CsmaMac") -> tuple:
-        """``(key, tx_power, audible_macs, audible_names)`` for ``sender``.
+    def _receive_table(self, sender: "CsmaMac") -> ReceiveTable:
+        """The cached :class:`ReceiveTable` of ``sender``.
 
-        Only used with culling on; cached per (topology epoch, config
-        epoch, tx power).  The audible predicate — cached link budget
-        above :meth:`audibility_floor_dbm` — is exactly the one the
-        exhaustive mode applies inline per frame; the grid radius provably
-        covers every station the predicate can pass (shadowing is clamped,
-        the fading margin exceeds the maximum possible fade), so the two
-        modes attempt the same decodes in the same order and outcomes are
-        byte-identical.
+        Only used with culling on; rebuilt when the topology epoch, the
+        config epoch or the sender's tx power changes.  The audible
+        predicate — cached link budget above :meth:`audibility_floor_dbm`
+        — is exactly the one the exhaustive mode applies inline per
+        frame; the grid radius provably covers every station the
+        predicate can pass (shadowing is clamped, the fading margin
+        exceeds the maximum possible fade), so the two modes attempt the
+        same decodes in the same order and outcomes are byte-identical.
         """
         key = (self.world.epoch, self._config_epoch)
-        entry = self._audible.get(sender.address)
+        table = self._tables.get(sender.address)
         tx_power = sender.tx_power_dbm
-        if entry is not None and entry[0] == key and entry[1] == tx_power:
+        if table is not None and table.key == key \
+                and table.tx_power == tx_power:
             self._m_cull_reuses.add()
-            return entry
+            return table
         margin = FADE_MARGIN_DB if self.fast_fading else 0.0
         floor = self.audibility_floor_dbm()
         radius = self.propagation.max_audible_distance_m(
@@ -376,22 +417,25 @@ class WirelessMedium:
             # The radius covers the whole world: culling is a no-op here
             # and the candidate set is everyone (see docs/performance.md).
             candidates = list(macs.values())
-        cache = self.link_cache
+        terms = self.link_cache.terms
         sender_address = sender.address
         audible = []
+        signals = []
         for mac in candidates:
             if mac is sender:
                 continue
-            if (tx_power - cache.attenuation_db(sender_address, mac.address)
-                    + margin >= floor):
+            # One link lookup serves both the audible predicate (the
+            # attenuation_db order) and the signal (the rx_power_dbm one).
+            loss, shadow = terms(sender_address, mac.address)
+            if tx_power - (loss + shadow) + margin >= floor:
                 audible.append(mac)
-        entry = (key, tx_power, tuple(audible),
-                 frozenset(m.address for m in audible))
-        self._audible[sender_address] = entry
+                signals.append(tx_power - loss - shadow)
+        table = ReceiveTable(key, tx_power, tuple(audible), tuple(signals))
+        self._tables[sender_address] = table
         self._m_cull_builds.add()
         self._m_cull_audible.add(len(audible))
         self._m_cull_culled.add(len(macs) - 1 - len(audible))
-        return entry
+        return table
 
     def _audible_to(self, sender: "CsmaMac", rx: "CsmaMac") -> bool:
         """The audible predicate for one directed link (no set build)."""
@@ -418,10 +462,6 @@ class WirelessMedium:
     # ------------------------------------------------------------------
     # Channel state as seen by one station
     # ------------------------------------------------------------------
-    def _rx_power(self, tx: Transmission, rx_address: str) -> float:
-        return self.link_cache.rx_power_dbm(
-            tx.power_dbm, tx.sender.address, rx_address)
-
     def _delivery_rng(self, rx_address: str) -> np.random.Generator:
         """The delivery stream for one receiver (``per_station_rng`` mode)."""
         rng = self._rng_by_rx.get(rx_address)
@@ -462,7 +502,7 @@ class WirelessMedium:
             # Inaudible stations can never carrier-sense the sender (their
             # best-case power is below every threshold), so one set probe
             # replaces the gain lookup and comparison.
-            if culling and address not in self._audible_entry(tx.sender)[3]:
+            if culling and address not in self._receive_table(tx.sender).names:
                 continue
             power = cache.rx_power_dbm(tx.power_dbm, tx.sender.address,
                                        address)
@@ -504,7 +544,8 @@ class WirelessMedium:
         self._m_transmissions.add()
         self.channel_airtime[mac.channel] = \
             self.channel_airtime.get(mac.channel, 0.0) + duration
-        if self.sim.tracer.enabled:
+        tracing = self.sim.tracer.enabled
+        if tracing:
             # The airtime span: parented under whatever caused this frame
             # (e.g. a transport send) and ambient while the finish event is
             # scheduled, so delivery work nests beneath it.
@@ -512,9 +553,10 @@ class WirelessMedium:
                 "mac.tx", mac.address, frame=frame.frame_id, dst=frame.dst,
                 channel=mac.channel, rate=rate.name)
         self._schedule_finish(duration, payload=tx)
-        self.sim.trace("mac.tx", mac.address,
-                       f"tx #{frame.frame_id} -> {frame.dst} @{rate.name}",
-                       bytes=frame.wire_bytes, channel=mac.channel)
+        if tracing:
+            self.sim.trace("mac.tx", mac.address,
+                           f"tx #{frame.frame_id} -> {frame.dst} @{rate.name}",
+                           bytes=frame.wire_bytes, channel=mac.channel)
         return tx
 
     def _finish(self, tx: Transmission) -> None:
@@ -525,11 +567,20 @@ class WirelessMedium:
         delivered_to_dst: Optional[bool] = None
         if frame.dst == BROADCAST:
             if self.culling:
-                # Grid-backed audible set, cached across frames: per-frame
+                # Grid-backed receive table, cached across frames: per-frame
                 # cost is O(audible neighbours), not O(stations).
-                for mac in self._audible_entry(sender)[2]:
-                    if mac._channel == channel and self._decode(tx, mac):
-                        mac._deliver(frame, tx.rate)
+                table = self._receive_table(sender)
+                if (tx.power_dbm == table.tx_power and not self.fast_fading
+                        and not any(overlap_factor(channel, other.channel)
+                                    > 0.0 for other in tx.interferers)):
+                    self._fan_out(tx, table)
+                else:
+                    # Fading, an in-band interferer, or a power change
+                    # while the frame was in the air (the table's signals
+                    # describe the new power): decode per receiver.
+                    for mac in table.macs:
+                        if mac._channel == channel and self._decode(tx, mac):
+                            mac._deliver(frame, tx.rate)
             else:
                 # Exhaustive reference scan: every station, every frame,
                 # gated by the same audibility predicate so outcomes (and
@@ -620,10 +671,56 @@ class WirelessMedium:
             self._m_deliveries.add()
         else:
             self._m_decode_failures.add()
-            self.sim.trace("mac.loss", rx.address,
-                           f"decode failure #{tx.frame.frame_id} sinr={ratio:.1f}dB",
-                           sinr_db=ratio, fer=failure_probability)
+            if self.sim.tracer.enabled:
+                self._trace_loss(tx, rx_address, ratio, failure_probability)
         return ok
+
+    def _fan_out(self, tx: Transmission, table: ReceiveTable) -> None:
+        """Decode broadcast ``tx`` at every audible receiver in ``table``
+        and deliver it where decoding succeeds.
+
+        Only for a frame sent at ``table.tx_power`` with fading off and no
+        in-band interferer: every receiver's FER is then a constant of the
+        table, memoised by :meth:`ReceiveTable.fers`.  Outcome-identical
+        to :meth:`_decode` per receiver in table order: the same floats
+        and the same draws in the same order.  A disabled receiver draws
+        nothing, and neither does a receiver that sent an interferer.
+        """
+        frame = tx.frame
+        rate = tx.rate
+        channel = tx.channel
+        # Half-duplex: a station that retuned while its own frame is in
+        # the air is still transmitting.
+        transmitting = {other.sender for other in tx.interferers}
+        per_station = self.per_station_rng
+        rng = self._rng
+        rngs = self._rng_by_rx
+        delivered = self._m_deliveries.add
+        failed = self._m_decode_failures.add
+        tracer = self.sim.tracer
+        for mac, signal, fer in zip(table.macs, table.signals,
+                                    table.fers(rate, frame.wire_bytes)):
+            if (mac._channel != channel or mac.receiving_disabled
+                    or mac in transmitting):
+                continue
+            if per_station:
+                rng = rngs.get(mac.address)
+                if rng is None:
+                    rng = self._delivery_rng(mac.address)
+            if rng.random() >= fer:
+                delivered()
+                mac._deliver(frame, rate)
+            else:
+                failed()
+                if tracer.enabled:
+                    self._trace_loss(tx, mac.address, sinr_from_mw(
+                        10.0 ** (signal / 10.0), 0.0), fer)
+
+    def _trace_loss(self, tx: Transmission, rx_address: str, ratio: float,
+                    fer: float) -> None:
+        self.sim.trace("mac.loss", rx_address,
+                       f"decode failure #{tx.frame.frame_id} sinr={ratio:.1f}dB",
+                       sinr_db=ratio, fer=fer)
 
 
 def _log10(x: float) -> float:
@@ -787,8 +884,6 @@ class CsmaMac:
         Broadcasts always use the base rate, as real DCF does, so every
         station can decode discovery announcements.
         """
-        from ..env.radio import RATES, best_rate
-
         if self.fixed_rate is not None:
             return self.fixed_rate
         if frame.dst == BROADCAST or frame.dst not in self.medium._macs:
@@ -840,8 +935,9 @@ class CsmaMac:
     # ------------------------------------------------------------------
     def _deliver(self, frame: Frame, rate: RateMode) -> None:
         self.stats["rx_frames"] += 1
-        self.sim.trace("mac.rx", self.address,
-                       f"rx #{frame.frame_id} from {frame.src} @{rate.name}")
+        if self.sim.tracer.enabled:
+            self.sim.trace("mac.rx", self.address,
+                           f"rx #{frame.frame_id} from {frame.src} @{rate.name}")
         if self.on_receive is not None:
             self.on_receive(frame)
 

@@ -9,7 +9,11 @@ exercise the producers hardest: the full projector room with co-channel
 interferers, the broadcast-heavy scale room, and a lease storm (sweep +
 renewal chains).  The digests were recorded on the struct-of-arrays batch
 engine these timers used to run on, so they also pin that retiring it
-changed no outcome.
+changed no outcome.  A fourth digest pins E11's dense cells, the one
+medium configuration with per-receiver delivery streams and an
+interference radius; it was recorded before the medium's receive tables
+existed, so it also pins that serving broadcasts from them changed no
+outcome.
 
 Process-global id counters (frame ids, lease ids, transport message ids,
 service-id suffixes) advance in construction order, not execution order,
@@ -25,6 +29,7 @@ import hashlib
 import re
 
 from repro.discovery.leases import LeaseTable
+from repro.experiments.cellgrid import cell_layout, cell_rooms
 from repro.experiments.workloads import (broadcast_room, interferer_field,
                                          projector_room)
 from repro.kernel.scheduler import Simulator
@@ -42,6 +47,8 @@ BROADCAST_ROOM_SHA256 = (
     "45c23ac48760bfc2c4f024f05b3108f17cf9895f407588b61c49b5ccc17ea02d")
 LEASE_STORM_SHA256 = (
     "7830f1e66c875b265d5665f0ffe22b7caf4bceb4fb8976ce615fd492a086c256")
+E11_CELLS_SHA256 = (
+    "ed3187ddea6b6133e9facf94862d5fca440bfc46c5b3b9a85daef3b2c05e0150")
 
 
 def _digest(outcome) -> str:
@@ -92,6 +99,17 @@ def broadcast_outcome():
     return (room.sim.now, room.sim.events_executed, list(room.deliveries))
 
 
+def e11_cells_outcome():
+    """E11's medium configuration: ``per_station_rng`` delivery streams
+    and an ``interference_radius_m`` cut, in two dense cells."""
+    rooms = cell_rooms(cell_layout(cells=2, stations_per_cell=40, seed=7))
+    rooms.sim.run(until=2.0)
+    medium = rooms.medium
+    return (rooms.sim.now, rooms.sim.events_executed,
+            sorted(rooms.deliveries), [dict(mac.stats) for mac in rooms.macs],
+            medium.total_deliveries, medium.total_decode_failures)
+
+
 def lease_storm_outcome():
     """A renewal-chain storm straight on the lease table: grants with a
     handful of standard durations, each renewed at 45% of its duration
@@ -126,6 +144,10 @@ def test_projector_room_byte_identical():
 
 def test_broadcast_room_byte_identical():
     assert _digest(broadcast_outcome()) == BROADCAST_ROOM_SHA256
+
+
+def test_e11_cells_byte_identical():
+    assert _digest(e11_cells_outcome()) == E11_CELLS_SHA256
 
 
 def test_lease_storm_byte_identical():

@@ -143,15 +143,24 @@ def test_mobile_population_identical():
 # ---------------------------------------------------------------------------
 
 def test_audible_set_matches_inline_predicate():
-    room = broadcast_room(100, culling=True)
+    # A non-zero power, so ``p - (loss + shadow)`` and ``p - loss - shadow``
+    # can round differently and the exact signal check below means something.
+    room = broadcast_room(100, culling=True, tx_power_dbm=3.7)
     room.sim.run(until=0.5)  # populate caches
     medium = room.medium
-    for sender in room.macs[::17]:
-        entry = medium._audible_entry(sender)
-        expected = {mac.address for mac in medium._macs.values()
+    for sender in room.macs:
+        table = medium._receive_table(sender)
+        expected = [mac for mac in medium._macs.values()
                     if mac is not sender
-                    and medium._audible_to(sender, mac)}
-        assert set(entry[3]) == expected
+                    and medium._audible_to(sender, mac)]
+        assert list(table.macs) == expected  # attach order
+        assert table.names == {mac.address for mac in expected}
+        assert table.tx_power == sender.tx_power_dbm
+        # Each stored signal is the link cache's received power, exactly.
+        assert table.signals == tuple(
+            medium.link_cache.rx_power_dbm(sender.tx_power_dbm,
+                                           sender.address, mac.address)
+            for mac in expected)
 
 
 def test_stations_cache_invalidated_by_attach(sim, world):
@@ -190,15 +199,15 @@ def test_audible_cache_reused_until_topology_moves():
     room = broadcast_room(60, culling=True)
     medium = room.medium
     sender = room.macs[0]
-    medium._audible_entry(sender)
+    medium._receive_table(sender)
     builds_before = medium.culling_stats()["set_builds"]
-    medium._audible_entry(sender)
+    medium._receive_table(sender)
     stats = medium.culling_stats()
     assert stats["set_builds"] == builds_before  # reused
     assert stats["set_reuses"] >= 1
 
     room.world.move(sender.address, (0.0, 0.0))
-    medium._audible_entry(sender)
+    medium._receive_table(sender)
     assert medium.culling_stats()["set_builds"] == builds_before + 1
 
 
