@@ -1,19 +1,21 @@
-"""Topology-epoch-keyed cache of link geometry for the radio medium.
+"""Per-entity-invalidated cache of link geometry for the radio medium.
 
 The SINR hot path asks the same question over and over: *what does station
 ``rx`` hear when ``tx`` transmits?*  For a stationary deployment the answer
 — path loss over the pair distance plus the frozen log-normal shadowing
 term — never changes, yet the seed code recomputed it for every frame and
-every interferer.  :class:`LinkCache` memoises the per-pair terms and keys
-the whole cache on the :attr:`~repro.env.world.World.epoch` counter, which
-the world bumps on every ``place``/``move``.  Stationary rooms compute link
-geometry exactly once; mobile rooms pay one recompute per mobility step,
-never per frame.
+every interferer.  :class:`LinkCache` memoises the per-pair terms in an
+adjacency map, ``a -> b -> (loss, shadow)``, written under both ends.
 
-Invalidation rule (documented in ``docs/performance.md``): the cache is
-valid exactly while ``world.epoch`` is unchanged.  Any placement or move
-invalidates *everything* — coarse, but checking one integer per lookup is
-what keeps the hit path to a dict probe.
+Invalidation rule (documented in ``docs/performance.md``): a link is valid
+while neither of its ends has moved.  The cache remembers the
+:attr:`~repro.env.world.World.epoch` it last synced at; when the epoch
+differs it asks :meth:`~repro.env.world.World.moved_since` which entities
+moved, pops their rows and removes them from their partners' rows — work
+proportional to the movers' degree, never a wholesale clear.  A
+placement evicts nothing (a new entity has no links yet).  Stationary
+rooms compute link geometry exactly once; mobile rooms recompute only the
+links of stations that moved.
 
 Loss and shadowing are stored separately so a cached
 ``rx_power_dbm`` is bit-identical to the uncached
@@ -30,10 +32,10 @@ from .world import World
 
 
 class LinkCache:
-    """Per-pair link attenuation, invalidated by world topology epoch.
+    """Per-pair link attenuation, evicted per moved entity.
 
-    Both terms are symmetric (distance and frozen shadowing), so pairs are
-    keyed unordered and each link is computed once per epoch.
+    Both terms are symmetric (distance and frozen shadowing), so each
+    link is computed once and stored under both of its ends.
     """
 
     __slots__ = ("world", "propagation", "_epoch", "_links",
@@ -43,8 +45,8 @@ class LinkCache:
         self.world = world
         self.propagation = propagation
         self._epoch = world.epoch
-        #: unordered (a, b) -> (path_loss_db, shadowing_db)
-        self._links: Dict[Tuple[str, str], Tuple[float, float]] = {}
+        #: a -> b -> (path_loss_db, shadowing_db), stored under both ends
+        self._links: Dict[str, Dict[str, Tuple[float, float]]] = {}
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
@@ -57,22 +59,35 @@ class LinkCache:
         power of one link take the terms once and combine them in the
         orders :meth:`attenuation_db` and :meth:`rx_power_dbm` use.
         """
-        epoch = self.world.epoch
-        if epoch != self._epoch:
-            self._links.clear()
-            self._epoch = epoch
-            self.invalidations += 1
-        key = (a, b) if a <= b else (b, a)
-        terms = self._links.get(key)
-        if terms is None:
-            self.misses += 1
-            prop = self.propagation
-            terms = (prop.path_loss_scalar_db(self.world.distance_between(a, b)),
-                     prop.shadowing_db(a, b))
-            self._links[key] = terms
-        else:
-            self.hits += 1
+        if self.world.epoch != self._epoch:
+            self._evict_moved()
+        row = self._links.get(a)
+        if row is not None:
+            terms = row.get(b)
+            if terms is not None:
+                self.hits += 1
+                return terms
+        self.misses += 1
+        prop = self.propagation
+        terms = (prop.path_loss_scalar_db(self.world.distance_between(a, b)),
+                 prop.shadowing_db(a, b))
+        self._links.setdefault(a, {})[b] = terms
+        self._links.setdefault(b, {})[a] = terms
         return terms
+
+    def _evict_moved(self) -> None:
+        """Drop every link with an end placed or moved since the last sync."""
+        world = self.world
+        links = self._links
+        names = world.names_view()
+        for index in world.moved_since(self._epoch):
+            name = names[index]
+            for partner in links.pop(name, ()):
+                row = links.get(partner)
+                if row is not None:  # None only for a self-link's own row
+                    del row[name]
+        self._epoch = world.epoch
+        self.invalidations += 1
 
     def rx_power_dbm(self, tx_power_dbm: float, tx: str, rx: str) -> float:
         """Received power in dBm over the cached link."""
@@ -98,9 +113,14 @@ class LinkCache:
             "misses": self.misses,
             "invalidations": self.invalidations,
             "hit_rate": self.hit_rate,
-            "cached_links": len(self._links),
+            "cached_links": self._link_count(),
         }
 
+    def _link_count(self) -> int:
+        """Distinct cached pairs (each is stored under both ends)."""
+        return sum(len(row) + (name in row)
+                   for name, row in self._links.items()) // 2
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<LinkCache epoch={self._epoch} links={len(self._links)} "
+        return (f"<LinkCache epoch={self._epoch} links={self._link_count()} "
                 f"hit_rate={self.hit_rate:.2f}>")

@@ -70,6 +70,9 @@ class World:
         # ``place`` is O(1) amortised instead of the O(n) per-call copy an
         # ``np.vstack`` incremental build costs (O(n^2) to fill a world).
         self._buf = np.empty((self._INITIAL_CAPACITY, 2), dtype=np.float64)
+        #: per-entity move stamp: the epoch of its last ``place``/``move``,
+        #: grown together with ``_buf``.
+        self._stamps = np.empty(self._INITIAL_CAPACITY, dtype=np.int64)
         self._n: int = 0
         self._names: List[str] = []
         self._index: Dict[str, int] = {}
@@ -81,11 +84,23 @@ class World:
     def epoch(self) -> int:
         """Topology epoch: bumped on every placement or move.
 
-        Consumers that cache anything derived from positions (the radio
-        link cache, spatial indexes) key their cache on this counter and
-        invalidate when it changes.
+        Consumers that cache anything derived from positions key their
+        cache on this counter.  A change means *something* moved; the
+        spatial index rebuilds wholesale, while the radio link cache and
+        the medium's receive tables ask :meth:`moved_since` *what* moved
+        and invalidate only that.
         """
         return self._epoch
+
+    def moved_since(self, epoch: int) -> np.ndarray:
+        """Ascending indices of the entities placed or moved after
+        ``epoch``.
+
+        Each entity carries one stamp, the epoch of its last ``place`` or
+        ``move``, so memory stays bounded by the entity count however
+        many moves happen; an entity moved twice is listed once.
+        """
+        return np.flatnonzero(self._stamps[: self._n] > epoch)
 
     @property
     def _positions(self) -> np.ndarray:
@@ -113,11 +128,15 @@ class World:
             grown = np.empty((self._buf.shape[0] * 2, 2), dtype=np.float64)
             grown[: self._n] = self._buf
             self._buf = grown
+            stamps = np.empty(grown.shape[0], dtype=np.int64)
+            stamps[: self._n] = self._stamps[: self._n]
+            self._stamps = stamps
+        self._epoch += 1
         self._buf[self._n] = pos
+        self._stamps[self._n] = self._epoch
         self._index[name] = self._n
         self._names.append(name)
         self._n += 1
-        self._epoch += 1
         return Placement(name, self, self._index[name])
 
     def move(self, name: str, xy: Sequence[float]) -> None:
@@ -125,6 +144,7 @@ class World:
         idx = self._lookup(name)
         self._buf[idx] = self._clip(np.asarray(xy, dtype=np.float64))
         self._epoch += 1
+        self._stamps[idx] = self._epoch
 
     def position_of(self, name: str) -> np.ndarray:
         return self._positions[self._lookup(name)].copy()

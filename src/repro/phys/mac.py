@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections import deque
 from math import log10 as _math_log10
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from ..env.radio import (
     interference_sum_mw,
     sinr_from_mw,
 )
-from ..env.spatialindex import SpatialGrid
+from ..env.spatialindex import MIN_SEPARATION_M, SpatialGrid
 from ..env.spectrum import overlap_factor, validate_channel
 from ..env.world import World
 from ..kernel.errors import ConfigurationError, NetworkError
@@ -147,26 +147,31 @@ class ReceiveTable:
 
     Cached per sender and keyed like the audible set it carries: ``key``
     is ``(topology epoch, config epoch)`` and ``tx_power`` the sender's
-    power when the table was built.  ``macs`` are the audible receivers
-    in attach order and ``names`` their addresses; ``signals[i]`` is the
-    received power of ``macs[i]`` in dBm, evaluated as
-    ``tx_power - loss - shadow`` like :meth:`LinkCache.rx_power_dbm`.
-    :meth:`fers` memoises every receiver's frame error rate at zero
-    interference, so a frame with no in-band overlap and no fading costs
-    each receiver one delivery draw (see docs/performance.md, "Receive
-    tables").
+    power when the table was built; ``radius`` is the culling radius it
+    was built with (``inf`` when that radius covers the whole world).
+    ``entries`` are ``(mac, signal)`` pairs of the audible receivers in
+    attach order; they are stored as ``macs``, their addresses ``names``,
+    and ``signals[i]``, the received power of ``macs[i]`` in dBm,
+    evaluated as ``tx_power - loss - shadow`` like
+    :meth:`LinkCache.rx_power_dbm`.  :meth:`fers` memoises every
+    receiver's frame error rate at zero interference, so a frame with no
+    in-band overlap and no fading costs each receiver one delivery draw.
+    When only other stations moved, the medium patches the table rather
+    than rebuilding it (see docs/performance.md, "Receive tables" and
+    "Moving worlds").
     """
 
-    __slots__ = ("key", "tx_power", "macs", "names", "signals", "_fers")
+    __slots__ = ("key", "tx_power", "radius", "macs", "names", "signals",
+                 "_fers")
 
-    def __init__(self, key: Tuple[int, int], tx_power: float,
-                 macs: Tuple["CsmaMac", ...],
-                 signals: Tuple[float, ...]) -> None:
+    def __init__(self, key: Tuple[int, int], tx_power: float, radius: float,
+                 entries: List[Tuple["CsmaMac", float]]) -> None:
         self.key = key
         self.tx_power = tx_power
-        self.macs = macs
-        self.names = frozenset(mac.address for mac in macs)
-        self.signals = signals
+        self.radius = radius
+        self.macs = tuple(mac for mac, _ in entries)
+        self.names = frozenset(mac.address for mac in self.macs)
+        self.signals = tuple(signal for _, signal in entries)
         self._fers: Dict[Tuple[RateMode, int], Tuple[float, ...]] = {}
 
     def fers(self, rate: RateMode, wire_bytes: int) -> Tuple[float, ...]:
@@ -208,8 +213,8 @@ class WirelessMedium:
         self.world = world
         self.propagation = propagation or PropagationModel(
             rng=sim.rng("radio.shadowing"))
-        #: topology-epoch-keyed cache of per-pair link attenuation; the
-        #: single biggest win in stationary dense-medium sweeps.
+        #: cache of per-pair link attenuation, evicted per moved entity;
+        #: the single biggest win in stationary dense-medium sweeps.
         self.link_cache = LinkCache(world, self.propagation)
         #: per-frame Rayleigh fading on the wanted signal — models a busy
         #: multipath room where even a static link flutters.  Off by
@@ -249,6 +254,11 @@ class WirelessMedium:
         self._caches_key = (-1, -1)
         #: sender address -> its receive table (culling mode only).
         self._tables: Dict[str, ReceiveTable] = {}
+        #: ``_movers`` results for the current topology epoch, by the
+        #: epoch a table was built at.
+        self._movers_epoch = -1
+        self._movers_by_since: Dict[int, Tuple[List[str], FrozenSet[str],
+                                               np.ndarray]] = {}
         self._min_cs_dbm = float("inf")
         self._decode_floor_dbm = NOISE_FLOOR_DBM + _decode_floor_sinr_db()
         # Medium health lives in the per-simulator registry; ``unique=True``
@@ -384,28 +394,32 @@ class WirelessMedium:
             FADE_MARGIN_DB if self.fast_fading else 0.0)
 
     def _receive_table(self, sender: "CsmaMac") -> ReceiveTable:
-        """The cached :class:`ReceiveTable` of ``sender``.
+        """The current :class:`ReceiveTable` of ``sender``.
 
-        Only used with culling on; rebuilt when the topology epoch, the
-        config epoch or the sender's tx power changes.  The audible
-        predicate — cached link budget above :meth:`audibility_floor_dbm`
-        — is exactly the one the exhaustive mode applies inline per
-        frame; the grid radius provably covers every station the
-        predicate can pass (shadowing is clamped, the fading margin
-        exceeds the maximum possible fade), so the two modes attempt the
-        same decodes in the same order and outcomes are byte-identical.
+        Only used with culling on.  A table is reused while the topology
+        epoch, the config epoch and the sender's tx power are unchanged.
+        When only the topology epoch moved and the sender did not, the
+        table is patched (:meth:`_patch_table`); otherwise it is rebuilt
+        from a grid query.  The audible predicate — cached link budget
+        above :meth:`audibility_floor_dbm` — is exactly the one the
+        exhaustive mode applies inline per frame; the grid radius
+        provably covers every station the predicate can pass (shadowing
+        is clamped, the fading margin exceeds the maximum possible fade),
+        so the two modes attempt the same decodes in the same order and
+        outcomes are byte-identical.
         """
         key = (self.world.epoch, self._config_epoch)
         table = self._tables.get(sender.address)
         tx_power = sender.tx_power_dbm
-        if table is not None and table.key == key \
-                and table.tx_power == tx_power:
-            self._m_cull_reuses.add()
-            return table
-        margin = FADE_MARGIN_DB if self.fast_fading else 0.0
-        floor = self.audibility_floor_dbm()
-        radius = self.propagation.max_audible_distance_m(
-            tx_power, floor, margin)
+        if table is not None and table.tx_power == tx_power:
+            if table.key == key:
+                self._m_cull_reuses.add()
+                return table
+            if table.key[1] == key[1]:
+                patched = self._patch_table(sender, table, key)
+                if patched is not None:
+                    return patched
+        radius = self.max_audible_radius_m(tx_power)
         macs = self._macs
         if radius < self.world.diagonal_m():
             order = self._attach_order
@@ -416,11 +430,85 @@ class WirelessMedium:
         else:
             # The radius covers the whole world: culling is a no-op here
             # and the candidate set is everyone (see docs/performance.md).
+            radius = float("inf")
             candidates = list(macs.values())
+        table = ReceiveTable(key, tx_power, radius,
+                             self._audible(sender, tx_power, candidates))
+        self._tables[sender.address] = table
+        self._count_build(table)
+        return table
+
+    def _patch_table(self, sender: "CsmaMac", table: ReceiveTable,
+                     key: Tuple[int, int]) -> Optional[ReceiveTable]:
+        """``table`` brought up to the topology epoch of ``key`` without a
+        grid query, or ``None`` when the sender itself moved.
+
+        A link whose two ends did not move keeps its terms, so with the
+        sender in place only the stations moved since the table's epoch
+        can change it: moved receivers are dropped, and every moved
+        station inside the table's radius (the grid query's distance
+        formula) is re-tested with the audible predicate.  A table no
+        mover touches is re-keyed and keeps its FER memo (a reuse); any
+        other patch makes a new table, with fresh signals and memo (a
+        build).
+        """
+        moved, moved_set, positions = self._movers(table.key[0])
+        address = sender.address
+        if address in moved_set:
+            return None
+        world = self.world
+        delta = positions - world.positions()[world.index_of(address)]
+        dist = np.maximum(np.sqrt(np.einsum("ij,ij->i", delta, delta)),
+                          MIN_SEPARATION_M)
+        macs = self._macs
+        near = [macs[moved[i]] for i in np.flatnonzero(dist <= table.radius)
+                if moved[i] in macs]
+        added = self._audible(sender, table.tx_power, near)
+        if not added and table.names.isdisjoint(moved_set):
+            table.key = key
+            self._m_cull_reuses.add()
+            return table
+        entries = [(mac, signal) for mac, signal
+                   in zip(table.macs, table.signals)
+                   if mac.address not in moved_set]
+        entries += added
+        order = self._attach_order
+        entries.sort(key=lambda entry: order[entry[0].address])
+        patched = ReceiveTable(key, table.tx_power, table.radius, entries)
+        self._tables[address] = patched
+        self._count_build(patched)
+        return patched
+
+    def _movers(self, since: int
+                ) -> Tuple[List[str], FrozenSet[str], np.ndarray]:
+        """Entities placed or moved after topology epoch ``since``: their
+        names in world order, the same names as a set, and their
+        positions.  Computed once per (current epoch, ``since``) and
+        shared by every table built at ``since``."""
+        world = self.world
+        if self._movers_epoch != world.epoch:
+            self._movers_epoch = world.epoch
+            self._movers_by_since = {}
+        movers = self._movers_by_since.get(since)
+        if movers is None:
+            indices = world.moved_since(since)
+            names = world.names_view()
+            moved = [names[i] for i in indices]
+            movers = (moved, frozenset(moved), world.positions()[indices])
+            self._movers_by_since[since] = movers
+        return movers
+
+    def _audible(self, sender: "CsmaMac", tx_power: float,
+                 candidates: List["CsmaMac"]
+                 ) -> List[Tuple["CsmaMac", float]]:
+        """``(mac, signal)`` for each of ``candidates`` that passes the
+        audible predicate at ``tx_power``, in candidate order; the one
+        place the build and the patch evaluate it."""
+        margin = FADE_MARGIN_DB if self.fast_fading else 0.0
+        floor = self.audibility_floor_dbm()
         terms = self.link_cache.terms
         sender_address = sender.address
         audible = []
-        signals = []
         for mac in candidates:
             if mac is sender:
                 continue
@@ -428,14 +516,13 @@ class WirelessMedium:
             # attenuation_db order) and the signal (the rx_power_dbm one).
             loss, shadow = terms(sender_address, mac.address)
             if tx_power - (loss + shadow) + margin >= floor:
-                audible.append(mac)
-                signals.append(tx_power - loss - shadow)
-        table = ReceiveTable(key, tx_power, tuple(audible), tuple(signals))
-        self._tables[sender_address] = table
+                audible.append((mac, tx_power - loss - shadow))
+        return audible
+
+    def _count_build(self, table: ReceiveTable) -> None:
         self._m_cull_builds.add()
-        self._m_cull_audible.add(len(audible))
-        self._m_cull_culled.add(len(macs) - 1 - len(audible))
-        return table
+        self._m_cull_audible.add(len(table.macs))
+        self._m_cull_culled.add(len(self._macs) - 1 - len(table.macs))
 
     def _audible_to(self, sender: "CsmaMac", rx: "CsmaMac") -> bool:
         """The audible predicate for one directed link (no set build)."""

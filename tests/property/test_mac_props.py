@@ -3,11 +3,13 @@ and culled broadcast delivery matching the exhaustive reference scan."""
 
 from __future__ import annotations
 
+import math
 import re
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.env.mobility import RandomWaypoint
 from repro.env.radio import PropagationModel
 from repro.env.world import World
 from repro.kernel.scheduler import Simulator
@@ -94,6 +96,8 @@ def test_broadcast_never_retries(seed, count):
 
 #: Broadcast horizon of a generated room (s).
 ROOM_HORIZON_S = 1.0
+#: Broadcast period of every station in a generated room (s).
+SEND_PERIOD_S = 0.05
 
 _FRAME_ID = re.compile(r"#\d+")
 
@@ -103,9 +107,13 @@ def broadcast_rooms(draw):
     """A small broadcast room with everything the receive tables key on
     or branch over: mixed channels (partial and zero overlap), per-station
     powers, fading, per-station streams, an interference radius,
-    receivers switched off and on mid-run, one mid-run power change, and
+    receivers switched off and on mid-run, one mid-run power change,
     frames long and unsensed enough to overlap many others (the vectorised
-    SINR sum)."""
+    SINR sum), and moving stations: scripted moves, some timed to land
+    while the mover's own frame is in the air, and fast random-waypoint
+    walkers.  The steeper path-loss exponent makes the culling radius
+    smaller than the room, so the grid query and the patch's radius test
+    both cut."""
     count = draw(st.integers(min_value=8, max_value=30))
     side = draw(st.floats(min_value=20.0, max_value=300.0))
     coordinate = st.floats(min_value=0.0, max_value=side)
@@ -120,6 +128,7 @@ def broadcast_rooms(draw):
         "seed": draw(st.integers(min_value=0, max_value=2**31 - 1)),
         "side": side,
         "stations": stations,
+        "exponent": draw(st.sampled_from((3.0, 4.5))),
         "payload_bytes": draw(st.sampled_from((66, 500, 1400))),
         # A deaf carrier sense lets many frames overlap one another.
         "cs_threshold_dbm": draw(st.sampled_from((-82.0, -50.0))),
@@ -132,13 +141,23 @@ def broadcast_rooms(draw):
                                   max_size=4)),
         "power_change": (draw(index), draw(instant),
                          draw(st.integers(min_value=0, max_value=15))),
+        # (station, instant, x, y, in flight): an in-flight move lands
+        # 0.3 ms after the station's next send, inside its frame's airtime
+        # unless carrier sense deferred it.
+        "moves": draw(st.lists(st.tuples(index, instant, coordinate,
+                                         coordinate, st.booleans()),
+                               max_size=12)),
+        "walkers": draw(st.lists(
+            st.tuples(index, st.floats(min_value=0.02, max_value=0.2)),
+            max_size=5, unique_by=lambda walker: walker[0])),
     }
 
 
 def run_broadcast_room(room, culling: bool):
     sim = Simulator(seed=room["seed"], trace=room["trace"])
     world = World(room["side"], room["side"])
-    propagation = PropagationModel(exponent=3.0, shadowing_sigma_db=4.0,
+    propagation = PropagationModel(exponent=room["exponent"],
+                                   shadowing_sigma_db=4.0,
                                    rng=sim.rng("radio.shadowing"))
     medium = WirelessMedium(
         sim, world, propagation=propagation,
@@ -156,7 +175,7 @@ def run_broadcast_room(room, culling: bool):
         mac.on_receive = (lambda frame, rx=name:
                           deliveries.append((sim.now, frame.src, rx)))
         macs.append(mac)
-        sim.every(0.05, lambda m=mac: m.send(
+        sim.every(SEND_PERIOD_S, lambda m=mac: m.send(
             Frame(m.address, BROADCAST, payload_bytes=room["payload_bytes"])),
             start=start)
 
@@ -168,7 +187,19 @@ def run_broadcast_room(room, culling: bool):
         sim.schedule(max(off, on), set_disabled, macs[i], False)
     i, at, power = room["power_change"]
     sim.schedule(at, setattr, macs[i], "tx_power_dbm", float(power))
+    for i, at, x, y, in_flight in room["moves"]:
+        if in_flight:
+            start = room["stations"][i][4]
+            at = start + SEND_PERIOD_S * math.ceil(
+                max(at - start, 0.0) / SEND_PERIOD_S) + 0.0003
+        sim.schedule(at, world.move, macs[i].address, (x, y))
+    for i, interval in room["walkers"]:
+        RandomWaypoint(sim, world, macs[i].address, speed_min=30.0,
+                       speed_max=150.0, pause=0.0,
+                       update_interval=interval).start()
     sim.run(until=ROOM_HORIZON_S)
+    if culling:
+        assert_caches_current(medium)
     # Frame ids come from a process-global counter: scrub them.
     records = [(r.time, r.category, r.source, _FRAME_ID.sub("#", r.message),
                 r.data) for r in sim.tracer.records]
@@ -177,12 +208,34 @@ def run_broadcast_room(room, culling: bool):
             medium.total_decode_failures, records)
 
 
+def assert_caches_current(medium):
+    """Every receive table the run left, brought up to date, equals a
+    fresh grid build, and every cached link equals a fresh evaluation."""
+    served = {address: medium._receive_table(medium._macs[address])
+              for address in list(medium._tables)}
+    medium._tables.clear()
+    for address, table in served.items():
+        fresh = medium._receive_table(medium._macs[address])
+        assert fresh.macs == table.macs
+        assert fresh.signals == table.signals
+    prop = medium.propagation
+    world = medium.world
+    cache = medium.link_cache
+    cache.terms(*list(medium._macs)[:2])  # catch up with the last moves
+    for a, row in cache._links.items():
+        for b, terms in row.items():
+            assert terms == (
+                prop.path_loss_scalar_db(world.distance_between(a, b)),
+                prop.shadowing_db(a, b))
+
+
 @given(broadcast_rooms())
 @settings(max_examples=60, deadline=None)
 def test_culled_broadcast_matches_exhaustive_scan(room):
     """The receive tables serve the culled broadcast fan-out; the
     exhaustive scan decodes every receiver through ``_decode``.  Seeded
-    outcomes must not tell them apart."""
+    outcomes must not tell them apart, and after the culled run every
+    patched table and cached link must equal a fresh one."""
     assert (run_broadcast_room(room, culling=True)
             == run_broadcast_room(room, culling=False))
 

@@ -1,4 +1,4 @@
-"""Tests for the topology-epoch-keyed link cache."""
+"""Tests for the link cache and its per-entity eviction."""
 
 from __future__ import annotations
 
@@ -66,6 +66,60 @@ def test_stats_snapshot(cache):
     assert stats["hits"] == 0
     assert stats["invalidations"] == 0
     assert stats["cached_links"] == 1
+
+
+def test_move_evicts_only_the_movers_links(world, cache):
+    cache.terms("a", "b")
+    cache.terms("b", "c")
+    world.move("a", (90.0, 55.0))
+    cache.terms("b", "c")
+    assert (cache.hits, cache.misses) == (1, 2)  # b-c survived the move
+    cache.terms("b", "a")
+    assert (cache.hits, cache.misses) == (1, 3)  # a-b was evicted
+    prop = cache.propagation
+    assert cache.attenuation_db("a", "b") == (
+        prop.path_loss_scalar_db(world.distance_between("a", "b"))
+        + prop.shadowing_db("a", "b"))
+
+
+def test_place_evicts_nothing(world, cache):
+    cache.terms("a", "b")
+    cache.terms("a", "c")
+    world.place("d", (5.0, 5.0))
+    cache.terms("b", "a")
+    cache.terms("c", "a")
+    assert (cache.hits, cache.misses) == (2, 2)
+    assert cache.stats()["cached_links"] == 2
+
+
+def test_repeated_moves_do_not_grow_partner_rows(world, cache):
+    for step in range(20):
+        world.move("a", (float(step), 10.0))
+        cache.terms("a", "b")
+        cache.terms("c", "a")
+        cache.terms("b", "c")
+    assert cache.stats()["cached_links"] == 3
+    assert {name: len(row) for name, row in cache._links.items()} == {
+        "a": 2, "b": 2, "c": 2}
+    assert cache.misses == 2 * 20 + 1  # a's two links per move, b-c once
+
+
+def test_self_link_is_counted_once_and_evicted(world, cache):
+    """A unicast frame addressed to its own sender looks up ``{a, a}``."""
+    cache.terms("a", "a")
+    cache.terms("a", "b")
+    assert cache.stats()["cached_links"] == 2
+    world.move("a", (20.0, 20.0))
+    cache.terms("b", "c")
+    assert cache.stats()["cached_links"] == 1
+    assert cache._links["b"] == {"c": cache.terms("c", "b")}
+
+
+def test_stats_keys_are_stable(cache):
+    """``experiments/bench.py`` and ``cli.py`` read these keys."""
+    cache.terms("a", "b")
+    assert set(cache.stats()) == {"hits", "misses", "invalidations",
+                                  "hit_rate", "cached_links"}
 
 
 def test_world_epoch_counter(world):

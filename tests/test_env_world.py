@@ -173,3 +173,38 @@ def test_epoch_bumps_on_place_and_move(world):
     assert world.epoch == e0 + 1
     world.move("a", (1, 1))
     assert world.epoch == e0 + 2
+
+
+# ---------------------------------------------------------------------------
+# Move stamps
+# ---------------------------------------------------------------------------
+
+def test_moved_since_lists_placed_and_moved_indices_ascending(world):
+    for name in ("a", "b", "c", "d"):
+        world.place(name, (1, 1))
+    since = world.epoch
+    assert world.moved_since(since).tolist() == []
+    world.move("c", (2, 2))
+    world.move("a", (3, 3))
+    world.move("c", (4, 4))  # moved twice, listed once
+    world.place("e", (5, 5))
+    assert world.moved_since(since).tolist() == [0, 2, 4]
+    # Only what changed after a later epoch.
+    mid = world.epoch
+    world.move("b", (6, 6))
+    assert world.moved_since(mid).tolist() == [1]
+    assert world.moved_since(-1).tolist() == [0, 1, 2, 3, 4]
+
+
+def test_move_stamps_survive_buffer_growth():
+    world = World(50.0, 50.0)
+    world.place("first", (1, 1))
+    world.move("first", (2, 2))
+    stamped = world.epoch
+    world.place("second", (3, 3))
+    for i in range(3 * World._INITIAL_CAPACITY):  # several doublings
+        world.place(f"e{i}", (i % 50, 0))
+    assert world.moved_since(stamped - 1).tolist() == list(range(len(world)))
+    assert world.moved_since(stamped).tolist() == list(range(1, len(world)))
+    world.move("first", (4, 4))
+    assert world.moved_since(world.epoch - 1).tolist() == [0]

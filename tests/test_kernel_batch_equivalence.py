@@ -13,7 +13,11 @@ changed no outcome.  A fourth digest pins E11's dense cells, the one
 medium configuration with per-receiver delivery streams and an
 interference radius; it was recorded before the medium's receive tables
 existed, so it also pins that serving broadcasts from them changed no
-outcome.
+outcome.  A fifth digest pins a broadcast room with random-waypoint
+movers, the one workload here whose topology changes after set-up; it
+was recorded while every move still cleared the link cache and rebuilt
+every receive table, so it pins that evicting only movers' links and
+patching tables changed no outcome.
 
 Process-global id counters (frame ids, lease ids, transport message ids,
 service-id suffixes) advance in construction order, not execution order,
@@ -29,6 +33,7 @@ import hashlib
 import re
 
 from repro.discovery.leases import LeaseTable
+from repro.env.mobility import RandomWaypoint
 from repro.experiments.cellgrid import cell_layout, cell_rooms
 from repro.experiments.workloads import (broadcast_room, interferer_field,
                                          projector_room)
@@ -49,6 +54,8 @@ LEASE_STORM_SHA256 = (
     "7830f1e66c875b265d5665f0ffe22b7caf4bceb4fb8976ce615fd492a086c256")
 E11_CELLS_SHA256 = (
     "ed3187ddea6b6133e9facf94862d5fca440bfc46c5b3b9a85daef3b2c05e0150")
+MOBILE_ROOM_SHA256 = (
+    "72001a1dd9127a240b41880dc4a351454868ae0e17c591534ee1abf0bcfda0d7")
 
 
 def _digest(outcome) -> str:
@@ -110,6 +117,20 @@ def e11_cells_outcome():
             medium.total_deliveries, medium.total_decode_failures)
 
 
+def mobile_room_outcome():
+    """A sparse broadcast room whose first 40 stations walk random
+    waypoints.  Build/reuse counters are left out: they count receive
+    tables made and served, not outcomes."""
+    room = broadcast_room(200, seed=13)
+    for mac in room.macs[:40]:
+        RandomWaypoint(room.sim, room.world, mac.address).start()
+    room.sim.run(until=3.0)
+    medium = room.medium
+    return (room.sim.now, room.sim.events_executed, sorted(room.deliveries),
+            [dict(mac.stats) for mac in room.macs],
+            medium.total_deliveries, medium.total_decode_failures)
+
+
 def lease_storm_outcome():
     """A renewal-chain storm straight on the lease table: grants with a
     handful of standard durations, each renewed at 45% of its duration
@@ -148,6 +169,10 @@ def test_broadcast_room_byte_identical():
 
 def test_e11_cells_byte_identical():
     assert _digest(e11_cells_outcome()) == E11_CELLS_SHA256
+
+
+def test_mobile_room_byte_identical():
+    assert _digest(mobile_room_outcome()) == MOBILE_ROOM_SHA256
 
 
 def test_lease_storm_byte_identical():

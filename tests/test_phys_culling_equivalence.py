@@ -11,6 +11,7 @@ plus the medium's station/partition caches.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.env.mobility import RandomWaypoint
@@ -117,20 +118,27 @@ def test_broadcast_population_with_fading_identical():
 # ---------------------------------------------------------------------------
 
 def run_mobile(culling: bool):
+    """The mobile room after 4 s, and the farthest any mover got from
+    where it started (m)."""
     room = broadcast_room(80, culling=culling, width=800.0, height=800.0)
-    movers = [RandomWaypoint(room.sim, room.world, mac.address,
+    world = room.world
+    movers = [RandomWaypoint(room.sim, world, mac.address,
                              speed_min=20.0, speed_max=60.0, pause=0.0,
                              update_interval=0.25).start()
               for mac in room.macs[:20]]
+    starts = [world.position_of(m.name) for m in movers]
     room.sim.run(until=4.0)
-    # Fast movers at 60 m/s cover up to 240 m — many grid cells.
-    assert any(m.legs_completed >= 0 for m in movers)
-    return room
+    farthest = max(float(np.hypot(*(world.position_of(m.name) - start)))
+                   for m, start in zip(movers, starts))
+    return room, farthest
 
 
 def test_mobile_population_identical():
-    culled = run_mobile(True)
-    exhaustive = run_mobile(False)
+    culled, farthest = run_mobile(True)
+    exhaustive, _ = run_mobile(False)
+    # Fast movers at 60 m/s cover up to 240 m: at least one must end more
+    # than a grid cell from its start, so the grid had to track it.
+    assert farthest > culled.medium.culling_stats()["grid"]["cell_m"]
     assert sorted(culled.deliveries) == sorted(exhaustive.deliveries)
     assert culled.sim.events_executed == exhaustive.sim.events_executed
     assert mac_outcomes(culled.medium) == mac_outcomes(exhaustive.medium)
