@@ -156,9 +156,9 @@ class ReceiveTable:
     :meth:`LinkCache.rx_power_dbm`.  :meth:`fers` memoises every
     receiver's frame error rate at zero interference, so a frame with no
     in-band overlap and no fading costs each receiver one delivery draw.
-    When only other stations moved, the medium patches the table rather
-    than rebuilding it (see docs/performance.md, "Receive tables" and
-    "Moving worlds").
+    When only other stations moved and none of them can change the
+    table, the medium re-keys it rather than rebuilding it (see
+    docs/performance.md, "Receive tables" and "Moving worlds").
     """
 
     __slots__ = ("key", "tx_power", "radius", "macs", "names", "signals",
@@ -397,16 +397,16 @@ class WirelessMedium:
         """The current :class:`ReceiveTable` of ``sender``.
 
         Only used with culling on.  A table is reused while the topology
-        epoch, the config epoch and the sender's tx power are unchanged.
-        When only the topology epoch moved and the sender did not, the
-        table is patched (:meth:`_patch_table`); otherwise it is rebuilt
-        from a grid query.  The audible predicate — cached link budget
-        above :meth:`audibility_floor_dbm` — is exactly the one the
-        exhaustive mode applies inline per frame; the grid radius
-        provably covers every station the predicate can pass (shadowing
-        is clamped, the fading margin exceeds the maximum possible fade),
-        so the two modes attempt the same decodes in the same order and
-        outcomes are byte-identical.
+        epoch, the config epoch and the sender's tx power are unchanged,
+        and across a topology change that provably leaves it intact
+        (:meth:`_survives_moves`): it is then re-keyed and keeps its FER
+        memo.  Otherwise it is rebuilt from a grid query.  The audible
+        predicate — cached link budget above :meth:`audibility_floor_dbm`
+        — is exactly the one the exhaustive mode applies inline per
+        frame; the grid radius provably covers every station the
+        predicate can pass (shadowing is clamped, the fading margin
+        exceeds the maximum possible fade), so the two modes attempt the
+        same decodes in the same order and outcomes are byte-identical.
         """
         key = (self.world.epoch, self._config_epoch)
         table = self._tables.get(sender.address)
@@ -415,10 +415,10 @@ class WirelessMedium:
             if table.key == key:
                 self._m_cull_reuses.add()
                 return table
-            if table.key[1] == key[1]:
-                patched = self._patch_table(sender, table, key)
-                if patched is not None:
-                    return patched
+            if table.key[1] == key[1] and self._survives_moves(sender, table):
+                table.key = key
+                self._m_cull_reuses.add()
+                return table
         radius = self.max_audible_radius_m(tx_power)
         macs = self._macs
         if radius < self.world.diagonal_m():
@@ -435,49 +435,33 @@ class WirelessMedium:
         table = ReceiveTable(key, tx_power, radius,
                              self._audible(sender, tx_power, candidates))
         self._tables[sender.address] = table
-        self._count_build(table)
+        self._m_cull_builds.add()
+        self._m_cull_audible.add(len(table.macs))
+        self._m_cull_culled.add(len(macs) - 1 - len(table.macs))
         return table
 
-    def _patch_table(self, sender: "CsmaMac", table: ReceiveTable,
-                     key: Tuple[int, int]) -> Optional[ReceiveTable]:
-        """``table`` brought up to the topology epoch of ``key`` without a
-        grid query, or ``None`` when the sender itself moved.
+    def _survives_moves(self, sender: "CsmaMac",
+                        table: ReceiveTable) -> bool:
+        """Whether ``table`` still holds at the current topology epoch.
 
-        A link whose two ends did not move keeps its terms, so with the
-        sender in place only the stations moved since the table's epoch
-        can change it: moved receivers are dropped, and every moved
-        station inside the table's radius (the grid query's distance
-        formula) is re-tested with the audible predicate.  A table no
-        mover touches is re-keyed and keeps its FER memo (a reuse); any
-        other patch makes a new table, with fresh signals and memo (a
-        build).
+        A link whose two ends did not move keeps its terms, so only the
+        stations placed or moved since the table's epoch can change it.
+        It holds when neither the sender nor any of its receivers is
+        among them and no mover inside the table's radius (the grid
+        query's distance formula) passes the audible predicate.
         """
-        moved, moved_set, positions = self._movers(table.key[0])
+        movers, moved_set, positions = self._movers(table.key[0])
         address = sender.address
-        if address in moved_set:
-            return None
+        if address in moved_set or not table.names.isdisjoint(moved_set):
+            return False
         world = self.world
         delta = positions - world.positions()[world.index_of(address)]
         dist = np.maximum(np.sqrt(np.einsum("ij,ij->i", delta, delta)),
                           MIN_SEPARATION_M)
         macs = self._macs
-        near = [macs[moved[i]] for i in np.flatnonzero(dist <= table.radius)
-                if moved[i] in macs]
-        added = self._audible(sender, table.tx_power, near)
-        if not added and table.names.isdisjoint(moved_set):
-            table.key = key
-            self._m_cull_reuses.add()
-            return table
-        entries = [(mac, signal) for mac, signal
-                   in zip(table.macs, table.signals)
-                   if mac.address not in moved_set]
-        entries += added
-        order = self._attach_order
-        entries.sort(key=lambda entry: order[entry[0].address])
-        patched = ReceiveTable(key, table.tx_power, table.radius, entries)
-        self._tables[address] = patched
-        self._count_build(patched)
-        return patched
+        near = [macs[movers[i]] for i in np.flatnonzero(dist <= table.radius)
+                if movers[i] in macs]
+        return not self._audible(sender, table.tx_power, near)
 
     def _movers(self, since: int
                 ) -> Tuple[List[str], FrozenSet[str], np.ndarray]:
@@ -503,7 +487,7 @@ class WirelessMedium:
                  ) -> List[Tuple["CsmaMac", float]]:
         """``(mac, signal)`` for each of ``candidates`` that passes the
         audible predicate at ``tx_power``, in candidate order; the one
-        place the build and the patch evaluate it."""
+        place the build and the move check evaluate it."""
         margin = FADE_MARGIN_DB if self.fast_fading else 0.0
         floor = self.audibility_floor_dbm()
         terms = self.link_cache.terms
@@ -518,11 +502,6 @@ class WirelessMedium:
             if tx_power - (loss + shadow) + margin >= floor:
                 audible.append((mac, tx_power - loss - shadow))
         return audible
-
-    def _count_build(self, table: ReceiveTable) -> None:
-        self._m_cull_builds.add()
-        self._m_cull_audible.add(len(table.macs))
-        self._m_cull_culled.add(len(self._macs) - 1 - len(table.macs))
 
     def _audible_to(self, sender: "CsmaMac", rx: "CsmaMac") -> bool:
         """The audible predicate for one directed link (no set build)."""

@@ -112,8 +112,8 @@ def broadcast_rooms(draw):
     SINR sum), and moving stations: scripted moves, some timed to land
     while the mover's own frame is in the air, and fast random-waypoint
     walkers.  The steeper path-loss exponent makes the culling radius
-    smaller than the room, so the grid query and the patch's radius test
-    both cut."""
+    smaller than the room, so the grid query and the move check's radius
+    test both cut."""
     count = draw(st.integers(min_value=8, max_value=30))
     side = draw(st.floats(min_value=20.0, max_value=300.0))
     coordinate = st.floats(min_value=0.0, max_value=side)
@@ -235,7 +235,7 @@ def test_culled_broadcast_matches_exhaustive_scan(room):
     """The receive tables serve the culled broadcast fan-out; the
     exhaustive scan decodes every receiver through ``_decode``.  Seeded
     outcomes must not tell them apart, and after the culled run every
-    patched table and cached link must equal a fresh one."""
+    re-keyed table and cached link must equal a fresh one."""
     assert (run_broadcast_room(room, culling=True)
             == run_broadcast_room(room, culling=False))
 

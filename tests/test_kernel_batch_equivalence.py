@@ -17,7 +17,7 @@ outcome.  A fifth digest pins a broadcast room with random-waypoint
 movers, the one workload here whose topology changes after set-up; it
 was recorded while every move still cleared the link cache and rebuilt
 every receive table, so it pins that evicting only movers' links and
-patching tables changed no outcome.
+re-keying the tables no move touched changed no outcome.
 
 Process-global id counters (frame ids, lease ids, transport message ids,
 service-id suffixes) advance in construction order, not execution order,

@@ -219,6 +219,32 @@ def test_audible_cache_reused_until_topology_moves():
     assert medium.culling_stats()["set_builds"] == builds_before + 1
 
 
+def test_table_rekeyed_when_only_distant_stations_move():
+    """A move outside a sender's radius bumps the topology epoch but
+    cannot change its table: the same table is re-keyed, without a grid
+    query or a rebuild."""
+    room = broadcast_room(200, culling=True)
+    medium, world = room.medium, room.world
+    sender = max(room.macs, key=lambda m: len(medium._receive_table(m).macs))
+    table = medium._receive_table(sender)
+    assert table.macs and table.radius < world.diagonal_m()
+    x, y = world.position_of(sender.address)
+    far_corner = (0.0 if x > world.width / 2 else world.width,
+                  0.0 if y > world.height / 2 else world.height)
+    bystander = next(m for m in room.macs
+                     if m is not sender and m not in table.macs)
+    world.move(bystander.address, far_corner)
+    assert world.distance_between(sender.address,
+                                  bystander.address) > table.radius
+    before = medium.culling_stats()
+    assert medium._receive_table(sender) is table
+    after = medium.culling_stats()
+    assert table.key[0] == world.epoch
+    assert after["set_reuses"] == before["set_reuses"] + 1
+    assert after["set_builds"] == before["set_builds"]
+    assert after["grid"]["queries"] == before["grid"]["queries"]
+
+
 def test_exhaustive_mode_never_builds_sets():
     room = broadcast_room(60, culling=False)
     room.sim.run(until=1.0)
