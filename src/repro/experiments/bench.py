@@ -938,8 +938,8 @@ def bench_telemetry(events: int = TELEMETRY_EVENTS,
     summary_identical = (
         json.dumps(replay_summary, sort_keys=True, default=repr)
         == json.dumps(stream_summary, sort_keys=True, default=repr))
-    stream_stored_records = len(stream_sim.tracer.records)
-    stream_stored_spans = len(stream_sim.tracer.spans)
+    stream_stored_records = len(stream_sim.tracer)
+    stream_stored_spans = stream_sim.tracer.span_count
 
     replay_peak = _peak_memory(
         lambda: _telemetry_chain(TELEMETRY_MEMORY_EVENTS, "head", False))

@@ -37,7 +37,7 @@ from .dispatch import select_loop
 from .errors import ScheduleError, SimulationFinished
 from .events import Event, Priority
 from .random import RandomStreams
-from .trace import NULL_SPAN, Span, TraceRecord, Tracer
+from .trace import NULL_SPAN, Span, Tracer
 
 __all__ = ["COMPACT_MIN_QUEUE", "PeriodicTask", "Simulator"]
 
@@ -53,8 +53,9 @@ class Simulator:
 
     Args:
         seed: root seed for all named random streams.
-        trace: whether to record trace events (cheap to leave on; heavy
-            interference sweeps turn it off).
+        trace: whether to record trace events.  The tracer stores them
+            as columns the garbage collector does not walk, so tracing is
+            cheap to leave on; heavy interference sweeps turn it off.
         trace_capacity: optional bound on stored trace records.
         trace_mode: bounded-buffer policy when ``trace_capacity`` is set —
             ``"head"`` drops the newest records, ``"ring"`` the oldest;
@@ -363,20 +364,16 @@ class Simulator:
 
     def trace(self, category: str, source: str, message: str, **data: Any) -> None:
         """Emit a structured trace record at the current time."""
-        if self.tracer.enabled or category.startswith("issue"):
-            self.tracer.emit(TraceRecord(self._now, category, source, message, data))
+        tracer = self.tracer
+        if tracer.enabled:
+            tracer.append(self._now, category, source, message, data)
 
     def issue(self, topic: str, source: str, message: str, **data: Any) -> None:
         """Emit an *issue* — a concern the LPC classifier will place in a
         layer.  Issues are recorded even when ordinary tracing is disabled,
-        because experiment E9 depends on them."""
-        record = TraceRecord(self._now, f"issue.{topic}", source, message, data)
-        enabled = self.tracer.enabled
-        self.tracer.enabled = True
-        try:
-            self.tracer.emit(record)
-        finally:
-            self.tracer.enabled = enabled
+        because experiment E9 depends on them; tracing stays disabled for
+        the subscribers they reach."""
+        self.tracer.append(self._now, f"issue.{topic}", source, message, data)
 
     # ------------------------------------------------------------------
     # Causal spans
@@ -398,8 +395,7 @@ class Simulator:
         if not tracer.enabled:
             return NULL_SPAN
         parent_id = self._span_ctx if parent is None else parent.span_id
-        span = tracer.begin_span(self._now, category, source,
-                                 parent_id=parent_id, **data)
+        span = tracer.begin_span(self._now, category, source, parent_id, data)
         if activate:
             self._span_ctx = span.span_id
         return span

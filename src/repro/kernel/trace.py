@@ -18,15 +18,19 @@ scheduler propagates the current span through every scheduled event (see
 reconstructable after the run even though it crossed many events.
 
 Tracing is cheap when disabled (a single predicate test per emit) and
-filterable by category when enabled.
+cheap to leave on: the tracer keeps records and spans as parallel column
+lists of floats, strings and payload dicts, which the garbage collector
+does not track, and builds :class:`TraceRecord`/:class:`Span` objects
+only for a subscriber whose prefix covers the record's category or for
+a reader of :attr:`Tracer.records`/:attr:`Tracer.spans`.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
+                    Tuple)
 
 from .errors import ConfigurationError
 
@@ -40,6 +44,13 @@ from .errors import ConfigurationError
 #: :class:`repro.telemetry.streaming.StreamingAggregator` or a live
 #: exporter.
 TRACER_MODES: Tuple[str, ...] = ("head", "ring", "stream")
+
+
+def _under(category: str, prefix: str) -> bool:
+    """True if ``category`` equals ``prefix`` or sits under it; the empty
+    prefix is the root and matches everything."""
+    return (not prefix or category == prefix
+            or category.startswith(prefix + "."))
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,9 +78,7 @@ class TraceRecord:
 
         The empty prefix is the root: it matches everything.
         """
-        if not prefix:
-            return True
-        return self.category == prefix or self.category.startswith(prefix + ".")
+        return _under(self.category, prefix)
 
 
 @dataclass(slots=True)
@@ -80,6 +89,11 @@ class Span:
     :meth:`Simulator.span_end`; ``parent_id`` points at the span that was
     current when it began (possibly in an earlier event — the scheduler
     carries span context across ``schedule``/``schedule_bound``).
+
+    The span ``span_begin`` returns is the caller's handle: ending it
+    updates the handle and the tracer's stored row.  :attr:`Tracer.spans`
+    returns fresh copies of the rows, equal to the handles field for
+    field but not the same objects.
     """
 
     span_id: int
@@ -99,9 +113,7 @@ class Span:
     def matches(self, prefix: str) -> bool:
         """True if the span's category equals ``prefix`` or sits under it
         (empty prefix matches everything)."""
-        if not prefix:
-            return True
-        return self.category == prefix or self.category.startswith(prefix + ".")
+        return _under(self.category, prefix)
 
 
 class _NullSpan:
@@ -190,6 +202,16 @@ def add_default_span_begin_hook(callback: Callable[[Span], None],
 class Tracer:
     """Collects trace records and spans; dispatches to live subscribers.
 
+    Storage is columnar: one list per :class:`TraceRecord` field and one
+    per :class:`Span` field, so a run that keeps its trace adds no
+    objects for the garbage collector to walk.  :attr:`records`,
+    :attr:`spans`, :meth:`select`, :meth:`issues` and :meth:`open_spans`
+    build the objects when read — read them once, not inside a loop.
+    ``len(tracer)``, :attr:`span_count` and :attr:`open_span_count` are
+    O(1).  Each category's subscribers are resolved once and cached
+    until the next subscribe or unsubscribe; a record object is built
+    only for a category someone subscribed to.
+
     Args:
         enabled: record anything at all.
         capacity: optional bound on stored *records* (spans are unbounded;
@@ -212,20 +234,32 @@ class Tracer:
         self.capacity = capacity
         self.mode = mode
         self._retain = mode != "stream"
-        if mode == "ring" and capacity is not None:
-            # deque(maxlen=...) evicts the oldest entry on append-when-full
-            # in O(1); emit() counts the eviction.
-            self.records: Any = deque(maxlen=capacity)
-        else:
-            self.records = []
+        # Record columns in TraceRecord field order.  In ring mode with a
+        # capacity each deque evicts its oldest entry on append-when-full,
+        # in O(1) and in step with the others; _store() counts the
+        # eviction.  Otherwise the deques are unbounded.
+        maxlen = capacity if mode == "ring" else None
+        self._record_columns = tuple(deque(maxlen=maxlen) for _ in range(5))
+        (self._times, self._categories, self._sources, self._messages,
+         self._datas) = self._record_columns
+        # Span columns in Span field order.  Row r holds span id
+        # _span_base + r: ids are consecutive, and clear() rebases.
+        self._span_columns: Tuple[List[Any], ...] = tuple(
+            [] for _ in range(8))
+        (self._span_ids, self._span_parents, self._span_categories,
+         self._span_sources, self._span_starts, self._span_ends,
+         self._span_statuses, self._span_datas) = self._span_columns
+        self._span_base = 1
+        self._next_span_id = 1
+        self._open = 0
         self._subscribers: List[tuple] = list(_DEFAULT_SUBSCRIBERS)
+        #: category -> the callbacks whose prefix covers it.
+        self._routes: Dict[str, Tuple[Callable[[TraceRecord], None], ...]] = {}
         self._span_hooks: List[Callable[[Span], None]] = \
             list(_DEFAULT_SPAN_HOOKS)
         self._span_begin_hooks: List[Callable[[Span], None]] = \
             list(_DEFAULT_SPAN_BEGIN_HOOKS)
         self.dropped = 0
-        self.spans: List[Span] = []
-        self._span_seq = itertools.count(1)
 
     # ------------------------------------------------------------------
     # Records
@@ -241,37 +275,79 @@ class Tracer:
         """
         if not self.enabled:
             return
-        if not self._retain:
-            pass
-        elif self.capacity is not None and len(self.records) >= self.capacity:
-            self.dropped += 1
-            if self.mode == "ring":
-                self.records.append(record)  # deque evicts the oldest
-        else:
-            self.records.append(record)
-        for prefix, callback in self._subscribers:
-            if record.matches(prefix):
+        self._store(record.time, record.category, record.source,
+                    record.message, record.data)
+        for callback in self._route(record.category):
+            callback(record)
+
+    def append(self, time: float, category: str, source: str, message: str,
+               data: Dict[str, Any]) -> None:
+        """:meth:`emit` given as fields, storing ``data`` as given.
+
+        Unlike :meth:`emit` this does not test :attr:`enabled`:
+        ``Simulator.trace`` tests it first, and ``Simulator.issue``
+        records issues regardless, without turning tracing on for the
+        subscribers they reach.
+        """
+        self._store(time, category, source, message, data)
+        route = self._route(category)
+        if route:
+            record = TraceRecord(time, category, source, message, data)
+            for callback in route:
                 callback(record)
+
+    def _store(self, time: float, category: str, source: str, message: str,
+               data: Dict[str, Any]) -> None:
+        if not self._retain:
+            return
+        if self.capacity is not None and len(self._times) >= self.capacity:
+            self.dropped += 1
+            if self.mode != "ring":
+                return
+        self._times.append(time)
+        self._categories.append(category)
+        self._sources.append(source)
+        self._messages.append(message)
+        self._datas.append(data)
+
+    def _route(self, category: str) -> Tuple[Callable[[TraceRecord], None], ...]:
+        """The callbacks subscribed to ``category``, resolved once."""
+        route = self._routes.get(category)
+        if route is None:
+            route = self._routes[category] = tuple(
+                callback for prefix, callback in self._subscribers
+                if _under(category, prefix))
+        return route
 
     def subscribe(self, prefix: str, callback: Callable[[TraceRecord], None]) -> Callable[[], None]:
         """Call ``callback`` for every future record under ``prefix``.
 
-        Returns an unsubscribe function.
+        Returns an unsubscribe function.  A change made while records are
+        being dispatched applies from the next record on.
         """
         entry = (prefix, callback)
         self._subscribers.append(entry)
+        self._routes.clear()
 
         def unsubscribe() -> None:
             try:
                 self._subscribers.remove(entry)
             except ValueError:
                 pass
+            self._routes.clear()
 
         return unsubscribe
 
+    @property
+    def records(self) -> List[TraceRecord]:
+        """The stored records, oldest first, built afresh on every read."""
+        return list(map(TraceRecord, *self._record_columns))
+
     def select(self, prefix: str) -> List[TraceRecord]:
         """All stored records whose category sits under ``prefix``."""
-        return [r for r in self.records if r.matches(prefix)]
+        hit = _matching(self._categories, prefix)
+        return [TraceRecord(*row) for row in zip(*self._record_columns)
+                if hit[row[1]]]
 
     def issues(self) -> List[TraceRecord]:
         """All records in the ``issue.*`` namespace (LPC classifier input)."""
@@ -281,25 +357,48 @@ class Tracer:
     # Spans
     # ------------------------------------------------------------------
     def begin_span(self, time: float, category: str, source: str,
-                   parent_id: Optional[int] = None, **data: Any) -> Span:
+                   parent_id: Optional[int], data: Dict[str, Any]) -> Span:
         """Open a new span starting at ``time`` under ``parent_id``.
 
-        In ``stream`` mode the span is handed to begin hooks but not
-        retained; causal links still work because the caller holds the
-        span object until :meth:`end_span`.
+        ``data`` is stored as given, not copied.  In ``stream`` mode the
+        span is handed to begin hooks but not retained; causal links
+        still work because the caller holds the span object until
+        :meth:`end_span`.
         """
-        span = Span(next(self._span_seq), parent_id, category, source, time,
-                    data=data)
+        span_id = self._next_span_id
+        self._next_span_id = span_id + 1
+        span = Span(span_id, parent_id, category, source, time, data=data)
         if self._retain:
-            self.spans.append(span)
+            self._span_ids.append(span_id)
+            self._span_parents.append(parent_id)
+            self._span_categories.append(category)
+            self._span_sources.append(source)
+            self._span_starts.append(time)
+            self._span_ends.append(None)
+            self._span_statuses.append("open")
+            self._span_datas.append(data)
+            self._open += 1
         for hook in self._span_begin_hooks:
             hook(span)
         return span
 
     def end_span(self, span: Span, time: float, status: str = "ok") -> None:
-        """Close ``span`` at ``time`` and notify span hooks."""
+        """Close ``span`` at ``time`` and notify span hooks.
+
+        The stored row is updated too when ``span`` has one: a span from
+        stream mode, from before :meth:`clear` or from another tracer only
+        updates itself.  A row belongs to the span that carries its
+        ``data`` dict.
+        """
         span.end = time
         span.status = status
+        row = span.span_id - self._span_base
+        if 0 <= row < len(self._span_datas) and \
+                self._span_datas[row] is span.data:
+            if self._span_ends[row] is None:
+                self._open -= 1
+            self._span_ends[row] = time
+            self._span_statuses[row] = status
         for hook in self._span_hooks:
             hook(span)
 
@@ -328,25 +427,52 @@ class Tracer:
 
         return remove
 
+    @property
+    def spans(self) -> List[Span]:
+        """The stored spans in begin order, built afresh on every read."""
+        return list(map(Span, *self._span_columns))
+
+    @property
+    def span_count(self) -> int:
+        """Number of stored spans."""
+        return len(self._span_ids)
+
+    @property
+    def open_span_count(self) -> int:
+        """Number of stored spans not yet ended."""
+        return self._open
+
     def select_spans(self, prefix: str) -> List[Span]:
         """All spans whose category sits under ``prefix``."""
-        return [s for s in self.spans if s.matches(prefix)]
+        hit = _matching(self._span_categories, prefix)
+        return [Span(*row) for row in zip(*self._span_columns)
+                if hit[row[2]]]
 
     def open_spans(self) -> List[Span]:
         """Spans begun but never ended (useful for leak hunting)."""
-        return [s for s in self.spans if s.end is None]
+        return [Span(*row) for row in zip(*self._span_columns)
+                if row[5] is None]
 
     # ------------------------------------------------------------------
     def clear(self) -> None:
-        self.records.clear()
-        self.spans.clear()
+        for column in self._record_columns + self._span_columns:
+            column.clear()
         self.dropped = 0
+        self._open = 0
+        self._span_base = self._next_span_id
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self._times)
 
     def __iter__(self) -> Iterator[TraceRecord]:
         return iter(self.records)
+
+
+def _matching(categories: Iterable[str], prefix: str) -> Dict[str, bool]:
+    """Whether each distinct category in ``categories`` sits under
+    ``prefix``."""
+    return {category: _under(category, prefix)
+            for category in dict.fromkeys(categories)}
 
 
 def span_children(spans: List[Span]) -> Dict[Optional[int], List[Span]]:

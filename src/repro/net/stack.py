@@ -92,8 +92,9 @@ class NetworkStack:
         if handler is None:
             self.rx_unbound += 1
             self._m_rx_unbound.add()
-            self.sim.trace("stack.unbound", self.address,
-                           f"no listener on port {frame.port}")
+            if self.sim.tracer.enabled:
+                self.sim.trace("stack.unbound", self.address,
+                               f"no listener on port {frame.port}")
             return
         handler(frame)
 

@@ -78,10 +78,10 @@ def _source_stats(source: ReportSource, user_sources: Iterable[str],
         "sim": source,
         "counts": counts,
         "unclassified": unclassified,
-        "records": len(tracer.records),
+        "records": len(tracer),
         "dropped": tracer.dropped,
-        "spans": len(tracer.spans),
-        "spans_open": sum(1 for span in tracer.spans if span.end is None),
+        "spans": tracer.span_count,
+        "spans_open": tracer.open_span_count,
     }
 
 

@@ -53,14 +53,13 @@ def telemetry_summary(sim: Simulator,
         column_name = ("user" if concern.column == Column.USER else "device")
         issues_by_column[column_name] = \
             issues_by_column.get(column_name, 0) + 1
-    open_spans = sum(1 for span in tracer.spans if span.end is None)
     return {
         "sim_time": sim.now,
         "events_executed": sim.events_executed,
-        "records": len(tracer.records),
+        "records": len(tracer),
         "records_dropped": tracer.dropped,
-        "spans": len(tracer.spans),
-        "spans_open": open_spans,
+        "spans": tracer.span_count,
+        "spans_open": tracer.open_span_count,
         "issues_by_layer": dict(sorted(issues_by_layer.items())),
         "issues_by_column": dict(sorted(issues_by_column.items())),
         "metrics": sim.metrics.close(),

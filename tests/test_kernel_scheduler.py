@@ -211,9 +211,24 @@ def test_deterministic_given_same_seed():
 def test_issue_recorded_even_when_tracing_disabled():
     sim = Simulator(seed=0, trace=False)
     sim.trace("mac.tx", "x", "not recorded")
+    sim.trace("issue.x", "x", "not recorded either")
     sim.issue("session", "x", "recorded")
     assert len(sim.tracer.records) == 1
     assert sim.tracer.records[0].category == "issue.session"
+
+
+def test_issue_subscribers_run_with_tracing_still_disabled():
+    sim = Simulator(seed=0, trace=False)
+
+    def on_issue(record):
+        sim.trace("mac.tx", "x", "traced from a subscriber")
+        sim.span_begin("work", "x")
+
+    sim.tracer.subscribe("issue", on_issue)
+    sim.issue("session", "x", "recorded")
+    assert [r.category for r in sim.tracer.records] == ["issue.session"]
+    assert sim.tracer.spans == []
+    assert sim._span_ctx is None
 
 
 def test_context_registry_shared(sim):
