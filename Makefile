@@ -7,37 +7,15 @@
 #                 and whole-program fork-safety flow rules (LPC3xx, over
 #                 the module call graph) against checks_baseline.json
 #   make bench  - E10 kernel microbenchmarks (pytest-benchmark statistics),
-#                 then BENCH_*.json emission (kernel/sweeps/trace/scale/
-#                 cache/telemetry/shard — scale runs 200/500/1000-
-#                 station rooms culled vs exhaustive; cache runs the E2
-#                 sweep uncached vs cold vs warm through the content-
-#                 addressed run cache; telemetry exports 1M synthetic
-#                 events as JSONL vs columnar and probes streaming-
-#                 aggregation memory; shard runs the 1.2k-station multi-
-#                 cell grid sharded vs the single-process oracle; checks
-#                 runs the static pass cold vs warm-incremental) + the
-#                 regression gates: >20% throughput vs
-#                 baseline_kernel.json / baseline_scale.json, the cache
-#                 gate (rows identical, warm speedup >= 5x, cold overhead
-#                 <= 5%) vs baseline_cache.json, the sweep gate (rows
-#                 identical; 2x parallel speedup on >=4-cpu hosts), the
-#                 telemetry gate
-#                 (streaming summaries byte-identical, columnar >=3x
-#                 smaller and >=2x faster than JSONL, streaming memory
-#                 bounded, disabled-path overhead <= 5%) vs
-#                 baseline_telemetry.json, the shard gate (sharded
-#                 outcomes and merged telemetry byte-identical to the
-#                 oracle, coupled multiprocess == inline; 2x 4-shard
-#                 speedup on >=4-cpu hosts) vs baseline_shard.json, and
-#                 the checks gate (warm findings byte-identical, zero
-#                 warm re-parses, >=3x warm speedup) vs
-#                 baseline_checks.json
-#   make bench-kernel - kernel microbenchmark + its gate only: the
-#                 pytest-benchmark timer chains, BENCH_kernel.json, and
-#                 the calibration-relative >=2x dispatch-core gate vs
+#                 then every row of repro.cli.BENCHES: one BENCH_*.json
+#                 each and one verdict line per gate.  The gates, their
+#                 thresholds and reasons: python -m repro.cli bench --help
+#   make bench-kernel - the kernel row only: the pytest-benchmark timer
+#                 chains, BENCH_kernel.json and the kernel gates vs
 #                 baseline_kernel.json.  Seconds, not minutes — the leg
 #                 to run while iterating on the run loop.
-#   make bench-baseline - re-measure and overwrite the committed baselines
+#   make bench-baseline - re-measure and overwrite the six committed
+#                 baseline_*.json
 
 PYTHON ?= python
 export PYTHONPATH := src

@@ -5,15 +5,19 @@ file parsed, the fork pool fanned out) and repeatedly warm (all source
 digests match, zero files re-parsed, only the cheap cross-file layer and
 flow passes execute).  Findings must be byte-identical between the two,
 an unchanged tree must re-parse nothing, and the warm path must clear
-the machine-independent speedup floor (gated in ``repro.cli bench`` via
-``BENCH_checks.json`` against ``baseline_checks.json``).
+the machine-independent speedup floor (the ``checks`` row of
+``repro.cli.BENCHES``, which ``repro.cli bench`` also holds against
+``baseline_checks.json``).
 """
 
 from __future__ import annotations
 
-from repro.checks.bench import (CHECKS_MIN_WARM_SPEEDUP, bench_checks,
-                                check_checks_regression)
+from repro.checks.bench import bench_checks
+from repro.cli import BENCHES
+from repro.experiments.bench import evaluate
 from repro.experiments.harness import ExperimentResult
+
+CHECKS = next(row for row in BENCHES if row.name == "checks")
 
 
 def test_checks_cold_vs_warm(benchmark, record_table):
@@ -27,12 +31,10 @@ def test_checks_cold_vs_warm(benchmark, record_table):
     result.add_row(mode="warm", files=checks["files"], jobs=checks["jobs"],
                    wall_s=checks["warm_wall_s"],
                    reparsed=checks["warm_analyzed"])
-    result.notes.append(
-        f"warm speedup {checks['warm_speedup']:.1f}x "
-        f"(floor {CHECKS_MIN_WARM_SPEEDUP:.0f}x), findings identical: "
-        f"{checks['findings_identical']}")
+    verdicts = evaluate(CHECKS, checks, {})
+    result.notes.extend(verdict.line for verdict in verdicts)
     record_table(result)
     # The full gate (identity + zero re-parses + speedup floor) is
     # machine-independent apart from the baseline fraction, which only
     # applies when a like-sourced baseline is passed; here it is not.
-    assert check_checks_regression(checks, None) == []
+    assert [v.line for v in verdicts if v.status == "FAIL"] == []

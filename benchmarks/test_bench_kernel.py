@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.bench import (_timer_chain_records,
-                                     _timer_chain_spans, calibration_spin)
+from repro.experiments.bench import (_timer_chain_bound, _timer_chain_records,
+                                     _timer_chain_schedule, _timer_chain_spans,
+                                     calibration_spin)
 from repro.experiments.workloads import interferer_field, projector_room
 from repro.kernel.scheduler import Simulator
 
@@ -24,43 +25,16 @@ def test_machine_calibration(benchmark):
 
 
 def test_kernel_event_throughput(benchmark):
-    """Throughput of the kernel hot path (``schedule_bound`` + free-list
-    pool) — the loop the MAC/radio layers actually drive."""
-
-    def run_events():
-        sim = Simulator(seed=1, trace=False)
-        counter = [0]
-
-        def tick():
-            counter[0] += 1
-            if counter[0] < 20_000:
-                sim.schedule_bound(0.001, tick)
-
-        sim.schedule_bound(0.0, tick)
-        sim.run()
-        return counter[0]
-
-    events = benchmark(run_events)
+    """Throughput of the kernel hot path (``schedule_bound``) — the loop
+    the MAC/radio layers actually drive.  ``repro.cli bench --raw`` keys
+    on this test name."""
+    events = benchmark(_timer_chain_bound)
     assert events == 20_000
 
 
 def test_kernel_public_schedule_throughput(benchmark):
     """Throughput of the validated public ``schedule`` path."""
-
-    def run_events():
-        sim = Simulator(seed=1, trace=False)
-        counter = [0]
-
-        def tick():
-            counter[0] += 1
-            if counter[0] < 20_000:
-                sim.schedule(0.001, tick)
-
-        sim.schedule(0.0, tick)
-        sim.run()
-        return counter[0]
-
-    events = benchmark(run_events)
+    events = benchmark(_timer_chain_schedule)
     assert events == 20_000
 
 

@@ -5,19 +5,17 @@ table-regenerating bench runs the same synthetic workload through both
 writers at a CI-friendly scale and records bytes-on-disk, writer-only
 wall time, and the streaming-aggregation memory bound alongside the
 paper tables in ``results.txt``.  ``repro.cli bench`` gates the full
-1M-event figures via ``BENCH_telemetry.json``.
+1M-event figures via ``BENCH_telemetry.json``; here the same ``telemetry``
+row judges the CI-scale run, without baselines.
 """
 
 from __future__ import annotations
 
-from repro.experiments.bench import (
-    TELEMETRY_MAX_MEMORY_RATIO,
-    TELEMETRY_MIN_SIZE_RATIO,
-    TELEMETRY_MIN_WRITE_SPEEDUP,
-    bench_telemetry,
-    check_telemetry_regression,
-)
+from repro.cli import BENCHES
+from repro.experiments.bench import bench_telemetry, evaluate
 from repro.experiments.harness import ExperimentResult
+
+TELEMETRY = next(row for row in BENCHES if row.name == "telemetry")
 
 #: CI-friendly event count — gates are ratios, so they hold at any scale.
 BENCH_EVENTS = 200_000
@@ -37,15 +35,9 @@ def test_telemetry_columnar_vs_jsonl(benchmark, record_table):
     result.add_row(path="columnar", events=telemetry["events"],
                    wall_s=telemetry["columnar_wall_s"],
                    bytes=telemetry["columnar_bytes"])
-    result.notes.append(
-        f"columnar {telemetry['size_ratio']:.1f}x smaller "
-        f"(floor {TELEMETRY_MIN_SIZE_RATIO:.0f}x), "
-        f"{telemetry['write_speedup']:.1f}x faster "
-        f"(floor {TELEMETRY_MIN_WRITE_SPEEDUP:.0f}x); streaming peak "
-        f"{telemetry['stream_memory_ratio']:.2%} of replay "
-        f"(ceiling {TELEMETRY_MAX_MEMORY_RATIO:.0%}), summaries "
-        f"identical: {telemetry['summary_identical']}")
+    verdicts = evaluate(TELEMETRY, telemetry, {})
+    result.notes.extend(verdict.line for verdict in verdicts)
     record_table(result)
     assert telemetry["summary_identical"]
     assert telemetry["stream_stored_records"] == 0
-    assert check_telemetry_regression(telemetry, None) == []
+    assert [v.line for v in verdicts if v.status == "FAIL"] == []

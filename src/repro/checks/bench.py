@@ -4,7 +4,8 @@ Measures a full-tree ``run_checks`` cold (empty incremental cache, every
 file parsed) against warm re-runs (all digests match, zero files
 re-parsed, only the cheap cross-file passes execute).  The warm path is
 the one developers live on — ``repro.cli check`` between edits — so the
-gate keeps the incremental machinery actually paying for itself.
+``checks`` row of ``repro.cli.BENCHES`` keeps the incremental machinery
+actually paying for itself.
 
 Lives in the ``checks`` package (not ``experiments.bench``) because
 ``experiments`` and ``checks`` share layer rank 7: a sideways import
@@ -20,14 +21,6 @@ import time
 from typing import Any, Dict, Optional, Sequence
 
 from .runner import run_checks
-
-#: Within-run floor: a warm (all-cached) pass must beat the cold pass by
-#: at least this factor, or the incremental machinery stopped paying.
-CHECKS_MIN_WARM_SPEEDUP = 3.0
-
-#: A like-sourced committed baseline floors the warm speedup at this
-#: fraction of its recorded figure (conservative: hosts vary).
-CHECKS_BASELINE_SPEEDUP_FRACTION = 0.5
 
 
 def bench_checks(paths: Optional[Sequence[pathlib.Path]] = None,
@@ -67,41 +60,3 @@ def bench_checks(paths: Optional[Sequence[pathlib.Path]] = None,
         "findings_identical": cold.format_text() == warm.format_text(),
     }
 
-
-def check_checks_regression(current: Dict[str, Any],
-                            baseline: Optional[Dict[str, Any]],
-                            ) -> list:
-    """Gate the checks benchmark.
-
-    Machine-independent checks always run: warm findings must be
-    byte-identical to cold, a warm run must re-parse zero files, and the
-    warm speedup must clear :data:`CHECKS_MIN_WARM_SPEEDUP`.  A
-    like-sourced committed baseline additionally floors the speedup at
-    :data:`CHECKS_BASELINE_SPEEDUP_FRACTION` of its recorded figure.
-    """
-    failures = []
-    if not current.get("findings_identical", False):
-        failures.append(
-            "findings_identical: warm incremental check diverged from the "
-            "cold run — the SCC-region invalidation is unsound")
-    analyzed = current.get("warm_analyzed", -1)
-    if analyzed != 0:
-        failures.append(
-            f"warm_analyzed: {analyzed} files re-parsed on an unchanged "
-            f"tree — digest keying is unstable")
-    speedup = current.get("warm_speedup") or 0.0
-    if speedup < CHECKS_MIN_WARM_SPEEDUP:
-        failures.append(
-            f"warm_speedup: {speedup:.1f}x below the "
-            f"{CHECKS_MIN_WARM_SPEEDUP:.0f}x floor — incremental mode is "
-            f"no longer paying")
-    if baseline is not None and baseline.get("source") == current.get("source"):
-        base = baseline.get("warm_speedup")
-        if base:
-            floor = base * CHECKS_BASELINE_SPEEDUP_FRACTION
-            if speedup < floor:
-                failures.append(
-                    f"warm_speedup: {speedup:.1f}x is below "
-                    f"{CHECKS_BASELINE_SPEEDUP_FRACTION:.0%} of the "
-                    f"committed baseline {base:.1f}x (floor {floor:.1f}x)")
-    return failures

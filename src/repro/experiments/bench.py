@@ -1,16 +1,21 @@
-"""Performance trajectory benchmarks: ``BENCH_<name>.json`` writers.
+"""Performance trajectory benchmarks and the gates that hold them.
 
 The ROADMAP's north star is a simulator that runs "as fast as the hardware
 allows"; this module is how that claim stays measured rather than asserted.
-It runs the E10-style kernel microbenchmarks and an E2 sweep benchmark
-in-process, writes machine-readable ``BENCH_kernel.json`` /
-``BENCH_sweeps.json`` snapshots (events/sec, sweep wall time, link-cache
-hit rate), and gates against the committed baseline so a regression fails
-``make bench`` instead of landing silently.
+The ``bench_*`` runners measure the kernel timer chains, E2 sweeps, the
+culled broadcast rooms, the run cache, telemetry export and sharding, and
+return one JSON-able payload each, written as ``BENCH_<name>.json``.
 
-Numbers are wall-clock and therefore machine-dependent: the gate compares
-against ``benchmarks/baseline_kernel.json`` *relative* to when that file
-was last regenerated (``--update-baseline``), with a generous tolerance.
+Each payload is judged by declared :class:`Gate` rows — identity flags,
+absolute floors and ceilings, and fractions of a like-sourced committed
+baseline — through one :func:`evaluate`, so a regression fails
+``make bench`` instead of landing silently.  The table of rows itself is
+``repro.cli.BENCHES``: ``repro.checks.bench`` shares this package's layer
+rank, so only the CLI may put both in one table.
+
+Numbers are wall-clock and therefore machine-dependent: baseline gates
+compare against ``benchmarks/baseline_*.json`` *relative* to when those
+files were last regenerated (``--update-baseline``).
 """
 
 from __future__ import annotations
@@ -18,26 +23,17 @@ from __future__ import annotations
 import json
 import pathlib
 import platform
+import textwrap
 import time
-from typing import Any, Callable, Dict, List, Optional
+from dataclasses import dataclass
+from typing import (Any, Callable, Dict, Iterable, List, Mapping, NamedTuple,
+                    Optional, Set, Tuple)
 
+from ..kernel.errors import ConfigurationError
 from ..kernel.scheduler import Simulator
 
 #: Events per kernel microbenchmark run (matches benchmarks/test_bench_kernel.py).
 KERNEL_EVENTS: int = 20_000
-
-#: Allowed fractional slowdown vs the committed baseline before failing.
-REGRESSION_TOLERANCE: float = 0.20
-
-#: Calibration-relative floor on kernel speedup vs the committed baseline.
-#: The dispatch-core rewrite (tuple heap entries + monomorphic run loops)
-#: must hold a >=2x events/sec advantage over the pre-rewrite baseline
-#: *after* normalising both sides by their recorded
-#: ``calibration_ops_per_sec``, so a slower or faster host cannot fake a
-#: pass or a failure.  See docs/performance.md ("Interpreter overhead and
-#: the dispatch core").
-DISPATCH_MIN_SPEEDUP: float = 2.0
-
 
 # ---------------------------------------------------------------------------
 # Kernel microbenchmarks (the E10 scalability story)
@@ -73,14 +69,15 @@ def _timer_chain_bound() -> int:
     return counter[0]
 
 
-def _events_per_sec(fn: Callable[[], int], repeats: int = 5) -> float:
+def _ops_per_sec(fn: Callable[[], Any], ops: int, repeats: int = 5) -> float:
+    """``ops`` over the best of ``repeats`` timed calls, after one warm-up."""
     fn()  # warm-up
     best = float("inf")
     for _ in range(repeats):
         t0 = time.perf_counter()
-        count = fn()
+        fn()
         best = min(best, time.perf_counter() - t0)
-    return count / best
+    return ops / best
 
 
 #: Iterations of the calibration workload (see :func:`calibration_spin`).
@@ -99,25 +96,17 @@ def calibration_spin() -> int:
     return total
 
 
-def _calibration_ops_per_sec(repeats: int = 5) -> float:
-    calibration_spin()  # warm-up
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        calibration_spin()
-        best = min(best, time.perf_counter() - t0)
-    return CALIBRATION_OPS / best
-
-
 def bench_kernel(repeats: int = 5) -> Dict[str, Any]:
     """Measure kernel event throughput on both scheduling paths."""
     return {
         "name": "kernel",
         "events_per_run": KERNEL_EVENTS,
-        "events_per_sec": _events_per_sec(_timer_chain_bound, repeats),
+        "events_per_sec":
+            _ops_per_sec(_timer_chain_bound, KERNEL_EVENTS, repeats),
         "events_per_sec_public_schedule":
-            _events_per_sec(_timer_chain_schedule, repeats),
-        "calibration_ops_per_sec": _calibration_ops_per_sec(repeats),
+            _ops_per_sec(_timer_chain_schedule, KERNEL_EVENTS, repeats),
+        "calibration_ops_per_sec":
+            _ops_per_sec(calibration_spin, CALIBRATION_OPS, repeats),
         "source": "in-process",
     }
 
@@ -125,19 +114,6 @@ def bench_kernel(repeats: int = 5) -> Dict[str, Any]:
 # ---------------------------------------------------------------------------
 # Tracing-overhead benchmark (spans/records vs the disabled fast path)
 # ---------------------------------------------------------------------------
-
-#: Allowed slowdown of the tracing-*disabled* path vs the committed kernel
-#: baseline.  The span-context plumbing lives on the run loop's hot path,
-#: so this is the gate that keeps observability free for sweeps.
-TRACE_DISABLED_TOLERANCE: float = 0.05
-
-#: Allowed within-run overhead ratios (enabled-path throughput must stay
-#: above this fraction of the disabled path measured in the same process).
-#: These floors catch accidental O(n) scans in emit/span_begin, not the
-#: ordinary ~4-5x record/span allocation cost.
-TRACE_RECORDS_MIN_RATIO: float = 0.10
-TRACE_SPANS_MIN_RATIO: float = 0.10
-
 
 def _timer_chain_records() -> int:
     """Timer chain that emits one trace record per event (ring-bounded)."""
@@ -178,71 +154,37 @@ def bench_trace(repeats: int = 5) -> Dict[str, Any]:
     """Measure tracing overhead: disabled vs records vs spans.
 
     ``events_per_sec_disabled`` re-times the bound timer chain with tracing
-    off — the figure the <5% gate holds against the committed kernel
-    baseline.  The enabled-path ratios are *within-run* (same process, same
-    thermal state), so they are portable across machines.
+    off — the figure the ``trace.events_per_sec_disabled`` gate holds
+    against the committed kernel baseline.  The enabled-path ratios are
+    *within-run* (same process, same thermal state), so they are portable
+    across machines.
     """
-    disabled = _events_per_sec(_timer_chain_bound, repeats)
-    records = _events_per_sec(_timer_chain_records, repeats)
-    spans = _events_per_sec(_timer_chain_spans, repeats)
-    return {
+    disabled = _ops_per_sec(_timer_chain_bound, KERNEL_EVENTS, repeats)
+    records = _ops_per_sec(_timer_chain_records, KERNEL_EVENTS, repeats)
+    spans = _ops_per_sec(_timer_chain_spans, KERNEL_EVENTS, repeats)
+    return trace_ratios({
         "name": "trace",
         "events_per_run": KERNEL_EVENTS,
         "events_per_sec_disabled": disabled,
         "events_per_sec_records": records,
         "events_per_sec_spans": spans,
-        "records_overhead_ratio": records / disabled if disabled else 0.0,
-        "spans_overhead_ratio": spans / disabled if disabled else 0.0,
         "source": "in-process",
-    }
+    })
 
 
-def check_trace_regression(current: Dict[str, Any],
-                           baseline: Optional[Dict[str, Any]],
-                           ) -> List[str]:
-    """Gate the tracing benchmark.
-
-    Two kinds of check:
-
-    * the tracing-*disabled* throughput must stay within
-      :data:`TRACE_DISABLED_TOLERANCE` of the committed kernel baseline's
-      ``events_per_sec`` (the span plumbing must not tax sweeps that never
-      trace) — skipped when there is no baseline;
-    * the enabled paths must stay above fixed fractions of the disabled
-      path measured in the same run, catching accidental slow paths in
-      ``emit``/``span_begin`` without any machine dependence.
-    """
-    failures = []
-    disabled = current.get("events_per_sec_disabled") or 0.0
-    if baseline is not None and baseline.get("events_per_sec"):
-        floor = baseline["events_per_sec"] * (1.0 - TRACE_DISABLED_TOLERANCE)
-        if disabled < floor:
-            failures.append(
-                f"events_per_sec_disabled: {disabled:,.0f} is more than "
-                f"{TRACE_DISABLED_TOLERANCE:.0%} below the committed kernel "
-                f"baseline {baseline['events_per_sec']:,.0f} "
-                f"(floor {floor:,.0f}) — tracing must stay free when off")
-    for key, minimum in (("records_overhead_ratio", TRACE_RECORDS_MIN_RATIO),
-                         ("spans_overhead_ratio", TRACE_SPANS_MIN_RATIO)):
-        ratio = current.get(key) or 0.0
-        if ratio < minimum:
-            failures.append(
-                f"{key}: {ratio:.2f} below the {minimum:.2f} floor — the "
-                f"enabled tracing path got disproportionately slower")
-    return failures
+def trace_ratios(payload: Dict[str, Any]) -> Dict[str, Any]:
+    """Add the enabled-over-disabled throughput ratios to a trace payload
+    (again after a ``--raw`` ingest replaces the three rates)."""
+    disabled = payload["events_per_sec_disabled"]
+    for arm in ("records", "spans"):
+        rate = payload[f"events_per_sec_{arm}"]
+        payload[f"{arm}_overhead_ratio"] = rate / disabled if disabled else 0.0
+    return payload
 
 
 # ---------------------------------------------------------------------------
 # Sweep benchmark (E2 density sweep, serial vs parallel, cache hit rate)
 # ---------------------------------------------------------------------------
-
-#: Floor on the parallel-over-serial sweep speedup — enforced only on
-#: hosts with at least this many usable CPUs (one core per worker), since
-#: a fork pool cannot beat serial execution on fewer cores no matter how
-#: light the pipe traffic is.
-SWEEPS_MIN_PARALLEL_SPEEDUP: float = 2.0
-SWEEPS_MIN_CPUS_FOR_GATE: int = 4
-
 
 def _usable_cpus() -> int:
     import os
@@ -265,7 +207,6 @@ def bench_sweeps(workers: int = 4,
     nominal machine size) and ``bytes_shipped`` the pickled traffic that
     crossed the pool pipe — the two numbers that explain a flat speedup.
     """
-    from ..phys.mac import WirelessMedium  # noqa: F401  (import sanity)
     from .e2_interference import run as e2_run
     from .workloads import interferer_field, projector_room
 
@@ -298,50 +239,9 @@ def bench_sweeps(workers: int = 4,
     }
 
 
-def check_sweeps_regression(current: Dict[str, Any]) -> List[str]:
-    """Gate the sweep benchmark.
-
-    Row identity between serial and parallel runs is mandatory on every
-    machine.  The parallel-speedup floor applies only when the host has
-    enough usable cores (:data:`SWEEPS_MIN_CPUS_FOR_GATE`) for the fork
-    pool to pay at all — on a 1-core container the parallel run shares
-    one core with the parent and the ratio is pure scheduling noise.
-    """
-    failures = []
-    if not current.get("rows_identical", False):
-        failures.append(
-            "rows_identical: parallel sweep rows differ from serial rows")
-    cpus = current.get("cpus") or 1
-    if cpus >= SWEEPS_MIN_CPUS_FOR_GATE:
-        speedup = current.get("parallel_speedup") or 0.0
-        if speedup < SWEEPS_MIN_PARALLEL_SPEEDUP:
-            failures.append(
-                f"parallel_speedup: {speedup:.2f}x below the "
-                f"{SWEEPS_MIN_PARALLEL_SPEEDUP:.1f}x floor on a "
-                f"{cpus}-cpu host — the pool is shipping too much or "
-                f"serialising somewhere")
-    return failures
-
-
 # ---------------------------------------------------------------------------
 # Run-cache benchmark (incremental sweeps: cold vs warm)
 # ---------------------------------------------------------------------------
-
-#: Machine-independent floor on the warm-cache re-run speedup of the E2
-#: sweep.  A warmed cache replays rows from a handful of small JSON files,
-#: so real figures are 30-100x; 5x catches the replay path silently
-#: recomputing without flapping on slow disks.
-CACHE_MIN_WARM_SPEEDUP: float = 5.0
-
-#: Ceiling on the cold-run cost of caching (key hashing + source digest +
-#: entry writes) as a fraction of the uncached wall time.
-CACHE_MAX_COLD_OVERHEAD: float = 0.05
-
-#: With a committed baseline, the warm speedup may degrade to this
-#: fraction of the recorded figure before the gate fires — generous
-#: because warm runs are milliseconds and relative timing noise is large.
-CACHE_BASELINE_SPEEDUP_FRACTION: float = 0.25
-
 
 def bench_cache(densities=(0, 2, 4), duration: float = 10.0,
                 repeats: int = 3) -> Dict[str, Any]:
@@ -407,52 +307,6 @@ def bench_cache(densities=(0, 2, 4), duration: float = 10.0,
     }
 
 
-def check_cache_regression(current: Dict[str, Any],
-                           baseline: Optional[Dict[str, Any]],
-                           ) -> List[str]:
-    """Gate the run-cache benchmark.
-
-    Machine-independent checks always run: cached and uncached rows must
-    be identical, a warm run must be served entirely from cache, the warm
-    speedup must clear :data:`CACHE_MIN_WARM_SPEEDUP` and the cold
-    overhead must stay under :data:`CACHE_MAX_COLD_OVERHEAD`.  A
-    like-sourced committed baseline additionally floors the warm speedup
-    at :data:`CACHE_BASELINE_SPEEDUP_FRACTION` of its recorded figure.
-    """
-    failures = []
-    if not current.get("rows_identical", False):
-        failures.append(
-            "rows_identical: cached and uncached sweep results diverged — "
-            "the run cache replayed different rows than it stored")
-    hit_rate = current.get("warm_hit_rate") or 0.0
-    if hit_rate < 1.0:
-        failures.append(
-            f"warm_hit_rate: {hit_rate:.1%} — a warm re-run recomputed "
-            f"points it should have replayed (key instability?)")
-    speedup = current.get("warm_speedup") or 0.0
-    if speedup < CACHE_MIN_WARM_SPEEDUP:
-        failures.append(
-            f"warm_speedup: {speedup:.1f}x below the "
-            f"{CACHE_MIN_WARM_SPEEDUP:.0f}x floor — warm replay is no "
-            f"longer paying")
-    overhead = current.get("cold_overhead_ratio")
-    if overhead is not None and overhead > CACHE_MAX_COLD_OVERHEAD:
-        failures.append(
-            f"cold_overhead_ratio: {overhead:.1%} above the "
-            f"{CACHE_MAX_COLD_OVERHEAD:.0%} ceiling — caching is taxing "
-            f"cold sweeps")
-    if baseline is not None and baseline.get("source") == current.get("source"):
-        base = baseline.get("warm_speedup")
-        if base:
-            floor = base * CACHE_BASELINE_SPEEDUP_FRACTION
-            if speedup < floor:
-                failures.append(
-                    f"warm_speedup: {speedup:.1f}x is below "
-                    f"{CACHE_BASELINE_SPEEDUP_FRACTION:.0%} of the committed "
-                    f"baseline {base:.1f}x (floor {floor:.1f}x)")
-    return failures
-
-
 # ---------------------------------------------------------------------------
 # Population-scale benchmark (spatial-grid audibility culling)
 # ---------------------------------------------------------------------------
@@ -462,12 +316,6 @@ SCALE_STATIONS = (200, 500, 1000)
 
 #: Simulated seconds per scale point (broadcast-heavy, 2 frames/s/station).
 SCALE_DURATION_S: float = 2.0
-
-#: Machine-independent floor on culled-vs-exhaustive speedup at the largest
-#: population.  Both modes run in the same process back to back, so the
-#: ratio is portable; the ISSUE requires >=3x on the reference machine and
-#: this gate catches the fast path silently degenerating to a full scan.
-SCALE_MIN_SPEEDUP: float = 2.0
 
 
 def _run_broadcast_point(stations: int, culling: bool,
@@ -537,41 +385,6 @@ def bench_scale(stations=SCALE_STATIONS,
     }
 
 
-def check_scale_regression(current: Dict[str, Any],
-                           baseline: Optional[Dict[str, Any]],
-                           tolerance: float = REGRESSION_TOLERANCE,
-                           ) -> List[str]:
-    """Gate the scale benchmark.
-
-    Machine-independent checks always run: the culled and exhaustive runs
-    must produce identical outcomes, and the speedup at the largest
-    population must clear :data:`SCALE_MIN_SPEEDUP`.  When a like-sourced
-    committed baseline exists, culled throughput at the largest population
-    must additionally stay within ``tolerance`` of it.
-    """
-    failures = []
-    if not current.get("outcomes_identical", False):
-        failures.append(
-            "outcomes_identical: culled and exhaustive runs diverged — "
-            "the audibility fast path changed simulation outcomes")
-    speedup = current.get("speedup_at_max") or 0.0
-    if speedup < SCALE_MIN_SPEEDUP:
-        failures.append(
-            f"speedup_at_max: {speedup:.2f}x below the {SCALE_MIN_SPEEDUP:.1f}x "
-            f"floor — culling is no longer paying at the largest population")
-    if baseline is not None and baseline.get("source") == current.get("source"):
-        base = baseline.get("culled_events_per_sec_at_max")
-        now = current.get("culled_events_per_sec_at_max")
-        if base and now:
-            floor = base * (1.0 - tolerance)
-            if now < floor:
-                failures.append(
-                    f"culled_events_per_sec_at_max: {now:,.0f} is more than "
-                    f"{tolerance:.0%} below the committed baseline "
-                    f"{base:,.0f} (floor {floor:,.0f})")
-    return failures
-
-
 # ---------------------------------------------------------------------------
 # Sharded-simulation benchmark (conservative parallel DES)
 # ---------------------------------------------------------------------------
@@ -589,14 +402,6 @@ SHARD_HORIZON_S: float = 0.5
 #: Lookahead for the sharded runs (cross-boundary propagation plus MAC
 #: turnaround; generous because the disjoint config freeruns anyway).
 SHARD_LOOKAHEAD_S: float = 5e-3
-
-#: Machine-independent floor on oracle-vs-sharded speedup with one shard
-#: per cell — applied only with enough usable cores (below).
-SHARD_MIN_SPEEDUP: float = 2.0
-
-#: Fork-per-shard parallelism cannot pay on a container pinned to fewer
-#: cores than shards; the speedup floor is gated like the sweeps one.
-SHARD_MIN_CPUS_FOR_GATE: int = 4
 
 
 def bench_shard(cells: int = SHARD_CELLS,
@@ -689,61 +494,6 @@ def bench_shard(cells: int = SHARD_CELLS,
     }
 
 
-def check_shard_regression(current: Dict[str, Any],
-                           baseline: Optional[Dict[str, Any]],
-                           tolerance: float = REGRESSION_TOLERANCE,
-                           ) -> List[str]:
-    """Gate the shard benchmark.
-
-    Outcome identity is mandatory on every machine, in both directions:
-    the disjoint sharded run against the single-process oracle, and the
-    coupled multi-process run against the in-process coordinator.  The
-    :data:`SHARD_MIN_SPEEDUP` floor applies only when the host has at
-    least :data:`SHARD_MIN_CPUS_FOR_GATE` usable cores *and* the run
-    actually forked (``mode == "processes"``) — on a pinned container
-    the shards time-slice one core and the ratio is scheduling noise.
-    A like-sourced committed baseline additionally floors the oracle's
-    absolute delivery throughput, catching the workload itself slowing
-    down under the tolerance everything else is measured against.
-    """
-    failures = []
-    if not current.get("outcomes_identical", False):
-        failures.append(
-            "outcomes_identical: sharded disjoint-cell rows diverged from "
-            "the single-process oracle — partitioned execution changed "
-            "simulation outcomes")
-    if not current.get("telemetry_identical", False):
-        failures.append(
-            "telemetry_identical: merged per-shard telemetry diverged "
-            "from the oracle summary")
-    coupled = current.get("coupled") or {}
-    if not coupled.get("outcomes_identical", False):
-        failures.append(
-            "coupled.outcomes_identical: multi-process coupled run "
-            "diverged from the in-process coordinator — boundary-event "
-            "ordering is not deterministic")
-    cpus = current.get("cpus") or 1
-    if (cpus >= SHARD_MIN_CPUS_FOR_GATE
-            and current.get("mode") == "processes"):
-        speedup = current.get("speedup") or 0.0
-        if speedup < SHARD_MIN_SPEEDUP:
-            failures.append(
-                f"speedup: {speedup:.2f}x below the "
-                f"{SHARD_MIN_SPEEDUP:.1f}x floor on a {cpus}-cpu host — "
-                f"sharding is no longer paying on disjoint cells")
-    if baseline is not None and baseline.get("source") == current.get("source"):
-        base = baseline.get("oracle_deliveries_per_sec")
-        now = current.get("oracle_deliveries_per_sec")
-        if base and now:
-            floor = base * (1.0 - tolerance)
-            if now < floor:
-                failures.append(
-                    f"oracle_deliveries_per_sec: {now:,.0f} is more than "
-                    f"{tolerance:.0%} below the committed baseline "
-                    f"{base:,.0f} (floor {floor:,.0f})")
-    return failures
-
-
 # ---------------------------------------------------------------------------
 # Telemetry-export benchmark (JSONL vs columnar vs streaming at 1M events)
 # ---------------------------------------------------------------------------
@@ -759,17 +509,6 @@ TELEMETRY_CHUNK: int = 20_000
 
 #: One completed span rides along per this many records.
 TELEMETRY_SPAN_EVERY: int = 25
-
-#: Machine-independent floor on JSONL-bytes / columnar-bytes.
-TELEMETRY_MIN_SIZE_RATIO: float = 3.0
-
-#: Machine-independent floor on JSONL-wall / columnar-wall for the same
-#: logical lines (both figures timed in the same process, back to back).
-TELEMETRY_MIN_WRITE_SPEEDUP: float = 2.0
-
-#: Ceiling on streaming-aggregation peak memory as a fraction of the
-#: record-replay peak for the same run — the "no full record list" gate.
-TELEMETRY_MAX_MEMORY_RATIO: float = 0.25
 
 #: Kernel events in the streaming-vs-replay memory probe.
 TELEMETRY_MEMORY_EVENTS: int = 200_000
@@ -909,10 +648,9 @@ def bench_telemetry(events: int = TELEMETRY_EVENTS,
       ``telemetry_summary`` dicts.
     * **memory**: the same run traced in ``head`` mode (stores every
       record) vs ``stream`` mode (stores nothing), peak traced memory
-      compared; streaming must stay under
-      :data:`TELEMETRY_MAX_MEMORY_RATIO` of replay.
+      compared (``telemetry.stream_memory_ratio``).
     * **disabled path**: the bound timer chain with tracing off, the
-      figure gated within :data:`TRACE_DISABLED_TOLERANCE` of the
+      figure ``telemetry.events_per_sec_disabled`` holds against the
       committed kernel baseline — subscriber/hook plumbing must stay
       free for sweeps that never trace.
     """
@@ -968,89 +706,14 @@ def bench_telemetry(events: int = TELEMETRY_EVENTS,
         "stream_peak_bytes": stream_peak,
         "stream_memory_ratio": (stream_peak / replay_peak
                                 if replay_peak else 0.0),
-        "events_per_sec_disabled": _events_per_sec(_timer_chain_bound, 3),
+        "events_per_sec_disabled":
+            _ops_per_sec(_timer_chain_bound, KERNEL_EVENTS, 3),
         "source": "in-process",
     }
 
 
-def check_telemetry_regression(current: Dict[str, Any],
-                               baseline: Optional[Dict[str, Any]],
-                               kernel_baseline: Optional[Dict[str, Any]]
-                               = None) -> List[str]:
-    """Gate the telemetry benchmark.
-
-    Machine-independent checks always run: streaming summaries must be
-    byte-identical to replay, ``stream`` mode must store nothing, the
-    columnar file must be :data:`TELEMETRY_MIN_SIZE_RATIO` smaller and
-    :data:`TELEMETRY_MIN_WRITE_SPEEDUP` faster to write than JSONL, and
-    streaming peak memory must stay under
-    :data:`TELEMETRY_MAX_MEMORY_RATIO` of replay.  The tracing-disabled
-    kernel path is gated within :data:`TRACE_DISABLED_TOLERANCE` of the
-    committed *kernel* baseline (the PR 2 contract); a like-sourced
-    telemetry baseline additionally floors the size ratio, which is
-    near-deterministic for the fixed synthetic workload.
-    """
-    failures = []
-    if not current.get("summary_identical", False):
-        failures.append(
-            "summary_identical: the streaming aggregator's summary "
-            "diverged from the record-replay summary")
-    if current.get("stream_stored_records") or \
-            current.get("stream_stored_spans"):
-        failures.append(
-            f"stream mode retained state: "
-            f"{current.get('stream_stored_records')} records / "
-            f"{current.get('stream_stored_spans')} spans stored — the "
-            f"tracer must hold nothing in stream mode")
-    size_ratio = current.get("size_ratio") or 0.0
-    if size_ratio < TELEMETRY_MIN_SIZE_RATIO:
-        failures.append(
-            f"size_ratio: columnar is only {size_ratio:.1f}x smaller than "
-            f"JSONL, below the {TELEMETRY_MIN_SIZE_RATIO:.0f}x floor")
-    speedup = current.get("write_speedup") or 0.0
-    if speedup < TELEMETRY_MIN_WRITE_SPEEDUP:
-        failures.append(
-            f"write_speedup: columnar export is only {speedup:.1f}x faster "
-            f"than JSONL, below the {TELEMETRY_MIN_WRITE_SPEEDUP:.0f}x floor")
-    if not current.get("lines_identical", False):
-        failures.append(
-            "lines_identical: the two exporters wrote different logical "
-            "line counts for the same workload")
-    memory_ratio = current.get("stream_memory_ratio")
-    if memory_ratio is None or memory_ratio > TELEMETRY_MAX_MEMORY_RATIO:
-        failures.append(
-            f"stream_memory_ratio: {memory_ratio} above the "
-            f"{TELEMETRY_MAX_MEMORY_RATIO:.2f} ceiling — streaming "
-            f"aggregation is no longer bounded-memory")
-    disabled = current.get("events_per_sec_disabled") or 0.0
-    if kernel_baseline is not None and \
-            kernel_baseline.get("source") == current.get("source") and \
-            kernel_baseline.get("events_per_sec"):
-        floor = kernel_baseline["events_per_sec"] * \
-            (1.0 - TRACE_DISABLED_TOLERANCE)
-        if disabled < floor:
-            failures.append(
-                f"events_per_sec_disabled: {disabled:,.0f} is more than "
-                f"{TRACE_DISABLED_TOLERANCE:.0%} below the committed kernel "
-                f"baseline {kernel_baseline['events_per_sec']:,.0f} "
-                f"(floor {floor:,.0f}) — telemetry hooks must stay free "
-                f"when unused")
-    if baseline is not None and \
-            baseline.get("source") == current.get("source"):
-        base_ratio = baseline.get("size_ratio")
-        if base_ratio:
-            floor = base_ratio * 0.9
-            if size_ratio < floor:
-                failures.append(
-                    f"size_ratio: {size_ratio:.1f}x is below 90% of the "
-                    f"committed baseline {base_ratio:.1f}x "
-                    f"(floor {floor:.1f}x) — the columnar encoding got "
-                    f"fatter")
-    return failures
-
-
 # ---------------------------------------------------------------------------
-# JSON persistence and the regression gate
+# JSON persistence
 # ---------------------------------------------------------------------------
 
 def _environment() -> Dict[str, str]:
@@ -1072,134 +735,253 @@ def write_bench_json(directory: pathlib.Path, payload: Dict[str, Any]) -> pathli
     return path
 
 
-def load_baseline(path: pathlib.Path) -> Optional[Dict[str, Any]]:
+def load_json(path: pathlib.Path) -> Optional[Dict[str, Any]]:
+    """A baseline or BENCH file as a dict; None when the file is absent."""
     path = pathlib.Path(path)
     if not path.exists():
         return None
-    return json.loads(path.read_text())
+    try:
+        data = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigurationError(f"{path}: invalid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"{path}: expected a JSON object")
+    return data
 
 
-def check_regression(current: Dict[str, Any],
-                     baseline: Optional[Dict[str, Any]],
-                     tolerance: float = REGRESSION_TOLERANCE) -> List[str]:
-    """Compare kernel throughput against the committed baseline.
+def load_raw(path: pathlib.Path) -> Dict[str, float]:
+    """Best-round seconds per test from a ``pytest --benchmark-json`` dump.
 
-    Returns a list of human-readable failures (empty = pass).  A missing
-    baseline passes with a warning-free result so fresh clones can bootstrap
-    one with ``--update-baseline``.
+    The ``min`` statistic: on shared, bursty hosts the best round is far
+    more stable than the mean, and a genuine regression moves it too.
+    """
+    best = {}
+    for entry in (load_json(path) or {}).get("benchmarks", ()):
+        try:
+            name, seconds = entry["name"], float(entry["stats"]["min"])
+        except (KeyError, TypeError, ValueError):
+            raise ConfigurationError(
+                f"{path}: benchmark entry without a numeric stats.min: "
+                f"{entry!r:.80}") from None
+        if seconds <= 0.0:
+            raise ConfigurationError(
+                f"{path}: {name}: stats.min must be positive, got {seconds}")
+        best[name] = seconds
+    return best
 
-    The committed baseline should be *conservative* — the slowest
-    full-suite figures the reference machine produces, not its best day —
-    because shared-box throughput legitimately swings (CPU-frequency
-    ramps, host load phases); see docs/performance.md.
 
-    Two uses of ``calibration_ops_per_sec``:
+# ---------------------------------------------------------------------------
+# Gates as data: one row per benchmark, one evaluator for every gate
+# ---------------------------------------------------------------------------
 
-    * the *tolerance* floor below deliberately ignores it — observed host
-      noise slows the allocation-heavy kernel loops without slowing pure
-      arithmetic, so rescaling the 20% band by it misfires;
-    * the *dispatch-core speedup* floor divides both sides by it: the
-      committed baseline predates the tuple-entry rewrite, so current
-      throughput must be at least :data:`DISPATCH_MIN_SPEEDUP` times the
-      baseline after normalising out the machine-speed difference.  This
-      is a coarse >=2x claim, not a 20% band, so calibration scaling is
-      the right tool: it keeps a 2x-slower shared box from failing a
-      genuine 2.6x rewrite, and a 2x-faster box from hiding a regressed
-      one.
+#: Kinds that compare against a committed baseline figure.
+BASELINE_KINDS = ("baseline", "calibrated")
+
+#: The machine-speed figure both sides of a ``calibrated`` gate divide by.
+CALIBRATION_KEY = "calibration_ops_per_sec"
+
+
+@dataclass(frozen=True)
+class Gate:
+    """One declared check on a BENCH payload.
+
+    ``kind`` is ``true`` (an identity flag), ``min`` or ``max`` (an
+    absolute floor or ceiling), ``baseline`` (at least ``limit`` times a
+    like-sourced baseline figure) or ``calibrated`` (the same after both
+    sides are divided by their ``calibration_ops_per_sec``).  ``key`` is
+    dotted for nested payload keys; ``figure`` names the baseline figure
+    as ``row.key`` when it is not the gate's own.  Below ``cpus`` usable
+    cores, or with a payload ``mode`` other than ``mode``, the gate is
+    skipped.  ``reason`` says why the gate exists.
+    """
+
+    key: str
+    kind: str
+    limit: float = 0.0
+    reason: str = ""
+    figure: str = ""
+    cpus: int = 0
+    mode: str = ""
+
+    def figure_of(self, row: str) -> Tuple[str, str]:
+        """``(row, key)`` of the baseline figure this gate reads."""
+        if not self.figure:
+            return row, self.key
+        figure_row, key = self.figure.split(".", 1)
+        return figure_row, key
+
+    def condition(self) -> str:
+        if self.kind == "true":
+            text = "is true"
+        elif self.kind == "min":
+            text = f">= {self.limit:g}"
+        elif self.kind == "max":
+            text = f"<= {self.limit:g}"
+        else:
+            text = f">= {self.limit:g} x baseline"
+            if self.figure:
+                text += f" {self.figure}"
+            if self.kind == "calibrated":
+                text += f" per {CALIBRATION_KEY}"
+        when = ([f"cpus >= {self.cpus}"] if self.cpus else []) + \
+            ([f"mode == {self.mode}"] if self.mode else [])
+        return f"{text} when {' and '.join(when)}" if when else text
+
+
+@dataclass(frozen=True)
+class Bench:
+    """One benchmark: its runner, its gates and its ``--raw`` tests.
+
+    ``run`` takes the CLI's parsed arguments (``workers``, ``repeats``).
+    ``raw`` lists ``(pytest test name, payload key, operations per
+    call)``; ``derive`` recomputes figures derived from ingested ones.
+    """
+
+    name: str
+    run: Callable[[Any], Dict[str, Any]]
+    gates: Tuple[Gate, ...]
+    raw: Tuple[Tuple[str, str, int], ...] = ()
+    derive: Optional[Callable[[Dict[str, Any]], Dict[str, Any]]] = None
+
+
+def ingest(row: Bench, payload: Dict[str, Any],
+           best: Mapping[str, float]) -> Dict[str, Any]:
+    """Replace ``row``'s in-process rates with pytest-benchmark ones.
+
+    All or nothing: a dump lacking any of the row's tests leaves the
+    payload in-process, so one file never mixes the two sources.
+    """
+    if not row.raw or any(test not in best for test, _key, _ops in row.raw):
+        return payload
+    for test, key, ops in row.raw:
+        payload[key] = ops / best[test]
+    payload["source"] = "pytest-benchmark"
+    return row.derive(payload) if row.derive else payload
+
+
+class Verdict(NamedTuple):
+    gate: str    # ``row.key``
+    kind: str
+    status: str  # ``ok``, ``FAIL`` or ``skipped (<why>)``
+    line: str    # the printed verdict
+
+
+def baseline_rows(rows: Iterable[Bench]) -> Set[str]:
+    """Names of the rows whose committed baseline the gates of ``rows`` read."""
+    return {gate.figure_of(row.name)[0] for row in rows for gate in row.gates
+            if gate.kind in BASELINE_KINDS}
+
+
+def baseline_skip(baseline: Optional[Dict[str, Any]],
+                  payload: Dict[str, Any]) -> Optional[str]:
+    """Why ``baseline`` cannot be compared with ``payload``, or None.
+
+    In-process and pytest-benchmark timings are not comparable, so only
+    like-sourced files are.
     """
     if baseline is None:
-        return []
-    if baseline.get("source") != current.get("source"):
-        # In-process timings and pytest-benchmark timings are not directly
-        # comparable; gate only like against like.
-        return []
-    failures = []
-    for key in ("events_per_sec", "events_per_sec_public_schedule"):
-        base = baseline.get(key)
-        now = current.get(key)
-        if not base or not now:
-            continue
-        floor = base * (1.0 - tolerance)
-        if now < floor:
-            failures.append(
-                f"{key}: {now:,.0f} events/sec is more than "
-                f"{tolerance:.0%} below the committed baseline "
-                f"{base:,.0f} (floor {floor:,.0f})")
-    base_eps = baseline.get("events_per_sec")
-    base_cal = baseline.get("calibration_ops_per_sec")
-    now_eps = current.get("events_per_sec")
-    now_cal = current.get("calibration_ops_per_sec")
-    if base_eps and base_cal and now_eps and now_cal:
-        speedup = (now_eps / now_cal) / (base_eps / base_cal)
-        if speedup < DISPATCH_MIN_SPEEDUP:
-            failures.append(
-                f"dispatch speedup: {speedup:.2f}x calibration-relative "
-                f"events/sec vs the committed baseline, below the "
-                f"{DISPATCH_MIN_SPEEDUP:.1f}x floor — the dispatch core "
-                f"is no longer paying "
-                f"(now {now_eps:,.0f} ev/s @ {now_cal:,.0f} cal-ops/s; "
-                f"baseline {base_eps:,.0f} @ {base_cal:,.0f})")
-    return failures
+        return "no baseline"
+    if baseline.get("source") != payload.get("source"):
+        return (f"baseline source {baseline.get('source')!r} != "
+                f"{payload.get('source')!r}")
+    return None
 
 
-def kernel_metrics_from_pytest_json(path: pathlib.Path) -> Optional[Dict[str, Any]]:
-    """Extract kernel throughput from a ``pytest --benchmark-json`` dump.
+def evaluate(row: Bench, payload: Dict[str, Any],
+             baselines: Mapping[str, Optional[Dict[str, Any]]],
+             ) -> List[Verdict]:
+    """Judge every gate of ``row`` on ``payload``.
 
-    Lets ``make bench`` run the statistics-grade pytest-benchmark suite and
-    still flow through the same BENCH_kernel.json + gate plumbing.  Uses the
-    ``min`` statistic: on shared/bursty machines the best observed round is
-    far more stable than the mean, and a genuine kernel regression moves the
-    minimum too.
+    ``baselines`` maps row names to loaded baseline payloads.  A gate
+    whose payload key is missing fails; a baseline gate is skipped when
+    its file is absent, unlike-sourced or lacks the figure.
     """
-    data = json.loads(pathlib.Path(path).read_text())
-    keys = {
-        "test_kernel_event_throughput":
-            ("events_per_sec", KERNEL_EVENTS),
-        "test_kernel_public_schedule_throughput":
-            ("events_per_sec_public_schedule", KERNEL_EVENTS),
-        "test_machine_calibration":
-            ("calibration_ops_per_sec", CALIBRATION_OPS),
-    }
-    out: Dict[str, Any] = {}
-    for entry in data.get("benchmarks", ()):
-        name = entry.get("name", "")
-        for test, (key, count) in keys.items():
-            if name.startswith(test):
-                out[key] = count / entry["stats"]["min"]
-    if "events_per_sec" not in out:
-        return None
-    out.update(name="kernel", events_per_run=KERNEL_EVENTS,
-               source="pytest-benchmark")
-    return out
+    verdicts = []
+    for gate in row.gates:
+        shown, status = _judge(row.name, gate, payload, baselines)
+        line = f"{row.name}.{gate.key} {gate.condition()}: {shown} {status}"
+        if status == "FAIL":
+            line += f" — {gate.reason}"
+        verdicts.append(Verdict(f"{row.name}.{gate.key}", gate.kind,
+                                status, line))
+    return verdicts
 
 
-def trace_metrics_from_pytest_json(path: pathlib.Path) -> Optional[Dict[str, Any]]:
-    """Extract the tracing-overhead figures from a pytest-benchmark dump.
+def _judge(row: str, gate: Gate, payload: Dict[str, Any],
+           baselines: Mapping[str, Optional[Dict[str, Any]]],
+           ) -> Tuple[str, str]:
+    """``(measured value as shown, status)`` for one gate."""
+    value = _lookup(payload, gate.key)
+    cpus = payload.get("cpus") or 1
+    if gate.cpus and cpus < gate.cpus:
+        return _show(value), f"skipped (cpus {cpus} < {gate.cpus})"
+    if gate.mode and payload.get("mode") != gate.mode:
+        return _show(value), (f"skipped (mode {payload.get('mode')!r} "
+                              f"!= {gate.mode!r})")
+    needs = [gate.key] + ([CALIBRATION_KEY] if gate.kind == "calibrated"
+                          else [])
+    missing = [key for key in needs if _lookup(payload, key) is None]
+    if missing:
+        return f"missing {', '.join(missing)}", "FAIL"
+    if gate.kind == "true":
+        return _show(value), _status(value is True)
+    if gate.kind == "min":
+        return _show(value), _status(value >= gate.limit)
+    if gate.kind == "max":
+        return _show(value), _status(value <= gate.limit)
+    if gate.kind not in BASELINE_KINDS:
+        raise ValueError(f"{row}.{gate.key}: unknown gate kind {gate.kind!r}")
+    figure_row, figure_key = gate.figure_of(row)
+    baseline = baselines.get(figure_row)
+    skip = baseline_skip(baseline, payload)
+    if skip:
+        return _show(value), f"skipped ({skip})"
+    lacking = [key for key in [figure_key] + needs[1:]
+               if not _nonzero_number(baseline.get(key))]
+    if lacking:
+        return _show(value), f"skipped (baseline lacks {lacking[0]})"
+    base = baseline[figure_key]
+    if gate.kind == "baseline":
+        floor = base * gate.limit
+        return (f"{_show(value)} (floor {_show(floor)})",
+                _status(value >= floor))
+    ratio = ((value / payload[CALIBRATION_KEY])
+             / (base / baseline[CALIBRATION_KEY]))
+    return f"{_show(ratio)}x", _status(ratio >= gate.limit)
 
-    The disabled path reuses ``test_kernel_event_throughput`` — with span
-    propagation on the run loop, the plain kernel hot path *is* the
-    tracing-disabled path.  Ratios are recomputed from the ingested
-    numbers so the whole payload stays one source.
-    """
-    data = json.loads(pathlib.Path(path).read_text())
-    keys = {
-        "test_kernel_event_throughput": "events_per_sec_disabled",
-        "test_trace_records_throughput": "events_per_sec_records",
-        "test_trace_spans_throughput": "events_per_sec_spans",
-    }
-    out: Dict[str, Any] = {}
-    for entry in data.get("benchmarks", ()):
-        name = entry.get("name", "")
-        for test, key in keys.items():
-            if name.startswith(test):
-                out[key] = KERNEL_EVENTS / entry["stats"]["min"]
-    if len(out) < len(keys):
-        return None
-    disabled = out["events_per_sec_disabled"]
-    out["records_overhead_ratio"] = (
-        out["events_per_sec_records"] / disabled if disabled else 0.0)
-    out["spans_overhead_ratio"] = (
-        out["events_per_sec_spans"] / disabled if disabled else 0.0)
-    out.update(name="trace", events_per_run=KERNEL_EVENTS,
-               source="pytest-benchmark")
-    return out
+
+def _lookup(payload: Optional[Dict[str, Any]], key: str) -> Any:
+    for part in key.split("."):
+        payload = payload.get(part) if isinstance(payload, dict) else None
+    return payload
+
+
+def _nonzero_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) \
+        and value != 0
+
+
+def _status(ok: bool) -> str:
+    return "ok" if ok else "FAIL"
+
+
+def _show(value: Any) -> str:
+    if value is None or isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, (int, float)):
+        return f"{value:,.0f}" if abs(value) >= 1000 else f"{value:.3g}"
+    return repr(value)
+
+
+def gate_list(rows: Iterable[Bench]) -> str:
+    """Every gate as ``row.key condition`` with its reason: the threshold
+    list ``repro.cli bench --help`` prints."""
+    lines = ["gates (each prints ok, FAIL or skipped with why):"]
+    for row in rows:
+        for gate in row.gates:
+            lines.append(f"  {row.name}.{gate.key} {gate.condition()}")
+            lines.extend(textwrap.wrap(gate.reason, 72,
+                                       initial_indent="      ",
+                                       subsequent_indent="      ",
+                                       break_on_hyphens=False))
+    return "\n".join(lines)

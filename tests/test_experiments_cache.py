@@ -11,7 +11,8 @@ import sys
 import pytest
 
 import repro.experiments.cache as cache_mod
-from repro.experiments.bench import check_cache_regression
+from repro.cli import BENCHES
+from repro.experiments.bench import evaluate
 from repro.experiments.cache import (
     CACHE_SCHEMA_VERSION,
     RunCache,
@@ -380,8 +381,17 @@ def test_sweep_cache_invalidated_by_schema_version(tmp_path, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# The bench gate (pure function)
+# The bench gate (the cache row of repro.cli.BENCHES)
 # ---------------------------------------------------------------------------
+
+CACHE_ROW = next(row for row in BENCHES if row.name == "cache")
+
+
+def _cache_failures(payload, baseline):
+    return [verdict.line for verdict
+            in evaluate(CACHE_ROW, payload, {"cache": baseline})
+            if verdict.status == "FAIL"]
+
 
 def _payload(**overrides):
     payload = {"name": "cache", "rows_identical": True, "warm_hit_rate": 1.0,
@@ -392,7 +402,7 @@ def _payload(**overrides):
 
 
 def test_cache_gate_passes_clean_payload():
-    assert check_cache_regression(_payload(), None) == []
+    assert _cache_failures(_payload(), None) == []
 
 
 @pytest.mark.parametrize("overrides, needle", [
@@ -402,16 +412,16 @@ def test_cache_gate_passes_clean_payload():
     (dict(cold_overhead_ratio=0.2), "cold_overhead_ratio"),
 ])
 def test_cache_gate_fails_each_invariant(overrides, needle):
-    failures = check_cache_regression(_payload(**overrides), None)
+    failures = _cache_failures(_payload(**overrides), None)
     assert failures and needle in failures[0]
 
 
 def test_cache_gate_baseline_floor():
     baseline = _payload(warm_speedup=100.0)
-    ok = check_cache_regression(_payload(warm_speedup=30.0), baseline)
+    ok = _cache_failures(_payload(warm_speedup=30.0), baseline)
     assert ok == []
-    bad = check_cache_regression(_payload(warm_speedup=20.0), baseline)
+    bad = _cache_failures(_payload(warm_speedup=20.0), baseline)
     assert bad and "baseline" in bad[0]
-    skew = check_cache_regression(
+    skew = _cache_failures(
         _payload(warm_speedup=20.0), dict(baseline, source="other"))
     assert skew == []  # unlike sources never compared
