@@ -38,7 +38,6 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 #: modules absent from the analysed tree are ignored, so fixture trees
 #: can carry their own entries.
 DEFAULT_FORK_ENTRY_POINTS: Tuple[str, ...] = (
-    "repro.kernel.shard:_worker_main",        # shard worker loop
     "repro.experiments.sweeps:_init_worker",  # legacy fork-pool init
     "repro.experiments.sweeps:_run_chunk",    # fork-pool chunk runner
     "repro.experiments.sweeps:_run_pickled_chunk",  # shared-pool mapper
@@ -133,7 +132,7 @@ class ModuleSummary:
     """The fork-safety-relevant facts of one module."""
 
     path: str                     # display path (posix, runner-relative)
-    module: str                   # dotted name, e.g. "repro.kernel.shard"
+    module: str                   # dotted name, e.g. "repro.kernel.trace"
     # Candidate dotted targets of import statements (module-scope and
     # lazy alike); resolved against the analysed tree in build_graph.
     imports: List[str] = field(default_factory=list)
@@ -165,7 +164,7 @@ class ModuleSummary:
 def module_name(rel_parts: Sequence[str]) -> str:
     """Dotted module name for a path relative to the ``repro`` dir.
 
-    ``("kernel", "shard.py")`` -> ``"repro.kernel.shard"``;
+    ``("kernel", "trace.py")`` -> ``"repro.kernel.trace"``;
     ``("__init__.py",)`` -> ``"repro"``.
     """
     parts = [p[:-3] if p.endswith(".py") else p for p in rel_parts]

@@ -80,10 +80,6 @@ class DeterminismVisitor(ast.NodeVisitor):
         # heapq is the kernel's private ordering primitive (LPC107):
         # only modules under a kernel/ directory may import it.
         self.in_kernel = "kernel" in path.replace("\\", "/").split("/")
-        # kernel/shard.py is the shard coordinator (LPC108): the one
-        # module allowed to touch per-shard engine state directly.
-        self.in_shard_runtime = path.replace(
-            "\\", "/").endswith("kernel/shard.py")
         # Names bound by imports, each a set of local aliases.
         self.time_mods: Set[str] = set()        # import time [as t]
         self.datetime_mods: Set[str] = set()    # import datetime [as dt]
@@ -250,8 +246,7 @@ class DeterminismVisitor(ast.NodeVisitor):
         self.generic_visit(node)
 
     def _check_shard_state(self, node: ast.Attribute) -> None:
-        """Flag ``<shard-ish>.sim`` / ``<shard-ish>.world`` outside the
-        shard runtime.
+        """Flag ``<shard-ish>.sim`` / ``<shard-ish>.world`` anywhere.
 
         Purely syntactic, like the rest of this pass: the base must be a
         name (or attribute, possibly subscripted — ``shards[i]``) whose
@@ -259,7 +254,7 @@ class DeterminismVisitor(ast.NodeVisitor):
         cross-shard reach-in reads as — a handle to another shard,
         dereferenced down to its engine objects.
         """
-        if self.in_shard_runtime or node.attr not in _SHARD_STATE_ATTRS:
+        if node.attr not in _SHARD_STATE_ATTRS:
             return
         base = node.value
         while isinstance(base, ast.Subscript):

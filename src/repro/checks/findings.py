@@ -125,16 +125,14 @@ _CATALOGUE = (
          "heap.",
          "schedule through sim.schedule/schedule_at or a sim.batch_class "
          "timer queue instead of a private heap"),
-    Rule("LPC108", "cross-shard state access outside the shard runtime",
-         ERROR,
+    Rule("LPC108", "cross-shard engine state access", ERROR,
          "Under sharded execution each shard's Simulator/World lives in "
-         "its own process; reaching into another shard's .sim or .world "
-         "works only by fork-inheritance accident, silently diverges from "
-         "the multi-process run, and bypasses the conservative-sync "
-         "ordering guarantees. Only kernel/shard.py (the coordinator) may "
-         "touch per-shard engine state directly.",
-         "route cross-shard effects through ShardPorts boundary channels "
-         "(send/open), never through another shard's engine objects"),
+         "its own worker process; reaching into another shard's .sim or "
+         ".world works only by fork-inheritance accident and silently "
+         "diverges from the serial run.",
+         "pass data to a shard through its task's arguments and take "
+         "results from its return value, never through another shard's "
+         "engine objects"),
     Rule("LPC109", "per-event attribute lookup in a registered hot loop",
          WARNING,
          "Functions registered in repro.kernel.dispatch.HOT_LOOP are the "

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import inspect
 import pathlib
 import sys
 from typing import Iterator, List, Optional
@@ -41,7 +42,8 @@ from typing import Iterator, List, Optional
 from .checks.bench import bench_checks
 from .core.analysis import compare_with_paper
 from .core.figures import ALL_FIGURES, render_all
-from .experiments import bench, list_experiments, run_experiment
+from .experiments import (bench, get_experiment, list_experiments,
+                          run_experiment)
 from .experiments.bench import Bench, Gate
 from .kernel.errors import ExperimentError, ReproError
 
@@ -152,10 +154,21 @@ def _cache_policy(args: argparse.Namespace) -> Iterator[None]:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    try:
+        params = inspect.signature(
+            get_experiment(args.experiment_id)).parameters
+    except ExperimentError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
     kwargs = {}
-    if args.seed is not None:
+    # An experiment without a seed parameter runs with its defaults.
+    if args.seed is not None and "seed" in params:
         kwargs["seed"] = args.seed
-    if getattr(args, "shards", None) is not None:
+    if args.shards is not None:
+        if "shards" not in params:
+            print(f"error: experiment {args.experiment_id!r} is not "
+                  "shard-aware (no 'shards' parameter)", file=sys.stderr)
+            return 2
         kwargs["shards"] = args.shards
     with _trace_export(args), _cache_policy(args):
         try:
@@ -163,22 +176,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         except ExperimentError as exc:
             print(str(exc), file=sys.stderr)
             return 2
-        except TypeError:
-            if kwargs.pop("shards", None) is not None:
-                # Don't silently rerun single-process when sharding was
-                # asked for explicitly.
-                print(f"error: experiment {args.experiment_id!r} is not "
-                      "shard-aware (no 'shards' parameter)",
-                      file=sys.stderr)
-                return 2
-            # Experiment without a seed parameter: run with defaults.
-            result = run_experiment(args.experiment_id)
     print(result.format_table())
-    if result.meta.get("mode") in ("processes", "inline"):
-        print(f"shards: {result.meta['shards']} ({result.meta['mode']}), "
-              f"{result.meta['rounds']} sync rounds, "
-              f"{result.meta['boundary_events']} boundary events",
-              file=sys.stderr)
     if result.meta.get("cache") is not None:
         cache_meta = result.meta["cache"]
         print(f"cache: {cache_meta['hits']:g} hits / "
@@ -221,9 +219,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("experiment_id")
     run.add_argument("--seed", type=int, default=None)
     run.add_argument("--shards", type=int, default=None,
-                     help="partition the experiment across N shard "
-                          "processes (conservative parallel DES); only "
-                          "shard-aware experiments such as E11 accept it")
+                     help="run the experiment's independent parts across "
+                          "N worker processes; only shard-aware "
+                          "experiments such as E11 accept it")
     run.add_argument("--cache", action="store_true",
                      help="replay (point, seed) pairs from the "
                           "content-addressed run cache where possible")
@@ -548,12 +546,12 @@ BENCHES = (
              reason="sharded disjoint cells must deliver what the "
                     "single-process oracle delivers"),
         Gate("telemetry_identical", "true",
-             reason="merged per-shard telemetry must equal the oracle "
+             reason="merged per-room telemetry must equal the oracle "
                     "summary"),
-        Gate("coupled.outcomes_identical", "true",
-             reason="the multi-process coupled run must equal the "
-                    "in-process coordinator (deterministic boundary-event "
-                    "order)"),
+        Gate("speedup", "min", 1.2, cpus=2, mode="processes",
+             reason="independent rooms on two cores must keep beating "
+                    "one simulator (1.28-2.25x over 22 runs on a 2-cpu "
+                    "host)"),
         Gate("speedup", "min", 2.0, cpus=4, mode="processes",
              reason="on fewer cores than shards, or without forking, the "
                     "shards time-slice one core and the ratio is "

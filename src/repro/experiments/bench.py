@@ -386,46 +386,36 @@ def bench_scale(stations=SCALE_STATIONS,
 
 
 # ---------------------------------------------------------------------------
-# Sharded-simulation benchmark (conservative parallel DES)
+# Sharded-cells benchmark: E11's rooms as sweep tasks vs one simulator
 # ---------------------------------------------------------------------------
 
-#: Cells (= shards) in the disjoint-rooms configuration.
+#: Cells in the disjoint-rooms configuration, and worker processes.
 SHARD_CELLS: int = 4
 
-#: Stations per cell; 4 x 300 puts the disjoint config in the ISSUE's
-#: 1k-5k band while keeping the single-process oracle under ~10 s.
+#: Stations per cell; 4 x 300 puts the grid in the 1k-5k band while
+#: keeping the single-process oracle under ~10 s.
 SHARD_STATIONS_PER_CELL: int = 300
 
-#: Simulated horizon for the disjoint configuration.
+#: Simulated horizon.
 SHARD_HORIZON_S: float = 0.5
-
-#: Lookahead for the sharded runs (cross-boundary propagation plus MAC
-#: turnaround; generous because the disjoint config freeruns anyway).
-SHARD_LOOKAHEAD_S: float = 5e-3
 
 
 def bench_shard(cells: int = SHARD_CELLS,
                 stations_per_cell: int = SHARD_STATIONS_PER_CELL,
-                horizon: float = SHARD_HORIZON_S,
-                lookahead: float = SHARD_LOOKAHEAD_S) -> Dict[str, Any]:
-    """Sharded multi-cell run vs the single-process culled oracle.
+                horizon: float = SHARD_HORIZON_S) -> Dict[str, Any]:
+    """E11 with one worker per room vs the single-process culled oracle.
 
-    Two configurations, mirroring the equivalence methodology of the
-    culling bench:
-
-    * **disjoint rooms** — cells further apart than the interference
-      radius, one shard per cell.  Outcomes (per-room delivery logs) and
-      merged telemetry must be byte-identical to the oracle on every
-      machine; the wall-clock ratio is the headline speedup.
-    * **boundary-coupled** — a bridged link and remote-registry traffic
-      across shards.  There is no single-process oracle here (the
-      boundary latency *is* the model), so the multi-process run is held
-      byte-identical to the in-process coordinator instead.
+    The rooms lie further apart than the interference radius, so each
+    runs as an independent sweep task.  Outcomes must be byte-identical
+    to the oracle on every machine: each room's delivery log, run
+    in-process through the same room builder the E11 tasks use, against
+    the oracle's log for that room, and the forked E11 rows against the
+    counts taken from the oracle logs.  Merged telemetry must equal the
+    oracle's summary.  The wall-clock ratio is the headline speedup.
     """
-    from ..kernel.shard import ShardedSimulator, merge_summaries
-    from ..telemetry.summary import telemetry_summary
-    from .cellgrid import (cell_layout, cell_room_builders, cell_rooms,
-                           coupled_cell_builders, deliveries_by_room)
+    from ..telemetry.summary import merge_summaries, telemetry_summary
+    from .cellgrid import (cell_layout, cell_room, cell_rooms,
+                           deliveries_by_room, e11_sharded_cells)
 
     layout = cell_layout(cells=cells, stations_per_cell=stations_per_cell,
                          seed=7)
@@ -435,34 +425,24 @@ def bench_shard(cells: int = SHARD_CELLS,
     oracle.sim.run(until=horizon)
     oracle_wall = time.perf_counter() - t0
     oracle_summary = telemetry_summary(oracle.sim, stream=oracle.aggregator)
+    by_room = deliveries_by_room(layout, oracle.deliveries)
+    oracle_logs = [by_room.get(room, []) for room in range(cells)]
 
     t0 = time.perf_counter()
-    engine = ShardedSimulator(cell_room_builders(layout, cells),
-                              lookahead=lookahead)
-    engine.run(until=horizon)
+    sharded = e11_sharded_cells(seed=7, shards=cells, cells=cells,
+                                stations_per_cell=stations_per_cell,
+                                horizon=horizon)
     sharded_wall = time.perf_counter() - t0
-    merged_rows = [entry for rows in engine.results for entry in rows]
-    rows_identical = (deliveries_by_room(layout, oracle.deliveries)
-                      == deliveries_by_room(layout, merged_rows))
-    telemetry_identical = (merge_summaries([oracle_summary])
-                           == engine.telemetry())
 
-    # Boundary-coupled: small population, the sync protocol is the load.
-    coupled_layout = cell_layout(cells=cells, stations_per_cell=15, seed=3)
-    coupled_runs = []
-    coupled_walls = []
-    for processes in (False, True):
-        t0 = time.perf_counter()
-        coupled = ShardedSimulator(
-            coupled_cell_builders(coupled_layout, cells),
-            lookahead=2e-3, processes=processes)
-        coupled.run(until=1.0)
-        coupled_walls.append(time.perf_counter() - t0)
-        coupled_runs.append(coupled)
-    inline_run, process_run = coupled_runs
-    coupled_identical = (inline_run.results == process_run.results
-                         and inline_run.telemetry()
-                         == process_run.telemetry())
+    room_logs = []
+    for room in range(cells):
+        alone = cell_room(layout, room)
+        alone.sim.run(until=horizon)
+        room_logs.append(alone.deliveries)
+    expected_rows = [
+        {"room": room, "stations": stations_per_cell,
+         "deliveries": len(log), "senders": len({src for _, src, _ in log})}
+        for room, log in enumerate(oracle_logs)]
 
     return {
         "name": "shard",
@@ -470,25 +450,17 @@ def bench_shard(cells: int = SHARD_CELLS,
         "cells": cells,
         "shards": cells,
         "horizon_s": horizon,
-        "lookahead_s": lookahead,
         "oracle_wall_s": oracle_wall,
         "sharded_wall_s": sharded_wall,
         "oracle_deliveries": len(oracle.deliveries),
         "oracle_deliveries_per_sec": (len(oracle.deliveries) / oracle_wall
                                       if oracle_wall else 0.0),
         "speedup": oracle_wall / sharded_wall if sharded_wall else 0.0,
-        "mode": engine.stats["mode"],
-        "rounds": engine.stats["rounds"],
-        "outcomes_identical": rows_identical,
-        "telemetry_identical": telemetry_identical,
-        "coupled": {
-            "stations": coupled_layout.stations,
-            "inline_wall_s": coupled_walls[0],
-            "process_wall_s": coupled_walls[1],
-            "rounds": process_run.stats["rounds"],
-            "boundary_events": process_run.stats["boundary_events"],
-            "outcomes_identical": coupled_identical,
-        },
+        "mode": sharded.meta["mode"],
+        "outcomes_identical": (room_logs == oracle_logs
+                               and sharded.rows == expected_rows),
+        "telemetry_identical": (sharded.telemetry
+                                == [merge_summaries([oracle_summary])]),
         "cpus": _usable_cpus(),
         "source": "in-process",
     }

@@ -15,18 +15,20 @@ Dispatch core, in order:
    replay byte-identical rows from disk; only misses are computed, so
    editing one axis value recomputes only the new points.
 2. **Parallel execution** of the misses: ``workers=N`` fans the pairs
-   across a ``fork``-start ``multiprocessing`` pool.  A picklable
-   ``run_one`` (module-level function or ``functools.partial``) runs on
-   one process-wide *reusable* pool shared by every ``sweep()`` call in
-   the session, with an adaptive chunksize (workers snapshot the parent
-   interpreter at first fork — see :func:`_shared_pool` — and any
-   failure escaping ``pool.map`` discards the pool so the next sweep
-   re-forks cleanly); lambdas and closures fall
-   back to a dedicated per-sweep pool whose workers inherit ``run_one``
-   by fork.  Rows are reassembled in task-submission order either way,
-   so the parallel result is *identical* to the serial one.  On
-   platforms without ``fork`` the sweep warns once and records
-   ``parallel=False`` in ``result.meta`` instead of silently crawling.
+   across a ``fork``-start ``concurrent.futures.ProcessPoolExecutor``.
+   A picklable ``run_one`` (module-level function or
+   ``functools.partial``) runs on one process-wide *reusable* executor
+   shared by every ``sweep()`` call in the session, with an adaptive
+   chunksize (workers snapshot the parent interpreter at first fork —
+   see :func:`_shared_pool` — and any failure escaping a chunk discards
+   the executor so the next sweep re-forks cleanly); lambdas and
+   closures fall back to a dedicated per-sweep executor whose workers
+   inherit ``run_one`` by fork.  A worker that dies mid-sweep ends the
+   sweep in :class:`~repro.kernel.errors.ExperimentError`, never a hang.
+   Rows are reassembled in task-submission order either way, so the
+   parallel result is *identical* to the serial one.  On platforms
+   without ``fork`` the sweep warns once and records ``parallel=False``
+   in ``result.meta`` instead of silently crawling.
 """
 
 from __future__ import annotations
@@ -37,7 +39,8 @@ import multiprocessing
 import pickle
 import time
 import warnings
-from multiprocessing.pool import MaybeEncodingError
+from concurrent.futures import Future, ProcessPoolExecutor, as_completed
+from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..kernel.errors import ExperimentError
@@ -64,14 +67,15 @@ def grid(**axes: Sequence[Any]) -> List[Dict[str, Any]]:
 # Worker plumbing.
 #
 # Two parallel paths share one contract (tasks carry their submission
-# index; rows come back keyed by it):
+# index; rows come back keyed by it, pickled inside the worker):
 #
-# * picklable ``run_one`` -> the process-wide shared pool; the function
-#   rides inside each task as a by-reference pickle (~a qualname), so one
-#   long-lived pool serves many different sweeps without re-forking.
-# * unpicklable ``run_one`` (lambda/closure) -> a dedicated pool whose
+# * picklable ``run_one`` -> the process-wide shared executor; the
+#   function rides inside each task as a by-reference pickle (~a
+#   qualname), so one long-lived executor serves many different sweeps
+#   without re-forking.
+# * unpicklable ``run_one`` (lambda/closure) -> a dedicated executor whose
 #   initializer receives it through fork inheritance (nothing about it is
-#   pickled); the pool lives for that one sweep.
+#   pickled); the executor lives for that one sweep.
 # ---------------------------------------------------------------------------
 
 _WORKER_RUN_ONE: List[Callable[..., Mapping[str, Any]]] = []
@@ -82,53 +86,61 @@ def _init_worker(run_one: Callable[..., Mapping[str, Any]]) -> None:
 
 
 def _run_chunk(chunk: Tuple[int, List[Tuple[int, int, Dict[str, Any]]]],
-               ) -> Tuple[int, List[Tuple[int, Dict[str, Any]]], float]:
-    chunk_index, tasks = chunk
-    t0 = time.perf_counter()
-    rows = [(index, dict(_WORKER_RUN_ONE[0](seed=seed, **point)))
-            for index, seed, point in tasks]
-    return chunk_index, rows, time.perf_counter() - t0
+               ) -> bytes:
+    return _run_pickled_chunk(_WORKER_RUN_ONE[0], chunk)
 
 
 def _run_pickled_chunk(run_one: Callable[..., Mapping[str, Any]],
                        chunk: Tuple[int, List[Tuple[int, int,
                                                     Dict[str, Any]]]],
-                       ) -> Tuple[int, List[Tuple[int, Dict[str, Any]]],
-                                  float]:
+                       ) -> bytes:
+    """Run one chunk; return ``(chunk index, rows, wall)`` pickled.
+
+    Pickling here, in the worker, turns a row that cannot cross the
+    process boundary into a clear error instead of a failure inside the
+    executor's result pipe, and the blob's length is the row traffic.
+    """
     chunk_index, tasks = chunk
     t0 = time.perf_counter()
     rows = [(index, dict(run_one(seed=seed, **point)))
             for index, seed, point in tasks]
-    return chunk_index, rows, time.perf_counter() - t0
+    try:
+        return pickle.dumps((chunk_index, rows, time.perf_counter() - t0))
+    except Exception as exc:
+        raise ExperimentError(
+            "run_one returned a row that cannot cross the process "
+            "boundary (not picklable); return plain dicts of scalars "
+            f"— {exc!r}") from exc
 
 
 def _fork_available() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
 
 
-#: The process-wide reusable pool: ``(pool, size)`` or None.  Grown (never
-#: shrunk) on demand; sized-down requests reuse the bigger pool — the task
-#: list, not the pool size, bounds concurrency usefully here.
-_SHARED_POOL: Optional[Tuple[Any, int]] = None
+#: The process-wide reusable executor: ``(executor, size)`` or None.
+#: Grown (never shrunk) on demand; sized-down requests reuse the bigger
+#: executor — the task list, not the pool size, bounds concurrency
+#: usefully here.
+_SHARED_POOL: Optional[Tuple[ProcessPoolExecutor, int]] = None
 
 _WARNED_NO_FORK = False
 
 
-def _shared_pool(workers: int):
-    """The reusable fork pool, grown to at least ``workers`` processes.
+def _shared_pool(workers: int) -> ProcessPoolExecutor:
+    """The reusable fork executor, grown to at least ``workers`` processes.
 
-    **Snapshot semantics:** workers are forked when the pool is first
-    created and then reused for every later ``sweep()``, so they run
-    against a snapshot of the parent interpreter at that moment.
+    **Snapshot semantics:** workers are forked when the executor first
+    receives work and then reused for every later ``sweep()``, so they
+    run against a snapshot of the parent interpreter at that moment.
     Parent-side changes made *after* the first parallel sweep — mutated
     module globals, monkeypatching, reconfigured defaults a ``run_one``
     reads — are invisible to the workers.  ``run_one`` must be a pure
     function of ``(seed, **point)`` (the determinism linter enforces
     this for in-repo experiments); tests that monkeypatch state a
     ``run_one`` reads must call :func:`shutdown_shared_pool` first to
-    force a re-fork.  Any failure escaping ``pool.map`` tears the shared
-    pool down (see :func:`_execute_parallel`), so a crashed worker can
-    never leave later sweeps running on a broken pool.
+    force a re-fork.  Any failure escaping a chunk tears the shared
+    executor down (see :func:`_execute_parallel`), so a crashed worker
+    can never leave later sweeps running on a broken one.
     """
     global _SHARED_POOL
     if _SHARED_POOL is not None:
@@ -136,20 +148,20 @@ def _shared_pool(workers: int):
         if size >= workers:
             return pool
         shutdown_shared_pool()
-    ctx = multiprocessing.get_context("fork")
-    pool = ctx.Pool(workers)
+    pool = ProcessPoolExecutor(
+        workers, mp_context=multiprocessing.get_context("fork"))
     _SHARED_POOL = (pool, workers)
     return pool
 
 
 def shutdown_shared_pool() -> None:
-    """Tear down the reusable pool (tests, atexit).  Safe to call twice."""
+    """Tear down the reusable executor (tests, atexit).  Safe to call
+    twice.  Chunks not yet started are cancelled; running ones finish."""
     global _SHARED_POOL
     if _SHARED_POOL is not None:
         pool, _ = _SHARED_POOL
         _SHARED_POOL = None
-        pool.terminate()
-        pool.join()
+        pool.shutdown(cancel_futures=True)
 
 
 atexit.register(shutdown_shared_pool)
@@ -182,22 +194,20 @@ def _execute_parallel(run_one: Callable[..., Mapping[str, Any]],
                       ) -> Tuple[Dict[str, int], List[float]]:
     """Fan ``pending`` tasks across processes, streaming rows back.
 
-    Chunks are dispatched explicitly and consumed with
-    ``imap_unordered``: ``on_row(index, row)`` fires *as each chunk
-    lands*, so cache stores and row assembly overlap with the chunks
-    still executing instead of waiting behind the slowest one (the
-    completion barrier ``pool.map`` imposes).  Arrival order is
-    irrelevant — rows are keyed by task index and reassembled in
-    submission order by the caller.
+    Chunks are submitted explicitly and consumed with ``as_completed``:
+    ``on_row(index, row)`` fires *as each chunk lands*, so cache stores
+    and row assembly overlap with the chunks still executing instead of
+    waiting behind the slowest one.  Arrival order is irrelevant — rows
+    are keyed by task index and reassembled in submission order by the
+    caller.  A worker process that dies raises
+    :class:`~repro.kernel.errors.ExperimentError` at once.
 
     Returns a ``{"tasks": ..., "rows": ...}`` accounting of the pickled
     bytes that crossed the pool pipe (``meta["bytes_shipped"]``) and the
     per-chunk wall times measured inside the workers, indexed by chunk
-    (``meta["chunk_walls"]["per_chunk"]``).  ``run_one`` rides in the
-    *mapper* (pickled once per chunk), not in every task tuple.
+    (``meta["chunk_walls"]["per_chunk"]``).  ``run_one`` rides in each
+    chunk's call (pickled once per chunk), not in every task tuple.
     """
-    import functools
-
     effective = min(workers, len(pending))
     chunksize = _adaptive_chunksize(len(pending), effective)
     chunks = [(ci, pending[lo:lo + chunksize])
@@ -205,11 +215,12 @@ def _execute_parallel(run_one: Callable[..., Mapping[str, Any]],
     walls = [0.0] * len(chunks)
     row_bytes = 0
 
-    def consume(results) -> None:
+    def consume(futures: List[Future]) -> None:
         nonlocal row_bytes
-        for reply in results:
-            row_bytes += len(pickle.dumps(reply))
-            chunk_index, rows, wall = reply
+        for future in as_completed(futures):
+            reply = future.result()
+            row_bytes += len(reply)
+            chunk_index, rows, wall = pickle.loads(reply)
             walls[chunk_index] = wall
             for index, row in rows:
                 on_row(index, row)
@@ -224,28 +235,31 @@ def _execute_parallel(run_one: Callable[..., Mapping[str, Any]],
                     f"execution (workers>1): {exc!r}") from exc
             pool = _shared_pool(workers)
             try:
-                consume(pool.imap_unordered(
-                    functools.partial(_run_pickled_chunk, run_one), chunks))
+                consume([pool.submit(_run_pickled_chunk, run_one, chunk)
+                         for chunk in chunks])
             except Exception:
-                # The failure may have killed workers or desynchronised
-                # the result pipe; discard the pool so the next sweep
-                # forks a fresh one instead of hanging on a broken one.
+                # The failure may have killed workers; discard the
+                # executor so the next sweep forks a fresh one instead
+                # of running on a broken one.
                 shutdown_shared_pool()
                 raise
         else:
             # Fork inheritance: the initializer receives run_one by
             # address space, so closures and lambdas work — at the price
-            # of a fresh pool for this one sweep.
+            # of a fresh executor for this one sweep.
             task_blob = pickle.dumps(chunks)
-            ctx = multiprocessing.get_context("fork")
-            with ctx.Pool(effective, initializer=_init_worker,
-                          initargs=(run_one,)) as pool:
-                consume(pool.imap_unordered(_run_chunk, chunks))
-    except MaybeEncodingError as exc:
+            pool = ProcessPoolExecutor(
+                effective, mp_context=multiprocessing.get_context("fork"),
+                initializer=_init_worker, initargs=(run_one,))
+            try:
+                consume([pool.submit(_run_chunk, chunk) for chunk in chunks])
+            finally:
+                pool.shutdown(cancel_futures=True)
+    except BrokenProcessPool as exc:
         raise ExperimentError(
-            "run_one returned a row that cannot cross the process "
-            "boundary (not picklable); return plain dicts of scalars "
-            f"— {exc!r}") from exc
+            "a sweep worker process died before returning its rows "
+            "(killed or exited abruptly; see its stderr) — the sweep "
+            "cannot continue") from exc
     shipped = {"tasks": len(task_blob), "rows": row_bytes}
     return shipped, walls
 

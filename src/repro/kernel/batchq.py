@@ -22,9 +22,7 @@ per timer is the cheapest dispatch (see docs/performance.md).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional, Sequence
-
-from .errors import ScheduleError
+from typing import Any, Callable
 
 
 class BatchClass:
@@ -58,32 +56,6 @@ class BatchClass:
         event = self.sim.schedule_at(time, self.fn, owner, payload,
                                      priority=self.priority)
         return event if self.cancellable else None
-
-    def schedule_many_at(self, times: Sequence[float],
-                         owners: Optional[Sequence[int]] = None,
-                         payloads: Optional[Sequence[Any]] = None) -> None:
-        """Bulk scheduling at *absolute* times: the cross-shard injection
-        path (:mod:`repro.kernel.shard`).  Non-cancellable classes only;
-        every time must be ``>= now``, validated up front so a bad batch
-        consumes no sequence numbers."""
-        if self.cancellable:
-            raise ScheduleError(
-                "schedule_many_at requires a non-cancellable batch class")
-        sim = self.sim
-        now = sim._now
-        for time in times:
-            if time < now:
-                raise ScheduleError(
-                    f"cannot schedule at {time!r}, now is {now!r}")
-        fn = self.fn
-        priority = self.priority
-        for i, time in enumerate(times):
-            owner = owners[i] if owners is not None else 0
-            payload = payloads[i] if payloads is not None else None
-            # schedule_at keeps the stored deadline exact (now + (t - now)
-            # would round).
-            sim.schedule_at(float(time), fn, owner, payload,
-                            priority=priority)
 
     def stats(self) -> dict:
         """Per-class entry for the "kernel" metrics probe.  Entries are

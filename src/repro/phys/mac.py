@@ -231,7 +231,7 @@ class WirelessMedium:
         #: draw delivery/fading randomness from per-receiver streams
         #: (``radio.delivery.<addr>``) instead of the two shared streams.
         #: Outcomes then depend only on each receiver's own frame history,
-        #: so a world split across simulators (:mod:`repro.kernel.shard`)
+        #: so a world split across simulators (E11's rooms, one each)
         #: consumes randomness identically to the single-process oracle.
         self.per_station_rng = per_station_rng
         self._rng_by_rx: Dict[str, np.random.Generator] = {}

@@ -9,11 +9,16 @@ volume, issues bucketed by LPC layer, and the final metrics snapshot.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Optional, Sequence
+from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
 
 from ..core.concerns import ConcernClassifier
 from ..core.layers import Column
+from ..kernel.errors import ConfigurationError
 from ..kernel.scheduler import Simulator
+
+#: Counter prefixes excluded from merged-vs-oracle comparisons: they
+#: describe the mechanics of the local engine, not simulation outcomes.
+HOW_NOT_WHAT_COUNTERS: Tuple[str, ...] = ("medium.culling.",)
 
 
 def telemetry_summary(sim: Simulator,
@@ -101,4 +106,32 @@ def aggregate_telemetry(summaries: Sequence[Dict[str, Any]],
     out["issues_by_layer"] = dict(sorted(issues_by_layer.items()))
     out["issues_by_column"] = dict(sorted(issues_by_column.items()))
     out["metrics"] = {"counters": dict(sorted(counters.items()))}
+    return out
+
+
+def merge_summaries(summaries: Sequence[Dict[str, Any]],
+                    drop_counters: Tuple[str, ...] = HOW_NOT_WHAT_COUNTERS,
+                    ) -> Dict[str, Any]:
+    """Collapse the summaries of one run split into parts into one dict.
+
+    Unlike :func:`aggregate_telemetry`, which sums replicates, the parts
+    here ran side by side over the same horizon (E11's rooms, each on its
+    own simulator): totals, issue maps and metric counters sum as there,
+    but ``sim_time`` is the common horizon (max), there is no
+    ``replicates`` count, and counters with a prefix in ``drop_counters``
+    are excluded — they describe engine mechanics, such as audible sets
+    culled against the locally attached population, not what the
+    simulation did.  Equivalence tests compare
+    ``merge_summaries(parts)`` against ``merge_summaries([oracle])`` so
+    both sides pass through the same reduction.
+    """
+    if not summaries:
+        raise ConfigurationError("nothing to merge")
+    out = aggregate_telemetry(summaries)
+    del out["replicates"]
+    out["sim_time"] = max(summary.get("sim_time", 0.0)
+                          for summary in summaries)
+    out["metrics"]["counters"] = {
+        name: value for name, value in out["metrics"]["counters"].items()
+        if not name.startswith(drop_counters)}
     return out

@@ -84,25 +84,6 @@ def test_batched_firing_log_matches_heap_oracle(program):
     assert _replay(program) == _model(program)
 
 
-@given(st.lists(delay, min_size=1, max_size=60))
-@settings(max_examples=60, deadline=None)
-def test_schedule_many_fires_in_nondecreasing_time_order(delays):
-    sim = Simulator(seed=0)
-    fired = []
-    queue = sim.batch_class("prop.many",
-                            lambda owner, _p: fired.append((sim.now, owner)),
-                            cancellable=False)
-    queue.schedule_many_at(delays, owners=list(range(len(delays))))
-    sim.run()
-    assert len(fired) == len(delays)
-    times = [t for t, _ in fired]
-    assert times == sorted(times)
-    # Equal-deadline entries fire in scheduling (sequence) order.
-    for (t_a, owner_a), (t_b, owner_b) in zip(fired, fired[1:]):
-        if t_a == t_b:
-            assert owner_a < owner_b
-
-
 @given(st.lists(delay, min_size=1, max_size=40),
        st.sets(st.integers(min_value=0, max_value=39)))
 @settings(max_examples=60, deadline=None)

@@ -192,7 +192,7 @@ def test_reachability_witness_is_first_matching_entry():
 def test_entry_modules_ignores_absent_modules():
     _mods, graph = _graph_fixture()
     entries = entry_modules(
-        ["repro.kernel.shard:_worker_main", "repro.cli:main"], set(graph))
+        ["repro.kernel.absent:_worker_main", "repro.cli:main"], set(graph))
     assert entries == {"repro.cli": "repro.cli:main"}
 
 

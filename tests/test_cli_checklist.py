@@ -59,6 +59,44 @@ def test_cli_run_with_seed(capsys):
     assert "hijacks_succeeded" in capsys.readouterr().out
 
 
+def test_cli_run_lets_an_experiments_own_type_error_propagate(monkeypatch):
+    from repro.experiments import harness
+    from repro.experiments.harness import ExperimentResult
+
+    seeds = []
+
+    def zz(seed=1):
+        seeds.append(seed)
+        if seed != 1:
+            raise TypeError("zz broke")
+        return ExperimentResult("ZZ", "t", ["v"])
+
+    monkeypatch.setitem(harness._REGISTRY, "ZZ", zz)
+    with pytest.raises(TypeError, match="zz broke"):
+        main(["run", "ZZ", "--seed", "5"])
+    assert seeds == [5]
+
+
+def test_cli_run_drops_seed_and_refuses_shards_by_signature(capsys):
+    assert main(["run", "F1-F5", "--seed", "5"]) == 0
+    assert main(["run", "F1-F5", "--shards", "2"]) == 2
+    assert "not shard-aware" in capsys.readouterr().err
+
+
+def test_cli_run_e11_rows_do_not_depend_on_shards(capsys):
+    tables = []
+    for shards in ("1", "2"):
+        assert main(["run", "E11", "--shards", shards]) == 0
+        tables.append(capsys.readouterr().out.splitlines())
+    one, two = tables
+    differ = [i for i, (a, b) in enumerate(zip(one, two)) if a != b]
+    assert len(one) == len(two) and len(differ) == 1
+    assert one[differ[0]].startswith("note: single-process x1 ")
+    assert two[differ[0]].startswith("note: processes x2 ")
+    assert main(["run", "E11", "--shards", "5"]) == 2
+    assert "shards must be in 1..4" in capsys.readouterr().err
+
+
 def test_cli_parser_requires_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])

@@ -46,8 +46,7 @@ PASSING = {
     "checks": {"source": "in-process", "findings_identical": True,
                "warm_analyzed": 0, "warm_speedup": 24.0},
     "shard": {"source": "in-process", "outcomes_identical": True,
-              "telemetry_identical": True,
-              "coupled": {"outcomes_identical": True}, "speedup": 2.5,
+              "telemetry_identical": True, "speedup": 2.5,
               "cpus": 8, "mode": "processes",
               "oracle_deliveries_per_sec": 60_000.0},
 }
@@ -248,29 +247,32 @@ CASES = [
     ("checks-unlike-baseline", "checks", {"warm_speedup": 5.99},
      {"checks": {"source": "pytest-benchmark"}}, [],
      [f"checks.warm_speedup baseline: {UNLIKE}"]),
-    # -- shard: identities everywhere, speedup with 4+ cpus and forking
+    # -- shard: identities everywhere, speedup floors at 2 and at 4+ cpus
+    # when forked
     ("shard-passes", "shard", {}, {}, [], []),
     ("shard-outcomes-differ", "shard", {"outcomes_identical": False}, {},
      ["shard.outcomes_identical true"], []),
     ("shard-telemetry-differs", "shard", {"telemetry_identical": False}, {},
      ["shard.telemetry_identical true"], []),
-    ("shard-coupled-differs", "shard",
-     {"coupled": {"outcomes_identical": False}}, {},
-     ["shard.coupled.outcomes_identical true"], []),
-    ("shard-coupled-missing", "shard", {"coupled": None}, {},
-     ["shard.coupled.outcomes_identical true"], []),
     ("shard-at-floors", "shard",
      {"speedup": 2.0, "cpus": 4, "oracle_deliveries_per_sec": 34_400.0}, {},
      [], []),
     ("shard-below-floors", "shard",
      {"speedup": 1.99, "cpus": 4, "oracle_deliveries_per_sec": 34_399.0}, {},
      ["shard.speedup min", "shard.oracle_deliveries_per_sec baseline"], []),
-    ("shard-2-cpus", "shard", {"speedup": 0.5, "cpus": 2}, {}, [],
+    ("shard-2-cpus", "shard", {"speedup": 0.5, "cpus": 2}, {},
+     ["shard.speedup min"], ["shard.speedup min: cpus 2 < 4"]),
+    ("shard-2-cpus-at-floor", "shard", {"speedup": 1.2, "cpus": 2}, {}, [],
      ["shard.speedup min: cpus 2 < 4"]),
+    ("shard-2-cpus-below-floor", "shard", {"speedup": 1.19, "cpus": 2}, {},
+     ["shard.speedup min"], ["shard.speedup min: cpus 2 < 4"]),
+    ("shard-1-cpu", "shard", {"speedup": 0.5, "cpus": 1}, {}, [],
+     ["shard.speedup min: cpus 1 < 2", "shard.speedup min: cpus 1 < 4"]),
     ("shard-inline", "shard", {"speedup": 0.5, "mode": "inline"}, {}, [],
-     ["shard.speedup min: mode 'inline' != 'processes'"]),
+     ["shard.speedup min: mode 'inline' != 'processes'",
+      "shard.speedup min: mode 'inline' != 'processes'"]),
     ("shard-speedup-missing", "shard", {"speedup": None}, {},
-     ["shard.speedup min"], []),
+     ["shard.speedup min", "shard.speedup min"], []),
     ("shard-unlike-baseline", "shard", {"oracle_deliveries_per_sec": 1.0},
      {"shard": {"source": "pytest-benchmark"}}, [],
      [f"shard.oracle_deliveries_per_sec baseline: {UNLIKE}"]),
@@ -312,10 +314,16 @@ def test_golden_verdict(case):
 
 
 def test_every_gate_has_a_passing_and_a_failing_case():
-    gates = {f"{row.name}.{gate.key} {gate.kind}"
-             for row in BENCHES for gate in row.gates}
-    assert len(gates) == sum(len(row.gates) for row in BENCHES) == 34
-    assert gates == {gate for case in CASES for gate in case[4]}
+    # Gates are told apart by their place in the row: the two shard
+    # speedup floors share a key and a kind.
+    gates = {(row.name, i) for row in BENCHES for i in range(len(row.gates))}
+    assert len(gates) == 34
+    failed = set()
+    for _id, row, changes, baseline_changes, _failing, _skipped in CASES:
+        verdicts = _verdicts(row, changes, baseline_changes)
+        failed |= {(row, i) for i, verdict in enumerate(verdicts)
+                   if verdict.status == "FAIL"}
+    assert failed == gates
     assert {case[1] for case in CASES if not case[4]} == set(ROWS)
 
 

@@ -214,6 +214,48 @@ def test_sweep_failure_resets_shared_pool():
     assert ok.meta["parallel"] is True
 
 
+#: A sweep whose worker for point k=1 exits abruptly, then a sweep that
+#: must still work.  Run in a fresh interpreter with a timeout, because
+#: a pool that loses the dead worker's task hangs instead of failing.
+_DYING_SWEEP = """
+import os
+from repro.experiments.sweeps import sweep
+from repro.kernel.errors import ExperimentError
+
+def run_one(seed, k):
+    if k == 1:
+        os._exit(3)
+    return {"v": k}
+
+try:
+    sweep("X", "t", run_one, [{"k": 0}, {"k": 1}], workers=2, cache=False)
+except ExperimentError as exc:
+    print("ExperimentError:", exc)
+print(sweep("X", "t", run_one, [{"k": 0}, {"k": 2}], workers=2,
+            cache=False).column("v"))
+"""
+
+
+def test_sweep_worker_death_raises_and_the_next_sweep_works():
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    import repro
+
+    src_dir = pathlib.Path(repro.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src_dir))
+    out = subprocess.run([sys.executable, "-c", _DYING_SWEEP], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [
+        "ExperimentError: a sweep worker process died before returning "
+        "its rows (killed or exited abruptly; see its stderr) — the sweep "
+        "cannot continue",
+        "[0, 2]"]
+
+
 def test_averaged_over_seeds_aggregates_telemetry():
     result = ExperimentResult("X", "t", ["seed", "knob", "metric"])
     telemetry = []
