@@ -116,15 +116,14 @@ _CATALOGUE = (
          "instances.",
          "default to None and create the container inside the function"),
     Rule("LPC107", "direct heapq use outside the kernel", ERROR,
-         "Event ordering is the kernel's contract: every entry, batch "
-         "classes included, takes one global sequence number, and the "
-         "kernel heap is the only place allowed to decide what fires "
-         "next. A private heapq elsewhere re-implements that ordering "
-         "without the tie-break, span-context, and cancellation "
-         "semantics, and its outcomes silently diverge from the kernel "
-         "heap.",
-         "schedule through sim.schedule/schedule_at or a sim.batch_class "
-         "timer queue instead of a private heap"),
+         "Event ordering is the kernel's contract: every entry takes "
+         "one global sequence number, and the kernel heap is the only "
+         "place allowed to decide what fires next. A private heapq "
+         "elsewhere re-implements that ordering without the tie-break, "
+         "span-context, and cancellation semantics, and its outcomes "
+         "silently diverge from the kernel heap.",
+         "schedule through sim.schedule, sim.schedule_at or "
+         "sim.schedule_bound instead of a private heap"),
     Rule("LPC108", "cross-shard engine state access", ERROR,
          "Under sharded execution each shard's Simulator/World lives in "
          "its own worker process; reaching into another shard's .sim or "
@@ -136,13 +135,13 @@ _CATALOGUE = (
     Rule("LPC109", "per-event attribute lookup in a registered hot loop",
          WARNING,
          "Functions registered in repro.kernel.dispatch.HOT_LOOP are the "
-         "kernel's monomorphic run-loop variants: they execute once per "
-         "simulated event, so every attribute walk inside their while/for "
-         "bodies is paid millions of times per run. The dispatch-core "
-         "contract is that loop state is hoisted into locals before the "
-         "loop and only a short allow-list of genuinely per-event reads "
-         "(cancellation flags, the stop latch, ambient span context) "
-         "remains inside it.",
+         "kernel's two run loops (unbounded and bounded): they execute "
+         "once per simulated event, so every attribute walk inside their "
+         "while/for bodies is paid millions of times per run. The "
+         "dispatch-core contract is that loop state is hoisted into "
+         "locals before the loop and only a short allow-list of "
+         "genuinely per-event reads (cancellation flags, the stop latch, "
+         "ambient span context) remains inside it.",
          "hoist the attribute into a local before the loop, or add it to "
          "HOT_LOOP_ALLOWED_ATTRS with a comment justifying the per-event "
          "read"),

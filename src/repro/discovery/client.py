@@ -41,19 +41,6 @@ from .registry import (
 RENEW_FRACTION = 0.45
 
 
-def _fire_timeout(request_id: int, client: "ServiceDiscoveryClient") -> None:
-    """Batched request-timeout callback (shared ``discovery.timeout``
-    class; the owner column carries the request id)."""
-    client._timeout(request_id)
-
-
-def _fire_renewal(_owner: int, pack: tuple) -> None:
-    """Batched lease-renewal callback: ``pack`` is (bound renew method,
-    registration-or-subscription handle)."""
-    fn, handle = pack
-    fn(handle)
-
-
 @dataclass
 class ServiceRegistration:
     """Handle for one auto-renewed registration."""
@@ -101,15 +88,6 @@ class ServiceDiscoveryClient:
         self.registrations: List[ServiceRegistration] = []
         self.subscriptions: List[Subscription] = []
         self.timeouts = 0
-        # Request timeouts are the kernel's cancel-heaviest timer class
-        # (nearly every one is cancelled by the reply); renewals are the
-        # lease-storm class.  Both are batch classes shared across
-        # clients.
-        self._timeout_q = sim.batch_class(
-            "discovery.timeout", _fire_timeout, cancellable=True,
-            shared=True)
-        self._renew_q = sim.batch_class(
-            "discovery.renew", _fire_renewal, cancellable=True, shared=True)
 
     # ------------------------------------------------------------------
     # Low-level request/reply
@@ -118,8 +96,8 @@ class ServiceDiscoveryClient:
                 size_bytes: int, on_reply: Callable[[Optional[Reply]], None]) -> int:
         """Send one registry request; ``on_reply(None)`` on timeout."""
         request_id = message.request_id
-        timer = self._timeout_q.schedule(self.request_timeout,
-                                         owner=request_id, payload=self)
+        timer = self.sim.schedule(self.request_timeout, self._timeout,
+                                  request_id)
         self._pending[request_id] = (on_reply, timer)
         self.endpoint.send(locator.address, message, size_bytes)
         return request_id
@@ -198,8 +176,8 @@ class ServiceDiscoveryClient:
 
     def _arm_renewal(self, registration: ServiceRegistration) -> None:
         delay = registration.lease_duration * RENEW_FRACTION
-        registration._renew_event = self._renew_q.schedule(
-            delay, payload=(self._renew_registration, registration))
+        registration._renew_event = self.sim.schedule(
+            delay, self._renew_registration, registration)
 
     def _renew_registration(self, registration: ServiceRegistration) -> None:
         if not registration.active or registration.lease_id is None:
@@ -286,8 +264,8 @@ class ServiceDiscoveryClient:
 
     def _arm_subscription_renewal(self, subscription: Subscription) -> None:
         delay = subscription.lease_duration * RENEW_FRACTION
-        subscription._renew_event = self._renew_q.schedule(
-            delay, payload=(self._renew_subscription, subscription))
+        subscription._renew_event = self.sim.schedule(
+            delay, self._renew_subscription, subscription)
 
     def _renew_subscription(self, subscription: Subscription) -> None:
         if not subscription.active or subscription.lease_id is None:

@@ -15,13 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from ..kernel.errors import ConfigurationError, LeaseError
-from ..kernel.events import Priority
 from ..kernel.scheduler import Simulator
-
-def _fire_sweep(_owner: int, table: "LeaseTable") -> None:
-    """Sweep-timer callback (module-level so every table shares
-    one ``lease.sweep`` class; see repro.kernel.batchq)."""
-    table._sweep_fire()
 
 
 @dataclass
@@ -76,20 +70,12 @@ class LeaseTable:
         self._m_renewed = metrics.counter("leases.renewed")
         self._m_expired = metrics.counter("leases.expired")
         self._m_cancelled = metrics.counter("leases.cancelled")
-        # The periodic expiry sweep rides the kernel's batched timer path:
-        # one shared ``lease.sweep`` class per simulator, self-rescheduling
+        # The periodic expiry sweep is a self-rescheduling kernel timer
         # with the same (time, priority, seq) consumption a PeriodicTask
         # would have (one event per period, re-armed after the sweep body).
         self._sweep_interval = sweep_interval
         self._sweep_stopped = False
-        self._sweep_q = sim.batch_class("lease.sweep", _fire_sweep,
-                                        priority=int(Priority.PROTOCOL),
-                                        cancellable=True, shared=True)
-        # Pre-bound handler table: resolve the batch queue's schedule
-        # method once so each re-arm is a plain call, not an attribute walk.
-        self._schedule_sweep = self._sweep_q.schedule
-        self._sweep_handle = self._schedule_sweep(sweep_interval,
-                                                  payload=self)
+        self._sweep_handle = sim.schedule(sweep_interval, self._sweep_fire)
 
     # ------------------------------------------------------------------
     def grant(self, holder: str, resource: str, duration: float) -> Lease:
@@ -167,8 +153,8 @@ class LeaseTable:
             return
         self.sweep()
         if not self._sweep_stopped and not self.sim.stopped:
-            self._sweep_handle = self._schedule_sweep(
-                self._sweep_interval, payload=self)
+            self._sweep_handle = self.sim.schedule(self._sweep_interval,
+                                                   self._sweep_fire)
 
     def stop(self) -> None:
         self._sweep_stopped = True

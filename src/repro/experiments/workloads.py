@@ -67,7 +67,7 @@ def projector_room(seed: int = 0, *, trace: bool = True,
     ``culling=False`` makes the medium scan every station exhaustively —
     outcome-identical, used to validate the spatial-grid fast path.
     ``trace_mode`` / ``trace_capacity`` pass straight through to :class:`Simulator` so the dispatch-matrix oracle can run
-    the same room under every run-loop variant.
+    the same room under every trace mode.
     """
     sim = Simulator(seed=seed, trace=trace, trace_capacity=trace_capacity,
                     trace_mode=trace_mode)

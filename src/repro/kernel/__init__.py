@@ -23,7 +23,6 @@ from .errors import (
     SimulationFinished,
     TransportError,
 )
-from .batchq import BatchClass
 from .events import Event, Priority
 from .process import Process, Signal, spawn
 from .random import RandomStreams
@@ -32,7 +31,6 @@ from .trace import NULL_SPAN, Span, TraceRecord, Tracer
 
 __all__ = [
     "AddressError",
-    "BatchClass",
     "ConfigurationError",
     "ConstraintViolation",
     "DiscoveryError",

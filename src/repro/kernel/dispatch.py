@@ -1,13 +1,19 @@
-"""Monomorphic dispatch loops for :class:`repro.kernel.scheduler.Simulator`.
+"""The two dispatch loops of :class:`repro.kernel.scheduler.Simulator`.
 
-``Simulator.run`` used to be one polymorphic loop that re-tested, per
-event, conditions that are invariant for the whole call: is tracing on?
-is there an ``until`` horizon or ``max_events`` budget?  Each test is
-cheap, but at millions of events per second the tests *are* the
-workload.  This module holds a small family of loop *variants*, one per
-combination of those invariants; ``Simulator.run`` picks the matching
-variant once at entry and the selected loop carries nothing it does not
-need.
+``Simulator.run`` picks one loop at entry, on whether the call has an
+``until`` horizon or ``max_events`` budget: :func:`loop_plain` drains
+the heap with no limit tests at all, :func:`loop_bounded` tests both
+bounds per event.  Those are the only invariants a loop is chosen on.
+Tracing is not one of them: both loops restore the span context
+captured at schedule time around every callback that has one, or that
+finds one left ambient.  With tracing off neither case arises (a
+disabled tracer never activates spans, and every direct ``_span_ctx``
+writer — transport, ``_SpanScope`` — save/restores within its own
+event), so the untraced path costs one extra attribute read per event.
+On the bound timer chain an untraced twin of each loop, without that
+read, measured within noise of it, while one loop for bounded and
+unbounded runs measured about 0.9 of the unbounded loop; see
+docs/performance.md for the figures.
 
 Heap entries are plain 7-tuples ``(time, priority, seq, fn, args, ctx,
 handle)`` rather than :class:`~repro.kernel.events.Event` objects:
@@ -16,34 +22,13 @@ reaches ``fn`` — ``seq`` is globally unique), and the loops unpack one
 entry in a single ``UNPACK_SEQUENCE`` instead of seven attribute loads.
 ``handle`` is the :class:`Event` cancellation handle for public
 ``schedule``/``schedule_at`` entries and ``None`` for the
-``schedule_bound`` fast path, which is what the old free-list pooling
-existed to optimise — tuples made the pool redundant.
+``schedule_bound`` fast path.
 
-Variant selection (see docs/performance.md for the full table):
-
-========  =======================================================
-axis      selected when
-========  =======================================================
-traced    ``tracer.enabled`` or a span context is ambient at
-          ``run()`` entry.  The traced loops re-establish the
-          captured span context around every callback.  The plain
-          loops assume the no-span invariant — ``_span_ctx`` is
-          ``None`` at every event boundary — which holds because a
-          disabled tracer never activates spans and every direct
-          ``_span_ctx`` writer (transport, ``_SpanScope``)
-          save/restores within its own event.
-bounded   an ``until`` horizon or ``max_events`` budget was given.
-          The unbounded loops drain the heap with no limit tests
-          at all.
-metrics   *no variant*: the kernel does no per-event metrics work
-          (gauges/probes are sampled, not event-driven), so the
-          metrics axis collapses onto the same loops by design.
-          LPC109 keeps it that way.
-========  =======================================================
-
-Every loop body is byte-for-byte equivalent to the reference semantics
-pinned by ``tests/test_kernel_dispatch_matrix.py``: identical event
-orderings, span parentage, cancellation accounting and clock behaviour.
+Both loops are byte-for-byte equivalent to the reference semantics
+pinned by ``tests/test_kernel_dispatch_matrix.py`` and the
+``(time, priority, seq)`` model in ``tests/property/test_batchq_props.py``:
+identical event orderings, span parentage, cancellation accounting and
+clock behaviour.
 
 The ``HOT_LOOP`` registry names the functions that carry the
 zero-overhead contract; the static pass (rule ``LPC109`` in
@@ -56,30 +41,23 @@ from __future__ import annotations
 
 from heapq import heappop, heappush
 
-__all__ = ["HOT_LOOP", "HOT_LOOP_ALLOWED_ATTRS", "select_loop",
-           "loop_plain", "loop_traced", "loop_bounded",
-           "loop_traced_bounded"]
+__all__ = ["HOT_LOOP", "HOT_LOOP_ALLOWED_ATTRS", "loop_plain",
+           "loop_bounded"]
 
 #: Functions holding the kernel's zero-overhead dispatch contract.
 #: LPC109 flags per-event attribute reads inside ``while``/``for``
 #: bodies of any function with one of these names.
-HOT_LOOP = frozenset({
-    "loop_plain",
-    "loop_traced",
-    "loop_bounded",
-    "loop_traced_bounded",
-})
+HOT_LOOP = frozenset({"loop_plain", "loop_bounded"})
 
 #: Attribute reads a hot loop legitimately performs per event:
 #: ``handle.cancelled`` (lazy-cancellation check), ``sim._stopped``
-#: (the ``stop()`` latch) and ``sim._span_ctx`` (ambient span restore,
-#: traced variants only).  Everything else must be hoisted into a local
-#: before the loop.
+#: (the ``stop()`` latch) and ``sim._span_ctx`` (ambient span restore).
+#: Everything else must be hoisted into a local before the loop.
 HOT_LOOP_ALLOWED_ATTRS = frozenset({"cancelled", "_stopped", "_span_ctx"})
 
 
 def loop_plain(sim, queue):
-    """Untraced, unbounded: the fastest path — drain the heap dry."""
+    """Unbounded: drain the heap dry."""
     pop = heappop
     executed = 0
     while queue:
@@ -89,34 +67,6 @@ def loop_plain(sim, queue):
                 sim._cancelled_count -= 1
                 continue
             # Fired: break ref cycles; a late cancel() is a true no-op.
-            handle.owner = None
-            handle.fn = None
-            handle.args = ()
-        sim._now = t
-        if ctx is None:
-            fn(*args)
-        else:
-            # Rare here (no-span invariant): restore the captured span
-            # context for this callback only.
-            sim._span_ctx = ctx
-            fn(*args)
-            sim._span_ctx = None
-        executed += 1
-        if sim._stopped:
-            break
-    return executed
-
-
-def loop_traced(sim, queue):
-    """Traced, unbounded: per-event span-context save/restore."""
-    pop = heappop
-    executed = 0
-    while queue:
-        t, _p, _s, fn, args, ctx, handle = pop(queue)
-        if handle is not None:
-            if handle.cancelled:
-                sim._cancelled_count -= 1
-                continue
             handle.owner = None
             handle.fn = None
             handle.args = ()
@@ -137,45 +87,14 @@ def loop_traced(sim, queue):
 
 
 def loop_bounded(sim, queue, until, max_events):
-    """Untraced with an ``until`` horizon and/or ``max_events`` budget.
+    """With an ``until`` horizon and/or ``max_events`` budget.
 
     The caller substitutes ``math.inf`` for whichever bound is absent, so
-    one variant serves both and the tests stay branch-predictable.  A
-    live head beyond the bounds is pushed straight back — content and
-    ordering of the heap are unchanged; dead heads are discarded even
-    past the horizon, exactly like the unbounded loops.
+    one loop serves both.  A live head beyond the bounds is pushed
+    straight back — content and ordering of the heap are unchanged; dead
+    heads are discarded even past the horizon, exactly like
+    :func:`loop_plain`.
     """
-    pop = heappop
-    push = heappush
-    executed = 0
-    while queue:
-        entry = pop(queue)
-        t, _p, _s, fn, args, ctx, handle = entry
-        if handle is not None and handle.cancelled:
-            sim._cancelled_count -= 1
-            continue
-        if t > until or executed >= max_events:
-            push(queue, entry)
-            break
-        if handle is not None:
-            handle.owner = None
-            handle.fn = None
-            handle.args = ()
-        sim._now = t
-        if ctx is None:
-            fn(*args)
-        else:
-            sim._span_ctx = ctx
-            fn(*args)
-            sim._span_ctx = None
-        executed += 1
-        if sim._stopped:
-            break
-    return executed
-
-
-def loop_traced_bounded(sim, queue, until, max_events):
-    """Traced with an ``until`` horizon and/or ``max_events`` budget."""
     pop = heappop
     push = heappush
     executed = 0
@@ -203,16 +122,3 @@ def loop_traced_bounded(sim, queue, until, max_events):
         if sim._stopped:
             break
     return executed
-
-
-_LOOPS = {
-    (False, False): loop_plain,
-    (True, False): loop_traced,
-    (False, True): loop_bounded,
-    (True, True): loop_traced_bounded,
-}
-
-
-def select_loop(traced: bool, bounded: bool):
-    """The monomorphic loop for one ``run()`` call's invariants."""
-    return _LOOPS[(traced, bounded)]

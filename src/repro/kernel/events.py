@@ -1,7 +1,7 @@
 """Event objects used by the discrete-event scheduler.
 
-An :class:`Event` is a callback bound to a simulation time.  Events are
-totally ordered by ``(time, priority, seq)`` where ``seq`` is a scheduler
+An :class:`Event` is a callback bound to a simulation time.  Events fire
+in ``(time, priority, seq)`` order, where ``seq`` is a scheduler
 assigned monotone counter — this makes runs *deterministic*: two events at
 the same time and priority always fire in scheduling order, independent of
 hash seeds or heap internals.
@@ -83,20 +83,6 @@ class Event:
         if owner is not None:
             self.owner = None
             owner._note_cancel()
-
-    # Heap ordering -----------------------------------------------------
-    def sort_key(self) -> tuple:
-        return (self.time, self.priority, self.seq)
-
-    def __lt__(self, other: "Event") -> bool:
-        # Inlined field comparisons: this runs hundreds of thousands of
-        # times per heap-heavy run, and building two tuples per compare
-        # measurably slows the event loop.
-        if self.time != other.time:
-            return self.time < other.time
-        if self.priority != other.priority:
-            return self.priority < other.priority
-        return self.seq < other.seq
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"

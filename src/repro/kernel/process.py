@@ -100,9 +100,10 @@ class Process:
 
     def _handle_yield(self, yielded: Any) -> None:
         if isinstance(yielded, (int, float)):
-            if yielded < 0:
+            if not yielded >= 0:
                 self._finish(error=ProcessError(
-                    f"process {self.name!r} yielded negative delay {yielded!r}"))
+                    f"process {self.name!r} yielded negative or NaN delay "
+                    f"{yielded!r}"))
                 return
             self._schedule(float(yielded), self._advance, None,
                            priority=Priority.APP)

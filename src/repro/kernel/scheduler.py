@@ -16,9 +16,9 @@ optimise the bottleneck" workflow):
   instruction.  ``handle`` is the :class:`Event` cancellation handle for
   public ``schedule`` calls and ``None`` on the
   :meth:`Simulator.schedule_bound` fast path.
-* ``run()`` selects a *monomorphic loop variant* at entry (traced x
-  bounded; see :mod:`repro.kernel.dispatch`) so the common disabled-path
-  loop carries zero per-event feature tests.
+* ``run()`` selects one of two loops at entry (bounded or not; see
+  :mod:`repro.kernel.dispatch`), so an unbounded run carries no per-event
+  limit tests.
 * Bulk cancellation (periodic tasks, retry timers) is O(1) per cancel and
   triggers a heap compaction once dead entries outnumber live ones, so
   ``run``/``peek``/``pending`` never degrade to O(dead events).
@@ -29,11 +29,10 @@ optimise the bottleneck" workflow):
 from __future__ import annotations
 
 import heapq
-from math import inf
+from math import inf, isnan
 from typing import Any, Callable, Dict, List, Optional
 
-from .batchq import BatchClass
-from .dispatch import select_loop
+from .dispatch import loop_bounded, loop_plain
 from .errors import ScheduleError, SimulationFinished
 from .events import Event, Priority
 from .random import RandomStreams
@@ -101,8 +100,6 @@ class Simulator:
         #: arbitrary shared registry for components to find each other
         #: (e.g. the radio medium, the lookup service); keyed by name.
         self.context: Dict[str, Any] = {}
-        #: registered timer families by name (see :meth:`batch_class`).
-        self._batch_names: Dict[str, BatchClass] = {}
         #: ``kernel.cancelled_ratio`` gauge, created with the registry.
         self._cancel_gauge: Optional[Any] = None
 
@@ -122,8 +119,9 @@ class Simulator:
         priority: int = Priority.PROTOCOL,
     ) -> Event:
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now."""
-        if delay < 0:
-            raise ScheduleError(f"negative delay {delay!r}")
+        # Written so NaN fails too: a NaN key breaks the heap order.
+        if not delay >= 0:
+            raise ScheduleError(f"negative or NaN delay {delay!r}")
         if self._stopped:
             raise SimulationFinished("simulator has been stopped")
         event = Event(self._now + delay, priority, self._seq, fn, args)
@@ -144,7 +142,7 @@ class Simulator:
         """Schedule ``fn(*args)`` at absolute simulation time ``time``."""
         if self._stopped:
             raise SimulationFinished("simulator has been stopped")
-        if time < self._now:
+        if not time >= self._now:
             raise ScheduleError(
                 f"cannot schedule at {time!r}, now is {self._now!r}"
             )
@@ -192,46 +190,12 @@ class Simulator:
         priority: int = Priority.PROTOCOL,
     ) -> "PeriodicTask":
         """Run ``fn(*args)`` every ``interval`` seconds until cancelled."""
-        if interval <= 0:
-            raise ScheduleError(f"non-positive interval {interval!r}")
+        if not interval > 0:
+            raise ScheduleError(f"non-positive or NaN interval {interval!r}")
         task = PeriodicTask(self, interval, fn, args, priority)
         first = self._now + (interval if start is None else start)
         task._arm(first)
         return task
-
-    # ------------------------------------------------------------------
-    # Homogeneous event classes
-    # ------------------------------------------------------------------
-    def batch_class(self, name: str, fn: Callable[[int, Any], None], *,
-                    priority: int = Priority.PROTOCOL,
-                    cancellable: bool = True,
-                    shared: bool = False) -> BatchClass:
-        """Register a homogeneous event class (see :mod:`.batchq`).
-
-        ``fn(owner, payload)`` is the per-entry callback shared by every
-        entry of the class; entries are ordinary heap events.  With
-        ``shared=True`` a second registration under the same name returns
-        the existing class (for module-level callbacks serving many
-        components); otherwise names are auto-suffixed on collision.
-        """
-        names = self._batch_names
-        if shared:
-            existing = names.get(name)
-            if existing is not None:
-                if existing.fn is not fn:
-                    raise ScheduleError(
-                        f"batch class {name!r} already registered with a "
-                        "different callback")
-                return existing
-        elif name in names:
-            suffix = 2
-            while f"{name}#{suffix}" in names:
-                suffix += 1
-            name = f"{name}#{suffix}"
-        queue = BatchClass(self, name, fn, int(priority),
-                           cancellable=cancellable)
-        names[name] = queue
-        return queue
 
     # ------------------------------------------------------------------
     # Running
@@ -243,31 +207,39 @@ class Simulator:
 
         When stopped by ``until``, the clock is advanced *to* ``until`` so a
         subsequent ``run`` resumes cleanly and time-based metrics integrate
-        over the full horizon.
+        over the full horizon.  A run that ``max_events`` stops before the
+        horizon leaves the clock at its last event.
 
-        Dispatch is monomorphic: the matching loop variant (traced x
-        bounded, see :mod:`repro.kernel.dispatch`) is selected *here*, once
-        — so enabling tracing mid-run takes effect at the next ``run()``
-        call, and the disabled-path loop carries zero per-event feature
-        tests.
+        The loop is chosen here, once: :func:`~repro.kernel.dispatch.loop_plain`
+        when neither bound is given, so an unbounded run carries no
+        per-event limit tests, else
+        :func:`~repro.kernel.dispatch.loop_bounded`.  Runs do not nest: a
+        callback calling ``run()`` (or :meth:`step`) raises
+        :class:`ScheduleError`, since the inner run would move the clock
+        past the outer horizon.
         """
         if self._stopped:
             raise SimulationFinished("simulator has been stopped")
-        traced = self.tracer.enabled or self._span_ctx is not None
-        bounded = until is not None or max_events is not None
-        loop = select_loop(traced, bounded)
+        if self._running:
+            raise ScheduleError("run() called while the simulator is running")
+        if until is not None and isnan(until):
+            raise ScheduleError("NaN run horizon")
         self._running = True
         try:
-            if bounded:
-                executed = loop(self, self._queue,
-                                inf if until is None else until,
-                                inf if max_events is None else max_events)
+            if until is None and max_events is None:
+                executed = loop_plain(self, self._queue)
             else:
-                executed = loop(self, self._queue)
+                executed = loop_bounded(
+                    self, self._queue, inf if until is None else until,
+                    inf if max_events is None else max_events)
         finally:
             self._running = False
         if until is not None and not self._stopped and self._now < until:
-            self._now = until
+            # A run cut short by ``max_events`` keeps its clock while live
+            # events due by the horizon remain.
+            head = self.peek()
+            if head is None or head > until:
+                self._now = until
         self.events_executed += executed
         self._update_cancel_gauge()
         return executed
@@ -462,8 +434,9 @@ class Simulator:
         return {
             "cancelled_ratio": self.cancelled_ratio,
             "compactions": self.compactions,
-            "batch": {batch.name: batch.stats()
-                      for batch in self._batch_names.values()},
+            # Always empty: kept because bench/layers.sim_counters reads
+            # it, and bench/ changes only together with its benchmark.
+            "batch": {},
         }
 
 

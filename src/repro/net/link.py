@@ -18,19 +18,9 @@ from ..kernel.events import Priority
 from ..kernel.scheduler import Simulator
 from .addresses import validate_address
 from .frames import Frame
-from .queueing import DropTailQueue, Pacer
+from .queueing import DropTailQueue
 
 _MEDIUM_PRI = int(Priority.MEDIUM)
-
-
-def _fire_sent(_owner: int, pack: tuple) -> None:
-    port, frame = pack
-    port._sent(frame)
-
-
-def _fire_deliver(_owner: int, pack: tuple) -> None:
-    port, frame = pack
-    port._deliver(frame)
 
 
 class WiredPort:
@@ -66,7 +56,8 @@ class WiredPort:
         frame = self.queue.pop()
         self._busy = True
         tx_time = 8.0 * frame.wire_bytes / self.link.rate_bps
-        self.link._schedule_sent(tx_time, payload=(self, frame))
+        self.link.sim.schedule_bound(tx_time, self._sent, (frame,),
+                                     _MEDIUM_PRI)
 
     def _sent(self, frame: Frame) -> None:
         self._busy = False
@@ -108,16 +99,6 @@ class WiredLink:
         self.loss = float(loss)
         self.queue_frames = queue_frames
         self._rng = sim.rng(f"link.{a}--{b}")
-        # Serialisation-end and propagation timers ride the batched path;
-        # shared by name, so every wired link drains from the same queues.
-        self._sent_pacer = Pacer(sim, "link.sent", _fire_sent,
-                                 priority=_MEDIUM_PRI)
-        self._deliver_pacer = Pacer(sim, "link.deliver", _fire_deliver,
-                                    priority=_MEDIUM_PRI)
-        # Pre-bound handler table: each frame event is scheduled through a
-        # direct method reference instead of two attribute walks per frame.
-        self._schedule_sent = self._sent_pacer.after
-        self._schedule_deliver = self._deliver_pacer.after
         self.port_a = WiredPort(self, a)
         self.port_b = WiredPort(self, b)
         self.frames_lost = 0
@@ -132,7 +113,8 @@ class WiredLink:
         # Point-to-point: deliver unicast-for-us and broadcast frames; a
         # frame addressed elsewhere still arrives (the far end may be a
         # bridge that forwards it).
-        self._schedule_deliver(self.delay_s, payload=(to_port, frame))
+        self.sim.schedule_bound(self.delay_s, to_port._deliver, (frame,),
+                                _MEDIUM_PRI)
 
     def other_end(self, address: str) -> WiredPort:
         """The port opposite the one named ``address``."""

@@ -8,10 +8,9 @@ sender so experiment E1 can shape offered load independently of the radio.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Optional
+from typing import Any, Deque, Optional
 
 from ..kernel.errors import ConfigurationError
-from ..kernel.events import Priority
 from ..kernel.scheduler import Simulator
 
 
@@ -73,37 +72,6 @@ class DropTailQueue:
     def drop_rate(self) -> float:
         total = self.enqueued + self.dropped
         return self.dropped / total if total else 0.0
-
-
-class Pacer:
-    """A named timer class for frame pacing and queue draining.
-
-    Thin veneer over :meth:`Simulator.batch_class`: a layer that paces
-    homogeneous work — wired serialisation/propagation, framebuffer
-    frame-rate pacing, drain timers — registers one callback here and
-    schedules entries through :meth:`after`/:meth:`at`.  ``shared=True``
-    (the default) means every pacer of the same name on one simulator
-    shares one class, so the callback must be a module-level function,
-    not a bound method.
-    """
-
-    def __init__(self, sim: Simulator, name: str,
-                 fn: Callable[[int, Any], None], *,
-                 priority: int = int(Priority.PROTOCOL),
-                 cancellable: bool = False, shared: bool = True) -> None:
-        self.sim = sim
-        self.name = name
-        self._q = sim.batch_class(name, fn, priority=priority,
-                                  cancellable=cancellable, shared=shared)
-
-    def after(self, delay: float, owner: int = 0, payload: Any = None):
-        """Fire ``delay`` seconds from now; returns a cancellation handle
-        for cancellable pacers, None otherwise."""
-        return self._q.schedule(delay, owner, payload)
-
-    def at(self, time: float, owner: int = 0, payload: Any = None):
-        """Fire at absolute simulation time ``time``."""
-        return self._q.schedule_at(time, owner, payload)
 
 
 class TokenBucket:

@@ -60,9 +60,8 @@ ACK_S: float = PREAMBLE_S + (14 * 8) / 2e6
 #: Genie-ACK turnaround: the one delay every unicast frame schedules.
 ACK_TURNAROUND_S: float = SIFS_S + ACK_S
 
-#: Priorities as plain ints for the scheduler fast path.
+#: Transmission-end priority as a plain int for the scheduler fast path.
 _MEDIUM_PRI: int = int(Priority.MEDIUM)
-_PROTOCOL_PRI: int = int(Priority.PROTOCOL)
 
 #: Interferer count at which the SINR sum switches from a scalar loop to
 #: one vectorised NumPy pass (array setup only pays off beyond a handful).
@@ -73,26 +72,6 @@ _VECTORISE_MIN: int = 8
 #: uniform can produce is ~28.7 dB, so a 30 dB margin makes it *impossible*
 #: for fading to rescue a station culled as inaudible.
 FADE_MARGIN_DB: float = 30.0
-
-# ----------------------------------------------------------------------
-# Timer-class callbacks (module-level so `shared=True` batch classes
-# registered by several media on one simulator compare equal).  These are
-# the three hottest timers in the whole simulator — DIFS/backoff expiry,
-# genie-ACK turnaround, and transmission end — and they run through the
-# kernel's homogeneous event classes (see repro.kernel.batchq).
-# ----------------------------------------------------------------------
-def _fire_attempt(_owner: int, mac: "CsmaMac") -> None:
-    mac._attempt()
-
-
-def _fire_ack(_owner: int, pack: tuple) -> None:
-    mac, frame, delivered = pack
-    mac._ack_outcome(frame, delivered)
-
-
-def _fire_finish(_owner: int, tx: "Transmission") -> None:
-    tx.sender.medium._finish(tx)
-
 
 def _compute_decode_floor_sinr_db() -> float:
     """Highest SINR (dB) at which decoding is *certain* to fail.
@@ -290,22 +269,9 @@ class WirelessMedium:
         })
         #: cumulative airtime per channel — what a passive scan observes.
         self.channel_airtime: Dict[int, float] = {}
-        # Homogeneous timer classes.  All three are fire-and-forget
-        # (schedule_bound entries, no handle), and shared so several
-        # media on one simulator register each class once.
-        self._attempt_q = sim.batch_class(
-            "mac.attempt", _fire_attempt, priority=_PROTOCOL_PRI,
-            cancellable=False, shared=True)
-        self._ack_q = sim.batch_class(
-            "mac.ack", _fire_ack, priority=_PROTOCOL_PRI,
-            cancellable=False, shared=True)
-        self._finish_q = sim.batch_class(
-            "medium.finish", _fire_finish, priority=_MEDIUM_PRI,
-            cancellable=False, shared=True)
-        # Pre-bound handler table: ``transmit`` is the hottest producer,
-        # so the schedule entry point is resolved once here instead of a
-        # two-attribute walk per frame.
-        self._schedule_finish = self._finish_q.schedule
+        # Transmission ends are fire-and-forget kernel timers; ``transmit``
+        # is the hottest producer, so the entry point is resolved once.
+        self._schedule_bound = sim.schedule_bound
 
     # Back-compat attribute names; the counters are the source of truth.
     @property
@@ -618,7 +584,7 @@ class WirelessMedium:
             tx.span = self.sim.span_begin(
                 "mac.tx", mac.address, frame=frame.frame_id, dst=frame.dst,
                 channel=mac.channel, rate=rate.name)
-        self._schedule_finish(duration, payload=tx)
+        self._schedule_bound(duration, self._finish, (tx,), _MEDIUM_PRI)
         if tracing:
             self.sim.trace("mac.tx", mac.address,
                            f"tx #{frame.frame_id} -> {frame.dst} @{rate.name}",
@@ -821,12 +787,10 @@ class CsmaMac:
             raise ConfigurationError("bad queue_limit/retry_limit")
         self.sim = sim
         self.medium = medium
-        # Pre-bound handler table for the per-frame timer producers:
-        # ``_kick``/``_backoff``/``_tx_done`` fire once per frame attempt,
-        # and the two-attribute walk to the shared batch classes was
-        # measurable at storm rates.
-        self._schedule_attempt = medium._attempt_q.schedule
-        self._schedule_ack = medium._ack_q.schedule
+        # DIFS/backoff expiry and the genie-ACK turnaround are
+        # fire-and-forget kernel timers scheduled once per frame attempt,
+        # so the entry point is resolved once.
+        self._schedule_bound = sim.schedule_bound
         self.address = address
         self.channel = channel
         self.tx_power_dbm = float(tx_power_dbm)
@@ -921,7 +885,7 @@ class CsmaMac:
     def _kick(self) -> None:
         if self._in_flight is None and self._queue and not self._attempt_pending:
             self._attempt_pending = True
-            self._schedule_attempt(DIFS_S, payload=self)
+            self._schedule_bound(DIFS_S, self._attempt)
 
     def _attempt(self) -> None:
         self._attempt_pending = False
@@ -942,7 +906,7 @@ class CsmaMac:
         slots = int(self._rng.integers(0, self._cw))
         self._cw = min(self._cw * 2, self.CW_MAX)
         self._attempt_pending = True
-        self._schedule_attempt(DIFS_S + slots * SLOT_S, payload=self)
+        self._schedule_bound(DIFS_S + slots * SLOT_S, self._attempt)
 
     def select_rate(self, frame: Frame) -> RateMode:
         """PHY rate for this frame: pinned, or SINR-driven adaptation.
@@ -967,8 +931,8 @@ class CsmaMac:
             return
         # Sender learns the outcome one SIFS + ACK airtime later.
         self.stats["busy_time"] += ACK_TURNAROUND_S
-        self._schedule_ack(ACK_TURNAROUND_S,
-                           payload=(self, frame, delivered))
+        self._schedule_bound(ACK_TURNAROUND_S, self._ack_outcome,
+                             (frame, delivered))
 
     def _ack_outcome(self, frame: Frame, delivered: bool) -> None:
         if delivered:

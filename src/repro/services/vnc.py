@@ -21,19 +21,8 @@ from typing import Callable, Optional
 
 from ..kernel.errors import ConfigurationError
 from ..kernel.scheduler import Simulator
-from ..net.queueing import Pacer
 from .framebuffer import Framebuffer
 
-
-def _fire_pace(_owner: int, viewer: "VNCViewer") -> None:
-    """Batched framebuffer-pacing callback (``vnc.pace``): next poll."""
-    viewer._request()
-
-
-def _fire_stall(request_id: int, viewer: "VNCViewer") -> None:
-    """Batched stall-watchdog callback (``vnc.stall``); owner column
-    carries the request id the timer guards."""
-    viewer._stalled(request_id)
 
 #: Well-known stack port for the remote-framebuffer protocol.
 VNC_PORT: int = 20
@@ -146,11 +135,6 @@ class VNCViewer:
         # Registry-owned so frame latency appears in run snapshots and
         # close() flushes in-flight requests as abandoned.
         self.latency = sim.metrics.latency(f"vnc.{device.name}", unique=True)
-        # Frame pacing and the stall watchdog run on the kernel's batched
-        # timer path, shared across every viewer on the simulator.
-        self._pace = Pacer(sim, "vnc.pace", _fire_pace)
-        self._stall_pacer = Pacer(sim, "vnc.stall", _fire_stall,
-                                  cancellable=True)
 
     # ------------------------------------------------------------------
     def start(self) -> None:
@@ -175,8 +159,8 @@ class VNCViewer:
         self._last_request_at = self.sim.now
         self.latency.start(self._request_seq)
         self.endpoint.send(self.server_address, request, REQUEST_BYTES)
-        self._stall_timer = self._stall_pacer.after(
-            self._current_stall_wait(), owner=self._request_seq, payload=self)
+        self._stall_timer = self.sim.schedule(
+            self._current_stall_wait(), self._stalled, self._request_seq)
 
     def _stalled(self, request_id: int) -> None:
         if self._outstanding != request_id or not self.running:
@@ -191,7 +175,7 @@ class VNCViewer:
         self._consecutive_stalls += 1
         # Back off before retrying: a slow link needs more time to drain
         # the previous reply, and a dead server should not be hammered.
-        self._pace.after(self._current_stall_wait(), payload=self)
+        self.sim.schedule_bound(self._current_stall_wait(), self._request)
 
     def _current_stall_wait(self) -> float:
         return min(self.stall_timeout * (2.0 ** self._consecutive_stalls),
@@ -220,7 +204,7 @@ class VNCViewer:
         # Pace the next poll: no sooner than 1/fps after the previous one.
         next_at = max(self.sim.now,
                       self._last_request_at + 1.0 / self.target_fps)
-        self._pace.at(next_at, payload=self)
+        self.sim.schedule_at(next_at, self._request)
 
     # ------------------------------------------------------------------
     def achieved_fps(self, elapsed: float) -> float:

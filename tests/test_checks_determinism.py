@@ -7,6 +7,9 @@ firing — or starts over-firing — breaks the suite, not just the lint.
 
 from __future__ import annotations
 
+import ast
+import inspect
+
 import pytest
 
 from repro.checks import RULES, check_source
@@ -250,15 +253,16 @@ def test_lpc108_ignores_sanctioned_access(source):
 # LPC109 — per-event attribute lookups inside registered hot loops
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("source", [
-    # Attribute load in the loop body of a registered loop variant.
+    # Attribute load in the loop body of a registered loop.
     "def loop_plain(sim, queue):\n"
     "    while queue:\n"
     "        fn = sim.handler\n"
     "        fn()\n",
     # ...or in the loop condition itself.
-    "def loop_traced(sim, queue):\n"
-    "    while sim.queue:\n"
-    "        pass\n",
+    pytest.param("def loop_bounded(sim, queue):\n"
+                 "    while sim.queue:\n"
+                 "        pass\n",
+                 id="loop_condition"),
     # for-loops count too, and chained walks fire per link.
     "def loop_bounded(sim, queue):\n"
     "    for entry in queue:\n"
@@ -279,9 +283,10 @@ def test_lpc109_flags_hot_loop_attribute_loads(source):
     "    while queue:\n"
     "        if sim._stopped:\n"
     "            break\n",
-    "def loop_traced(sim, queue):\n"
-    "    while queue:\n"
-    "        ctx = sim._span_ctx\n",
+    pytest.param("def loop_plain(sim, queue):\n"
+                 "    while queue:\n"
+                 "        ctx = sim._span_ctx\n",
+                 id="span_ctx"),
     "def loop_bounded(sim, queue):\n"
     "    while queue:\n"
     "        if handle.cancelled:\n"
@@ -311,10 +316,17 @@ def test_lpc109_is_a_warning_with_hoist_hint():
 
 
 def test_lpc109_registry_matches_dispatch_module():
-    """The registry must name real functions — a renamed loop variant
-    that nobody re-registers would silently disable the rule."""
+    """The registry must name exactly the loops ``dispatch.py`` defines:
+    a renamed loop that nobody re-registers would silently disable the
+    rule, and a new loop that nobody registers would escape it."""
     from repro.kernel import dispatch
 
+    tree = ast.parse(inspect.getsource(dispatch))
+    loops = {node.name for node in tree.body
+             if isinstance(node, ast.FunctionDef)
+             and any(isinstance(inner, (ast.While, ast.For))
+                     for inner in ast.walk(node))}
+    assert loops == set(dispatch.HOT_LOOP)
     for name in dispatch.HOT_LOOP:
         assert callable(getattr(dispatch, name))
 

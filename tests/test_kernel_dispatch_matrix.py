@@ -1,13 +1,12 @@
-"""Dispatch-core matrix oracle: every run-loop variant must be
-byte-identical on seeded workloads.
+"""Dispatch-core matrix oracle: every trace mode must be byte-identical
+on seeded workloads.
 
-``Simulator.run`` selects a monomorphic loop variant at entry (see
-:mod:`repro.kernel.dispatch`).  That specialisation may not change
-*what* the simulation computes — only how fast.  These tests sweep the
-full variant matrix:
+Both run loops of :mod:`repro.kernel.dispatch` restore span context
+around callbacks; tracing may not change *what* the simulation
+computes — only what it records.  These tests sweep the matrix:
 
-* **trace**: off / ``head`` / ``ring`` / ``stream`` — the traced and
-  untraced loops, and every retention policy of the traced one;
+* **trace**: off / ``head`` / ``ring`` / ``stream`` — untraced runs,
+  and every retention policy of the tracer;
 * **metrics**: a periodic MONITOR-priority sampler on or off — the
   monitor events ride the same queue as everything else.
 
@@ -30,7 +29,7 @@ from repro.experiments.workloads import interferer_field, projector_room
 from repro.kernel.events import Priority
 from repro.kernel.scheduler import Simulator
 
-#: None = tracing disabled (the untraced loop variants).
+#: None = tracing disabled.
 TRACE_MODES = (None, "head", "ring", "stream")
 
 #: Case ids of the metrics arms.  Every case runs the one event store:

@@ -50,6 +50,15 @@ def test_negative_delay_fails_process(sim):
     assert isinstance(p.error, ProcessError)
 
 
+def test_nan_delay_fails_process(sim):
+    def proc():
+        yield float("nan")
+
+    p = spawn(sim, proc())
+    sim.run()
+    assert isinstance(p.error, ProcessError)
+
+
 def test_bad_yield_value_fails_process(sim):
     def proc():
         yield "nonsense"

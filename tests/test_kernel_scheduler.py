@@ -60,6 +60,63 @@ def test_schedule_in_past_rejected(sim):
         sim.schedule_at(1.0, lambda: None)
 
 
+@pytest.mark.parametrize("call", [
+    lambda sim: sim.schedule(float("nan"), lambda: None),
+    lambda sim: sim.schedule_at(float("nan"), lambda: None),
+    lambda sim: sim.every(float("nan"), lambda: None),
+    lambda sim: sim.run(until=float("nan")),
+], ids=["schedule", "schedule_at", "every", "run_until"])
+def test_nan_times_rejected(sim, call):
+    """A NaN key breaks the heap order: delays 3, nan, 1, 2, 0.5 used to
+    fire at 1, 0.5, 2, nan, 3, running the clock backwards."""
+    with pytest.raises(ScheduleError):
+        call(sim)
+    assert sim.pending() == 0
+
+
+@pytest.mark.parametrize("inner", [
+    lambda sim: sim.run(until=10.0),
+    lambda sim: sim.run(),
+    lambda sim: sim.step(),
+], ids=["run_until", "run", "step"])
+def test_run_does_not_nest(sim, inner):
+    """A callback cannot start a run of its own: an inner run(until=10)
+    inside run(until=5) used to leave the clock at 10, past the outer
+    horizon, and the outer call counted 1 of the 2 events that ran."""
+    refused = []
+    fired = []
+
+    def reenter():
+        with pytest.raises(ScheduleError):
+            inner(sim)
+        refused.append(sim.now)
+
+    sim.schedule(1.0, reenter)
+    sim.schedule(2.0, fired.append, 2)
+    assert sim.run(until=5.0) == 2
+    assert refused == [1.0]
+    assert fired == [2]
+    assert sim.now == 5.0
+    # The refused inner call leaves the simulator usable.
+    sim.schedule(1.0, fired.append, 6)
+    assert sim.run() == 1
+    assert fired == [2, 6]
+
+
+def test_max_events_stop_keeps_clock_before_horizon(sim):
+    """A run cut short by ``max_events`` must not jump the clock to its
+    horizon: the events still due before it would then run the clock
+    backwards."""
+    times = []
+    for t in (1.0, 2.0, 3.0):
+        sim.schedule(t, lambda: times.append(sim.now))
+    assert sim.run(until=10.0, max_events=1) == 1
+    assert sim.now == 1.0
+    assert sim.run(until=10.0) == 2
+    assert times == [1.0, 2.0, 3.0]
+    assert sim.now == 10.0
+
+
 def test_run_until_advances_clock_to_horizon(sim):
     sim.schedule(1.0, lambda: None)
     sim.run(until=10.0)
