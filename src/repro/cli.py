@@ -8,10 +8,9 @@ Subcommands:
 * ``demo [--seed S] [--horizon T]`` — run the instrumented Smart Projector
   scenario and print the layered LPC report plus paper coverage.
 * ``report --lpc`` — run the scripted-week scenario and print the
-  per-LPC-layer telemetry report (issue grid plus metrics).
-  ``--format json`` emits the same grid machine-readably; ``--stream``
-  renders from a live streaming aggregator instead of replaying stored
-  records (byte-identical either way).
+  per-LPC-layer telemetry report (issue grid plus metrics), folded from
+  the trace the scenario stores.  ``--format json`` emits the same grid
+  machine-readably.
 * ``bench`` — run every row of :data:`BENCHES`, write one
   ``BENCH_<name>.json`` per row, and print one verdict per gate; exits 1
   when any gate fails.  ``bench --help`` lists every gate with its
@@ -26,8 +25,8 @@ Subcommands:
 
 ``run`` and ``demo`` accept ``--trace CATEGORY_PREFIX`` and
 ``--trace-out FILE``: trace records (and completed spans) stream to the
-file while the command runs — one JSON object per line by default, or a
-packed struct-of-arrays ``.npz`` with ``--telemetry-format columnar``.
+file while the command runs — a packed struct-of-arrays when ``FILE``
+ends in ``.npz``, one JSON object per line otherwise.
 """
 
 from __future__ import annotations
@@ -81,20 +80,12 @@ def _trace_export(args: argparse.Namespace) -> Iterator[None]:
         yield
         return
     from .kernel import trace as ktrace
+    from .telemetry.columnar import open_writer
 
-    telemetry_format = getattr(args, "telemetry_format", "jsonl")
     if prefix is None:
         prefix = ""  # empty prefix = everything
-    if telemetry_format == "columnar":
-        from .telemetry.columnar import ColumnarWriter
-
-        writer = ColumnarWriter(pathlib.Path(out or "trace.npz"))
-        label = "columnar"
-    else:
-        from .telemetry.jsonl import JsonlWriter
-
-        writer = JsonlWriter(pathlib.Path(out or "trace.jsonl"))
-        label = "JSONL"
+    writer = open_writer(pathlib.Path(out or "trace.jsonl"))
+    label = "JSONL" if writer.format == "jsonl" else "columnar"
     remove_record = ktrace.add_default_subscriber(prefix,
                                                   writer.write_record)
 
@@ -118,13 +109,9 @@ def _add_trace_flags(parser: argparse.ArgumentParser) -> None:
                         help="stream trace records/spans under this "
                              "category prefix ('' = everything)")
     parser.add_argument("--trace-out", metavar="FILE", default=None,
-                        help="trace destination (default: trace.jsonl, "
-                             "or trace.npz with --telemetry-format "
-                             "columnar)")
-    parser.add_argument("--telemetry-format", choices=("jsonl", "columnar"),
-                        default="jsonl",
-                        help="trace export format: line-per-object JSONL "
-                             "(default) or packed columnar .npz")
+                        help="trace destination (default: trace.jsonl); "
+                             "a .npz name writes packed columnar arrays, "
+                             "any other line-per-object JSONL")
 
 
 @contextlib.contextmanager
@@ -254,11 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
                         default="text", dest="fmt",
                         help="with --lpc: classic text grid or the same "
                              "grid as byte-stable JSON")
-    report.add_argument("--stream", action="store_true",
-                        help="with --lpc: render from a streaming "
-                             "aggregator folded during the run instead "
-                             "of replaying stored records (byte-"
-                             "identical output)")
     report.set_defaults(func=_cmd_report)
 
     bench_cmd = sub.add_parser(
@@ -335,34 +317,20 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
         from .experiments.e9_analysis import _scripted_week
         from .telemetry.report import layer_report, layer_report_data
+        from .telemetry.streaming import StreamingAggregator
 
-        user_sources = {"presenter", "casual-1", "visitor-1"}
         title = (f"LPC run report — scripted week (seed={args.seed}, "
                  f"horizon={args.horizon:g}s)")
-        if args.stream:
-            # Fold telemetry live instead of replaying stored records:
-            # default hooks catch the simulator _scripted_week builds.
-            from .telemetry.streaming import StreamingAggregator
-
-            aggregator = StreamingAggregator(user_sources=user_sources)
-            remove = aggregator.install_default()
-            try:
-                room, _model, _instrument = _scripted_week(
-                    seed=args.seed, horizon=args.horizon)
-            finally:
-                remove()
-            source = aggregator.bind(room.sim)
-        else:
-            room, _model, _instrument = _scripted_week(
-                seed=args.seed, horizon=args.horizon)
-            source = room.sim
+        room, _model, _instrument = _scripted_week(seed=args.seed,
+                                                   horizon=args.horizon)
+        aggregator = StreamingAggregator(
+            user_sources={"presenter", "casual-1", "visitor-1"},
+        ).replay(room.sim)
         if args.fmt == "json":
-            data = layer_report_data(source, user_sources=user_sources,
-                                     title=title)
+            data = layer_report_data(aggregator, title=title)
             print(json.dumps(data, sort_keys=True, indent=2))
         else:
-            print(layer_report(source, user_sources=user_sources,
-                               title=title), end="")
+            print(layer_report(aggregator, title=title), end="")
         return 0
     if args.fmt == "json":
         print("error: --format json needs --lpc", file=sys.stderr)

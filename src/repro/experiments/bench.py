@@ -413,7 +413,7 @@ def bench_shard(cells: int = SHARD_CELLS,
     counts taken from the oracle logs.  Merged telemetry must equal the
     oracle's summary.  The wall-clock ratio is the headline speedup.
     """
-    from ..telemetry.summary import merge_summaries, telemetry_summary
+    from ..telemetry.summary import merge_summaries
     from .cellgrid import (cell_layout, cell_room, cell_rooms,
                            deliveries_by_room, e11_sharded_cells)
 
@@ -424,7 +424,7 @@ def bench_shard(cells: int = SHARD_CELLS,
     oracle = cell_rooms(layout)
     oracle.sim.run(until=horizon)
     oracle_wall = time.perf_counter() - t0
-    oracle_summary = telemetry_summary(oracle.sim, stream=oracle.aggregator)
+    oracle_summary = oracle.aggregator.summary()
     by_room = deliveries_by_room(layout, oracle.deliveries)
     oracle_logs = [by_room.get(room, []) for room in range(cells)]
 
@@ -615,9 +615,9 @@ def bench_telemetry(events: int = TELEMETRY_EVENTS,
       chunked so neither the benchmark nor the writers ever hold the
       full record list; reports bytes-on-disk and writer-only wall time.
     * **summary equivalence**: twin seeded kernel runs — one stored and
-      replayed, one ``stream``-mode folded by a
-      ``StreamingAggregator`` — must produce byte-identical
-      ``telemetry_summary`` dicts.
+      folded afterwards by ``StreamingAggregator.replay``, one
+      ``stream``-mode folded live by ``StreamingAggregator.attach`` —
+      must produce byte-identical summaries.
     * **memory**: the same run traced in ``head`` mode (stores every
       record) vs ``stream`` mode (stores nothing), peak traced memory
       compared (``telemetry.stream_memory_ratio``).
@@ -630,7 +630,7 @@ def bench_telemetry(events: int = TELEMETRY_EVENTS,
 
     from ..telemetry.columnar import ColumnarWriter
     from ..telemetry.jsonl import JsonlWriter
-    from ..telemetry.summary import telemetry_summary
+    from ..telemetry.streaming import StreamingAggregator
 
     with tempfile.TemporaryDirectory() as tmp:
         tmp_path = pathlib.Path(tmp)
@@ -642,9 +642,9 @@ def bench_telemetry(events: int = TELEMETRY_EVENTS,
     replay_sim, _ = _telemetry_chain(TELEMETRY_SUMMARY_EVENTS, "head", False)
     stream_sim, aggregator = _telemetry_chain(
         TELEMETRY_SUMMARY_EVENTS, "stream", True)
-    replay_summary = telemetry_summary(replay_sim,
-                                       user_sources=("bench-user",))
-    stream_summary = telemetry_summary(stream_sim, stream=aggregator)
+    replay_summary = StreamingAggregator(
+        user_sources=("bench-user",)).replay(replay_sim).summary()
+    stream_summary = aggregator.summary()
     summary_identical = (
         json.dumps(replay_summary, sort_keys=True, default=repr)
         == json.dumps(stream_summary, sort_keys=True, default=repr))

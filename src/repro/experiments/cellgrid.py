@@ -35,7 +35,7 @@ from ..net.addresses import BROADCAST
 from ..net.frames import Frame
 from ..phys.mac import CsmaMac, WirelessMedium
 from ..telemetry.streaming import StreamingAggregator
-from ..telemetry.summary import merge_summaries, telemetry_summary
+from ..telemetry.summary import merge_summaries
 from .harness import ExperimentResult, experiment
 from .sweeps import sweep
 
@@ -225,8 +225,7 @@ def _room_row(seed: int, room: int, cells: int, stations_per_cell: int,
     return {"stations": layout.stations_per_cell,
             "deliveries": len(rooms.deliveries),
             "senders": len({src for _, src, _ in rooms.deliveries}),
-            "telemetry": telemetry_summary(rooms.sim,
-                                           stream=rooms.aggregator)}
+            "telemetry": rooms.aggregator.summary()}
 
 
 @experiment("E11")

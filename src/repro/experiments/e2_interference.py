@@ -16,7 +16,6 @@ from typing import Sequence
 
 from ..metrics.stats import jains_fairness
 from ..telemetry.streaming import StreamingAggregator
-from ..telemetry.summary import telemetry_summary
 from .harness import ExperimentResult, experiment
 from .sweeps import sweep
 from .workloads import interferer_field, projector_room
@@ -27,10 +26,8 @@ def _measure_density(pairs: int, channel_plan: str, seed: int,
                      frame_bytes: int) -> dict:
     room = projector_room(seed=seed, trace=False, register=False)
     sim = room.sim
-    # Fold issue telemetry incrementally instead of replaying the record
-    # list afterwards — with trace=False only issues are emitted, so the
-    # streaming summary is byte-identical to the replay one, and only the
-    # folded aggregate crosses the fork pipe in parallel sweeps.
+    # Fold issue telemetry as it happens, so only the folded aggregate
+    # crosses the fork pipe in parallel sweeps.
     aggregator = StreamingAggregator().attach(sim)
     field = interferer_field(room, pairs, channel_plan=channel_plan)
 
@@ -60,7 +57,7 @@ def _measure_density(pairs: int, channel_plan: str, seed: int,
         # Per-point health summary; sweep() lifts this reserved key onto
         # ExperimentResult.telemetry (it never enters the table, and only
         # this small dict crosses the fork pipe in parallel runs).
-        "telemetry": telemetry_summary(sim, stream=aggregator),
+        "telemetry": aggregator.summary(),
     }
 
 

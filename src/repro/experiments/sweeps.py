@@ -226,13 +226,13 @@ def _execute_parallel(run_one: Callable[..., Mapping[str, Any]],
                 on_row(index, row)
 
     try:
+        task_blob = pickle.dumps(chunks)
+    except Exception as exc:
+        raise ExperimentError(
+            "sweep point values must be picklable for parallel "
+            f"execution (workers>1): {exc!r}") from exc
+    try:
         if _is_picklable(run_one):
-            try:
-                task_blob = pickle.dumps(chunks)
-            except Exception as exc:
-                raise ExperimentError(
-                    "sweep point values must be picklable for parallel "
-                    f"execution (workers>1): {exc!r}") from exc
             pool = _shared_pool(workers)
             try:
                 consume([pool.submit(_run_pickled_chunk, run_one, chunk)
@@ -247,7 +247,6 @@ def _execute_parallel(run_one: Callable[..., Mapping[str, Any]],
             # Fork inheritance: the initializer receives run_one by
             # address space, so closures and lambdas work — at the price
             # of a fresh executor for this one sweep.
-            task_blob = pickle.dumps(chunks)
             pool = ProcessPoolExecutor(
                 effective, mp_context=multiprocessing.get_context("fork"),
                 initializer=_init_worker, initargs=(run_one,))

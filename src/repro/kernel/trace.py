@@ -139,13 +139,12 @@ NULL_SPAN = _NullSpan()
 
 # ---------------------------------------------------------------------------
 # Process-default hooks: installed into every Tracer constructed afterwards.
-# The CLI uses these to stream records/spans to a JSONL file from runs whose
-# simulators are built deep inside an experiment.
+# The CLI uses these to stream records/spans to a telemetry file from runs
+# whose simulators are built deep inside an experiment.
 # ---------------------------------------------------------------------------
 
 _DEFAULT_SUBSCRIBERS: List[Tuple[str, Callable[[TraceRecord], None]]] = []
 _DEFAULT_SPAN_HOOKS: List[Callable[[Span], None]] = []
-_DEFAULT_SPAN_BEGIN_HOOKS: List[Callable[[Span], None]] = []
 
 
 def add_default_subscriber(prefix: str,
@@ -175,24 +174,6 @@ def add_default_span_hook(callback: Callable[[Span], None],
     def remove() -> None:
         try:
             _DEFAULT_SPAN_HOOKS.remove(callback)
-        except ValueError:
-            pass
-
-    return remove
-
-
-def add_default_span_begin_hook(callback: Callable[[Span], None],
-                                ) -> Callable[[], None]:
-    """Call ``callback(span)`` on span *begin* in every *future* Tracer.
-
-    Begin hooks let streaming consumers observe spans that never close
-    (leaks, crashes) without the tracer retaining the span list.
-    """
-    _DEFAULT_SPAN_BEGIN_HOOKS.append(callback)
-
-    def remove() -> None:
-        try:
-            _DEFAULT_SPAN_BEGIN_HOOKS.remove(callback)
         except ValueError:
             pass
 
@@ -257,8 +238,7 @@ class Tracer:
         self._routes: Dict[str, Tuple[Callable[[TraceRecord], None], ...]] = {}
         self._span_hooks: List[Callable[[Span], None]] = \
             list(_DEFAULT_SPAN_HOOKS)
-        self._span_begin_hooks: List[Callable[[Span], None]] = \
-            list(_DEFAULT_SPAN_BEGIN_HOOKS)
+        self._span_begin_hooks: List[Callable[[Span], None]] = []
         self.dropped = 0
 
     # ------------------------------------------------------------------

@@ -18,9 +18,10 @@ struct-of-arrays NumPy ``.npz``:
 
 ``read_columnar`` reconstructs the identical logical dicts that
 ``read_jsonl`` returns (records in emit order, then spans, then metrics
-snapshots), so every downstream consumer can take either file.  The same
-logical schema is available as an Arrow/Parquet file when ``pyarrow`` is
-installed — an optional extra; this repo's environment works without it.
+snapshots), so every downstream consumer can take either file.  The file
+suffix picks the format both ways: :func:`open_writer` and
+:func:`write_run` write columnar for ``.npz`` and JSONL otherwise, and
+:func:`read_telemetry` reads by the same rule.
 
 The ``.npz`` container is byte-deterministic: NumPy stamps zip entries
 with the fixed DOS epoch, so the same seeded run produces a
@@ -33,41 +34,19 @@ from __future__ import annotations
 import io
 import json
 import pathlib
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple, Union
 
 import numpy as np
 
-from ..kernel.errors import ConfigurationError
 from ..kernel.scheduler import Simulator
 from ..kernel.trace import Span, TraceRecord
-
-try:  # pragma: no cover - exercised only where pyarrow is installed
-    import pyarrow as _pa
-    import pyarrow.parquet as _pq
-    HAVE_PYARROW = True
-except ImportError:  # pragma: no cover - the baked image has no pyarrow
-    _pa = None
-    _pq = None
-    HAVE_PYARROW = False
-
-#: Recognised columnar backends.  ``npz`` is always available; ``parquet``
-#: needs the optional ``pyarrow`` extra.
-COLUMNAR_BACKENDS: Tuple[str, ...] = ("npz", "parquet")
+from .jsonl import JsonlWriter, _dumps, read_jsonl
 
 #: Schema version embedded in every file's ``meta`` block.
 SCHEMA_VERSION = 1
 
 #: Sentinel stored in the ``span_parent`` column for root spans.
 NO_PARENT = -1
-
-
-def _default(obj: Any) -> str:
-    return repr(obj)
-
-
-def _dumps(payload: Any) -> str:
-    """Canonical JSON — the same rules the JSONL exporter uses."""
-    return json.dumps(payload, sort_keys=True, default=_default)
 
 
 def _smallest_uint(max_value: int) -> Any:
@@ -141,27 +120,16 @@ class ColumnarWriter:
 
     Args:
         path: output file (parents created).
-        backend: ``"npz"`` (default) or ``"parquet"`` (needs pyarrow).
         metrics: optional metrics registry (anything with ``counter``);
-            records ``telemetry.export.<backend>.*`` counters at close.
-        compress: zip-deflate the npz (smaller, slower; off by default so
-            export speed is bounded by packing, not compression).
+            records ``telemetry.export.npz.*`` counters at close.
     """
 
-    def __init__(self, path: pathlib.Path, backend: str = "npz",
-                 metrics: Any = None, compress: bool = False) -> None:
-        if backend not in COLUMNAR_BACKENDS:
-            raise ConfigurationError(
-                f"unknown columnar backend {backend!r}; "
-                f"choose from {COLUMNAR_BACKENDS}")
-        if backend == "parquet" and not HAVE_PYARROW:
-            raise ConfigurationError(
-                "columnar backend 'parquet' needs the optional pyarrow "
-                "extra, which is not installed — use the 'npz' backend")
+    #: format tag used in the ``telemetry.export.<format>.*`` counters.
+    format = "npz"
+
+    def __init__(self, path: pathlib.Path, metrics: Any = None) -> None:
         self.path = pathlib.Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.format = backend
-        self.compress = compress
         self.lines = 0
         self.bytes = 0
         self.records_written = 0
@@ -284,69 +252,13 @@ class ColumnarWriter:
             "met_data": np.array(self._met_data, dtype=code_dtype),
         }
 
-    def _write_npz(self, columns: Dict[str, np.ndarray]) -> None:
-        buffer = io.BytesIO()
-        if self.compress:
-            np.savez_compressed(buffer, **columns)
-        else:
-            np.savez(buffer, **columns)
-        self.path.write_bytes(buffer.getvalue())
-
-    def _write_parquet(self, columns: Dict[str, np.ndarray]) -> None:
-        # One unified table, one row per logical line, unused cells null —
-        # the same logical schema as the JSONL lines and the npz arrays.
-        strings = _pool_strings(columns["pool_bytes"], columns["pool_len"])
-        rows: Dict[str, List[Any]] = {
-            "type": [], "time": [], "category": [], "source": [],
-            "message": [], "data": [], "span_id": [], "parent_id": [],
-            "start": [], "end": [], "status": [],
-        }
-        for i in range(len(columns["rec_time"])):
-            rows["type"].append("record")
-            rows["time"].append(float(columns["rec_time"][i]))
-            rows["category"].append(strings[int(columns["rec_category"][i])])
-            rows["source"].append(strings[int(columns["rec_source"][i])])
-            rows["message"].append(strings[int(columns["rec_message"][i])])
-            rows["data"].append(strings[int(columns["rec_data"][i])])
-            rows["span_id"].append(None)
-            rows["parent_id"].append(None)
-            rows["start"].append(None)
-            rows["end"].append(None)
-            rows["status"].append(None)
-        for i in range(len(columns["span_id"])):
-            parent = int(columns["span_parent"][i])
-            end = float(columns["span_end"][i])
-            rows["type"].append("span")
-            rows["time"].append(None)
-            rows["category"].append(strings[int(columns["span_category"][i])])
-            rows["source"].append(strings[int(columns["span_source"][i])])
-            rows["message"].append(None)
-            rows["data"].append(strings[int(columns["span_data"][i])])
-            rows["span_id"].append(int(columns["span_id"][i]))
-            rows["parent_id"].append(None if parent == NO_PARENT else parent)
-            rows["start"].append(float(columns["span_start"][i]))
-            rows["end"].append(None if np.isnan(end) else end)
-            rows["status"].append(strings[int(columns["span_status"][i])])
-        for code in columns["met_data"].tolist():
-            rows["type"].append("metrics")
-            for key in ("time", "category", "source", "message", "span_id",
-                        "parent_id", "start", "end", "status"):
-                rows[key].append(None)
-            rows["data"].append(strings[int(code)])
-        table = _pa.table(rows)
-        table = table.replace_schema_metadata(
-            {"repro_meta": columns["meta"].tobytes().decode("utf-8")})
-        _pq.write_table(table, self.path)
-
     def flush(self) -> None:
         """Repack every buffered line and rewrite the container."""
         if self._closed:
             return
-        columns = self._columns()
-        if self.format == "parquet":
-            self._write_parquet(columns)
-        else:
-            self._write_npz(columns)
+        buffer = io.BytesIO()
+        np.savez(buffer, **self._columns())
+        self.path.write_bytes(buffer.getvalue())
         self.bytes = self.path.stat().st_size
 
     def close(self) -> None:
@@ -371,27 +283,32 @@ class ColumnarWriter:
         self.close()
 
 
-def write_run_columnar(path: pathlib.Path, sim: Simulator,
-                       prefix: str = "",
-                       include_metrics: bool = True,
-                       backend: Optional[str] = None,
-                       compress: bool = False,
-                       account: bool = False) -> Dict[str, int]:
-    """Export a finished run's stored telemetry to a columnar ``path``.
+def open_writer(path: pathlib.Path, metrics: Any = None,
+                ) -> Union[ColumnarWriter, JsonlWriter]:
+    """The telemetry writer for ``path``'s suffix: columnar for ``.npz``,
+    JSONL for anything else."""
+    if str(path).endswith(".npz"):
+        return ColumnarWriter(path, metrics=metrics)
+    return JsonlWriter(path, metrics=metrics)
 
-    The columnar twin of
-    :func:`~repro.telemetry.jsonl.write_run_jsonl`: same filtering by
-    category ``prefix``, same trailing metrics snapshot, same counts
-    dict, same opt-in ``account`` semantics for the
-    ``telemetry.export.*`` counters.  ``backend`` defaults by suffix
-    (``.parquet`` selects parquet, anything else npz).
+
+def write_run(path: pathlib.Path, sim: Simulator, prefix: str = "",
+              include_metrics: bool = True,
+              account: bool = False) -> Dict[str, int]:
+    """Export a finished run's stored telemetry to ``path``.
+
+    The format follows the suffix (see :func:`open_writer`).  Records
+    and spans are filtered by category ``prefix`` (empty = all); a final
+    metrics snapshot rides along by default.  Returns counts per line
+    type.  With ``account=True`` the export cost lands in the
+    simulator's ``telemetry.export.<format>.*`` counters after the
+    snapshot line is written — the file never contains them, but a
+    re-export of the same sim then would, so accounting is opt-in to
+    keep repeated exports byte-identical by default.
     """
-    if backend is None:
-        backend = "parquet" if str(path).endswith(".parquet") else "npz"
     counts = {"records": 0, "spans": 0, "metrics": 0}
     registry = sim.metrics if account else None
-    with ColumnarWriter(path, backend=backend, metrics=registry,
-                        compress=compress) as writer:
+    with open_writer(path, metrics=registry) as writer:
         for record in sim.tracer.records:
             if not prefix or record.matches(prefix):
                 writer.write_record(record)
@@ -406,7 +323,13 @@ def write_run_columnar(path: pathlib.Path, sim: Simulator,
     return counts
 
 
-def _read_npz(path: pathlib.Path) -> List[Dict[str, Any]]:
+def read_columnar(path: pathlib.Path) -> List[Dict[str, Any]]:
+    """Parse a columnar telemetry file back into logical line dicts.
+
+    Returns the same dicts :func:`~repro.telemetry.jsonl.read_jsonl`
+    yields for the equivalent JSONL export — records in emit order, then
+    spans, then metrics snapshots — so consumers are format-agnostic.
+    """
     with np.load(path) as archive:
         columns = {key: archive[key] for key in archive.files}
     strings = _pool_strings(columns["pool_bytes"], columns["pool_len"])
@@ -452,60 +375,9 @@ def _read_npz(path: pathlib.Path) -> List[Dict[str, Any]]:
     return lines
 
 
-def _read_parquet(path: pathlib.Path) -> List[Dict[str, Any]]:
-    # pragma: no cover - needs the optional pyarrow extra
-    if not HAVE_PYARROW:
-        raise ConfigurationError(
-            f"{path}: reading parquet needs the optional pyarrow extra, "
-            "which is not installed")
-    table = _pq.read_table(path)
-    rows = table.to_pylist()
-    lines: List[Dict[str, Any]] = []
-    for row in rows:
-        kind = row["type"]
-        if kind == "record":
-            lines.append({
-                "type": "record",
-                "time": row["time"],
-                "category": row["category"],
-                "source": row["source"],
-                "message": row["message"],
-                "data": json.loads(row["data"]),
-            })
-        elif kind == "span":
-            lines.append({
-                "type": "span",
-                "span_id": row["span_id"],
-                "parent_id": row["parent_id"],
-                "category": row["category"],
-                "source": row["source"],
-                "start": row["start"],
-                "end": row["end"],
-                "status": row["status"],
-                "data": json.loads(row["data"]),
-            })
-        else:
-            lines.append({"type": "metrics", **json.loads(row["data"])})
-    return lines
-
-
-def read_columnar(path: pathlib.Path) -> List[Dict[str, Any]]:
-    """Parse a columnar telemetry file back into logical line dicts.
-
-    Returns the same dicts :func:`~repro.telemetry.jsonl.read_jsonl`
-    yields for the equivalent JSONL export — records in emit order, then
-    spans, then metrics snapshots — so consumers are format-agnostic.
-    """
-    path = pathlib.Path(path)
-    if str(path).endswith(".parquet"):
-        return _read_parquet(path)
-    return _read_npz(path)
-
-
 def read_telemetry(path: pathlib.Path) -> List[Dict[str, Any]]:
-    """Format-sniffing reader: JSONL or columnar by file suffix."""
-    from .jsonl import read_jsonl
-    name = str(path)
-    if name.endswith(".npz") or name.endswith(".parquet"):
+    """Read a telemetry file by its suffix: columnar for ``.npz``, JSONL
+    for anything else (the rule :func:`open_writer` writes by)."""
+    if str(path).endswith(".npz"):
         return read_columnar(path)
     return read_jsonl(path)

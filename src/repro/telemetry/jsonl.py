@@ -27,7 +27,6 @@ import pathlib
 import warnings
 from typing import Any, Dict, Iterable, List, Optional
 
-from ..kernel.scheduler import Simulator
 from ..kernel.trace import Span, TraceRecord
 
 
@@ -139,37 +138,6 @@ class JsonlWriter:
 
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
-
-
-def write_run_jsonl(path: pathlib.Path, sim: Simulator,
-                    prefix: str = "",
-                    include_metrics: bool = True,
-                    account: bool = False) -> Dict[str, int]:
-    """Export a finished run's stored telemetry to ``path``.
-
-    Records and spans are filtered by category ``prefix`` (empty = all);
-    a final metrics snapshot rides along by default.  Returns counts per
-    line type.  With ``account=True`` the export cost lands in the
-    simulator's ``telemetry.export.jsonl.*`` counters after the snapshot
-    line is written — the file never contains them, but a re-export of
-    the same sim then would, so accounting is opt-in to keep repeated
-    exports byte-identical by default.
-    """
-    counts = {"records": 0, "spans": 0, "metrics": 0}
-    registry = sim.metrics if account else None
-    with JsonlWriter(path, metrics=registry) as writer:
-        for record in sim.tracer.records:
-            if not prefix or record.matches(prefix):
-                writer.write_record(record)
-                counts["records"] += 1
-        for span in sim.tracer.spans:
-            if not prefix or span.matches(prefix):
-                writer.write_span(span)
-                counts["spans"] += 1
-        if include_metrics:
-            writer.write_metrics(sim.metrics.snapshot())
-            counts["metrics"] = 1
-    return counts
 
 
 def read_jsonl(path: pathlib.Path) -> List[Dict[str, Any]]:

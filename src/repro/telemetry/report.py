@@ -2,109 +2,42 @@
 
 The paper positions the LPC model as a tool for "properly classifying
 issues raised during discussion"; :func:`layer_report` does exactly that
-for a *live* run: every ``issue.*`` record is routed through the existing
-:class:`~repro.core.concerns.ConcernClassifier` and tallied into the
-five-layer, two-column grid of Figure 1, followed by the health signals
-the metrics registry collected.
-
-The report accepts two sources and renders byte-identically from either:
-a finished :class:`~repro.kernel.scheduler.Simulator` (the classic
-record-replay path) or a
+for a run: every ``issue.*`` record, classified by the
 :class:`~repro.telemetry.streaming.StreamingAggregator` that folded the
-run incrementally — which is the only option when the tracer ran in
-``stream`` mode and stored nothing.
+run, is tallied into the five-layer, two-column grid of Figure 1,
+followed by the health signals the metrics registry collected.  The
+aggregator may have watched the run live (:meth:`~repro.telemetry
+.streaming.StreamingAggregator.attach`, the only option when the tracer
+ran in ``stream`` mode and stored nothing) or replayed its stored trace
+afterwards (:meth:`~repro.telemetry.streaming.StreamingAggregator
+.replay`); the report is the same.
 
 Output is deterministic: same seed, same report, byte for byte — counts
 come from the trace, ordering from the model's own layer enumeration and
-sorted metric names.  :func:`layer_report_data` exposes the same grid as
-a machine-readable dict for ``repro.cli report --format json``.
+sorted metric names.  :func:`layer_report_data` is the grid as a
+machine-readable dict (``repro.cli report --format json``), and
+:func:`layer_report` renders that dict as text.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Tuple, Union
+from typing import Any, Dict
 
-from ..core.concerns import ConcernClassifier
-from ..core.layers import DEVICE_SIDE, USER_SIDE, Column, Layer, layers_top_down
-from ..kernel.scheduler import Simulator
-
-#: Anything layer_report can render: a finished simulator (replay) or a
-#: StreamingAggregator (duck-typed on ``layer_counts`` to keep this
-#: module import-light).
-ReportSource = Union[Simulator, Any]
+from ..core.layers import DEVICE_SIDE, USER_SIDE, Column, layers_top_down
+from .streaming import StreamingAggregator
 
 
-def _classify_issues(sim: Simulator, user_sources: Iterable[str],
-                     ) -> Tuple[Dict[Tuple[Layer, Column], int], int]:
-    classifier = ConcernClassifier()
-    users = set(user_sources)
-    counts: Dict[Tuple[Layer, Column], int] = {}
-    unclassified = 0
-    for record in sim.tracer.issues():
-        try:
-            concern = classifier.from_trace(record, users)
-        except Exception:
-            unclassified += 1
-            continue
-        column = (Column.USER if concern.column == Column.USER
-                  else Column.DEVICE)
-        key = (concern.layer, column)
-        counts[key] = counts.get(key, 0) + 1
-    return counts, unclassified
+def layer_report_data(aggregator: StreamingAggregator,
+                      title: str = "LPC run report") -> Dict[str, Any]:
+    """The layer grid as a machine-readable dict (for ``--format json``).
 
-
-def _source_stats(source: ReportSource, user_sources: Iterable[str],
-                  ) -> Dict[str, Any]:
-    """Normalise either source into the numbers the report renders.
-
-    A StreamingAggregator is recognised by its ``layer_counts`` method;
-    everything else is treated as a simulator and replayed.
+    Layers keep the model's top-down order; every leaf is a JSON type,
+    so ``json.dumps(..., sort_keys=True)`` is byte-stable across runs of
+    the same seed.
     """
-    if hasattr(source, "layer_counts"):
-        sim = source.sim
-        counts, unclassified = source.layer_counts()
-        return {
-            "sim": sim,
-            "counts": counts,
-            "unclassified": unclassified,
-            "records": source.records_seen,
-            "dropped": sim.tracer.dropped,
-            "spans": source.spans_begun,
-            "spans_open": source.spans_open,
-        }
-    counts, unclassified = _classify_issues(source, user_sources)
-    tracer = source.tracer
-    return {
-        "sim": source,
-        "counts": counts,
-        "unclassified": unclassified,
-        "records": len(tracer),
-        "dropped": tracer.dropped,
-        "spans": tracer.span_count,
-        "spans_open": tracer.open_span_count,
-    }
-
-
-def layer_report(source: ReportSource, user_sources: Iterable[str] = (),
-                 title: str = "LPC run report") -> str:
-    """Render the per-layer issue grid plus metrics for a finished run."""
-    stats = _source_stats(source, user_sources)
-    sim = stats["sim"]
-    counts = stats["counts"]
-
-    lines = [title, "=" * len(title), ""]
-    lines.append(f"simulated time  : {sim.now:.2f} s")
-    lines.append(f"events executed : {sim.events_executed}")
-    lines.append(f"trace records   : {stats['records']} "
-                 f"({stats['dropped']} dropped)")
-    lines.append(f"spans           : {stats['spans']} "
-                 f"({stats['spans_open']} open)")
-    lines.append("")
-
-    header = (f"{'layer':<12} {'device artifact':<28} {'issues':>6}   "
-              f"{'user artifact':<20} {'issues':>6}")
-    lines.append(header)
-    lines.append("-" * len(header))
+    sim = aggregator.sim
+    counts, unclassified = aggregator.layer_counts()
+    layers = []
     device_total = 0
     user_total = 0
     for layer in layers_top_down():
@@ -112,17 +45,59 @@ def layer_report(source: ReportSource, user_sources: Iterable[str] = (),
         user_count = counts.get((layer, Column.USER), 0)
         device_total += device_count
         user_total += user_count
-        lines.append(
-            f"{layer.title:<12} {DEVICE_SIDE[layer]:<28} {device_count:>6}   "
-            f"{USER_SIDE[layer]:<20} {user_count:>6}")
-    lines.append("-" * len(header))
-    lines.append(
-        f"{'total':<12} {'':<28} {device_total:>6}   {'':<20} {user_total:>6}")
-    if stats["unclassified"]:
-        lines.append(f"unclassified issues: {stats['unclassified']}")
+        layers.append({
+            "layer": layer.name.lower(),
+            "device_artifact": DEVICE_SIDE[layer],
+            "device_issues": device_count,
+            "user_artifact": USER_SIDE[layer],
+            "user_issues": user_count,
+        })
+    return {
+        "title": title,
+        "sim_time": sim.now,
+        "events_executed": sim.events_executed,
+        "records": aggregator.records_seen,
+        "records_dropped": sim.tracer.dropped,
+        "spans": aggregator.spans_begun,
+        "spans_open": aggregator.spans_open,
+        "layers": layers,
+        "totals": {"device": device_total, "user": user_total},
+        "unclassified_issues": unclassified,
+        "metrics": sim.metrics.snapshot(),
+    }
+
+
+def layer_report(aggregator: StreamingAggregator,
+                 title: str = "LPC run report") -> str:
+    """Render the per-layer issue grid plus metrics for a finished run."""
+    data = layer_report_data(aggregator, title)
+    lines = [title, "=" * len(title), ""]
+    lines.append(f"simulated time  : {data['sim_time']:.2f} s")
+    lines.append(f"events executed : {data['events_executed']}")
+    lines.append(f"trace records   : {data['records']} "
+                 f"({data['records_dropped']} dropped)")
+    lines.append(f"spans           : {data['spans']} "
+                 f"({data['spans_open']} open)")
     lines.append("")
 
-    snapshot = sim.metrics.snapshot()
+    header = (f"{'layer':<12} {'device artifact':<28} {'issues':>6}   "
+              f"{'user artifact':<20} {'issues':>6}")
+    lines.append(header)
+    lines.append("-" * len(header))
+    for layer, row in zip(layers_top_down(), data["layers"]):
+        lines.append(
+            f"{layer.title:<12} {row['device_artifact']:<28} "
+            f"{row['device_issues']:>6}   "
+            f"{row['user_artifact']:<20} {row['user_issues']:>6}")
+    lines.append("-" * len(header))
+    totals = data["totals"]
+    lines.append(f"{'total':<12} {'':<28} {totals['device']:>6}   "
+                 f"{'':<20} {totals['user']:>6}")
+    if data["unclassified_issues"]:
+        lines.append(f"unclassified issues: {data['unclassified_issues']}")
+    lines.append("")
+
+    snapshot = data["metrics"]
     if snapshot["counters"]:
         lines.append("counters")
         lines.append("--------")
@@ -147,45 +122,3 @@ def layer_report(source: ReportSource, user_sources: Iterable[str] = (),
                 f"abandoned={latency['abandoned']}")
         lines.append("")
     return "\n".join(lines).rstrip("\n") + "\n"
-
-
-def layer_report_data(source: ReportSource,
-                      user_sources: Iterable[str] = (),
-                      title: str = "LPC run report") -> Dict[str, Any]:
-    """The layer grid as a machine-readable dict (for ``--format json``).
-
-    Layers keep the model's top-down order; every leaf is a JSON type,
-    so ``json.dumps(..., sort_keys=True)`` is byte-stable across runs of
-    the same seed.
-    """
-    stats = _source_stats(source, user_sources)
-    sim = stats["sim"]
-    counts = stats["counts"]
-    layers = []
-    device_total = 0
-    user_total = 0
-    for layer in layers_top_down():
-        device_count = counts.get((layer, Column.DEVICE), 0)
-        user_count = counts.get((layer, Column.USER), 0)
-        device_total += device_count
-        user_total += user_count
-        layers.append({
-            "layer": layer.name.lower(),
-            "device_artifact": DEVICE_SIDE[layer],
-            "device_issues": device_count,
-            "user_artifact": USER_SIDE[layer],
-            "user_issues": user_count,
-        })
-    return {
-        "title": title,
-        "sim_time": sim.now,
-        "events_executed": sim.events_executed,
-        "records": stats["records"],
-        "records_dropped": stats["dropped"],
-        "spans": stats["spans"],
-        "spans_open": stats["spans_open"],
-        "layers": layers,
-        "totals": {"device": device_total, "user": user_total},
-        "unclassified_issues": stats["unclassified"],
-        "metrics": sim.metrics.snapshot(),
-    }

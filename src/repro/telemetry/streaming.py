@@ -1,39 +1,42 @@
-"""Bounded-memory streaming aggregation of live telemetry.
+"""The one fold of a run's telemetry, live or from a stored trace.
 
-The replay path (:func:`~repro.telemetry.summary.telemetry_summary`,
-:func:`~repro.telemetry.report.layer_report`) walks the tracer's stored
-record list after the run.  At the million-event scale the ROADMAP's
-distributed shards target, storing that list is the dominant memory cost
-— and it is pure waste when all anyone reads afterwards is a handful of
-aggregates.
+:class:`StreamingAggregator` reduces a run's trace to fixed-size state:
+LPC issue counts per layer/column (via
+:class:`~repro.core.concerns.ConcernClassifier`), record/span totals,
+and per-category span-duration histograms over fixed log-spaced
+buckets.  Memory is O(layers + categories), never O(events).
 
-:class:`StreamingAggregator` subscribes to the tracer and folds every
-record and span *as it happens* into fixed-size state: LPC issue counts
-per layer/column (via the same :class:`~repro.core.concerns
-.ConcernClassifier` the replay path uses), record/span totals, and
-per-category span-duration histograms over fixed log-spaced buckets.
-Memory is O(layers + categories), never O(events) — pair it with the
-tracer's ``stream`` mode and a run retains nothing at all.
+It has two entries into the same fold:
 
-Equivalence contract (tier-1 tested): on an unbounded traced run,
-:meth:`StreamingAggregator.summary` is byte-identical to
-``telemetry_summary(sim)`` and feeding the aggregator to
-``layer_report`` reproduces the replay report byte for byte.  Bounded
-``head``/``ring`` tracers *drop* records from storage but still dispatch
-them to subscribers, so there the streaming totals are the more truthful
-of the two.
+* :meth:`StreamingAggregator.attach` subscribes to a simulator's tracer
+  and folds every record and span *as it happens* — the only option in
+  the tracer's ``stream`` mode, which stores nothing, and what sweeps
+  use so only the folded aggregate crosses the fork pipe;
+* :meth:`StreamingAggregator.replay` folds a finished run's stored
+  issues and spans after the fact — what ``repro.cli report --lpc``
+  does with the trace the scenario keeps anyway.
+
+Equivalence contract (tier-1 tested, on generated programs too): on an
+unbounded traced run, a replayed aggregator and one attached live give
+the same :meth:`~StreamingAggregator.summary` (key order included), the
+same layer report and the same span histograms.  Bounded
+``head``/``ring`` tracers *drop* records from storage but still
+dispatch them to subscribers, so there the live totals are the more
+truthful of the two.  Past ``max_categories`` span categories, which
+ones fold into ``"__other__"`` follows fold order — end order live,
+begin order replayed — so there the histograms may differ.
 """
 
 from __future__ import annotations
 
 import bisect
+import math
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..core.concerns import ConcernClassifier
 from ..core.layers import Column, Layer
 from ..kernel.scheduler import Simulator
-from ..kernel.trace import (Span, TraceRecord, add_default_span_begin_hook,
-                            add_default_span_hook, add_default_subscriber)
+from ..kernel.trace import Span, TraceRecord
 
 #: Log-spaced span-duration bucket edges (simulated seconds): a decade per
 #: bucket from 1 µs to 1 Ms, with an underflow and an overflow bucket.
@@ -49,57 +52,42 @@ OVERFLOW_CATEGORY = "__other__"
 
 
 def _new_histogram(edges: Tuple[float, ...]) -> Dict[str, Any]:
-    return {"count": 0, "sum": 0.0, "min": None, "max": None,
+    # "sum" holds exact partial sums until read out (see _add_exact).
+    return {"count": 0, "sum": [], "min": None, "max": None,
             "buckets": [0] * (len(edges) + 1)}
 
 
-def _fold_duration(hist: Dict[str, Any], edges: Tuple[float, ...],
-                   duration: float) -> None:
-    hist["count"] += 1
-    hist["sum"] += duration
-    hist["min"] = (duration if hist["min"] is None
-                   else min(hist["min"], duration))
-    hist["max"] = (duration if hist["max"] is None
-                   else max(hist["max"], duration))
-    hist["buckets"][bisect.bisect_right(edges, duration)] += 1
-
-
-def span_duration_histogram(spans: Iterable[Span],
-                            edges: Tuple[float, ...] = DEFAULT_SPAN_EDGES,
-                            ) -> Dict[str, Dict[str, Any]]:
-    """Replay twin of the streaming histograms: fold stored, *ended* spans.
-
-    Used by the equivalence tests to prove the incremental fold matches a
-    post-hoc pass over ``tracer.spans``.
-    """
-    out: Dict[str, Dict[str, Any]] = {}
-    for span in spans:
-        if span.end is None:
-            continue
-        hist = out.get(span.category)
-        if hist is None:
-            hist = out[span.category] = _new_histogram(edges)
-        _fold_duration(hist, edges, span.duration)
-    return dict(sorted(out.items()))
+def _add_exact(partials: List[float], value: float) -> None:
+    """Add ``value`` to the exact sum ``partials`` holds as
+    non-overlapping floats (Shewchuk's algorithm, the one behind
+    ``math.fsum``).  ``math.fsum(partials)`` then rounds once, so a
+    histogram's sum does not depend on the order its spans were folded
+    in: live folds see spans in end order, replay in begin order."""
+    i = 0
+    for partial in partials:
+        if abs(value) < abs(partial):
+            value, partial = partial, value
+        high = value + partial
+        low = partial - (high - value)
+        if low:
+            partials[i] = low
+            i += 1
+        value = high
+    partials[i:] = [value]
 
 
 class StreamingAggregator:
-    """Folds tracer output incrementally; O(1) memory in the event count.
+    """Folds tracer output into O(1) memory in the event count.
 
     Args:
         user_sources: component names whose issues land in the *user*
-            column (same contract as ``telemetry_summary``).
+            column; every other source is a device.
         edges: span-duration bucket edges (log-spaced by default).
         max_categories: distinct span categories before new ones fold
             into ``"__other__"``.
 
-    Wire-up, in either direction:
-
-    * :meth:`attach` subscribes to an existing simulator's tracer;
-    * :meth:`install_default` registers process-default hooks so
-      simulators constructed *later* (deep inside an experiment) feed
-      the aggregator — then :meth:`bind` the finished sim before
-      :meth:`summary`.
+    Feed it once, through :meth:`attach` before the run or
+    :meth:`replay` after it; both return the aggregator.
     """
 
     def __init__(self, user_sources: Iterable[str] = (),
@@ -133,28 +121,22 @@ class StreamingAggregator:
         self._removers.append(tracer.add_span_hook(self.on_span_end))
         return self
 
-    def install_default(self) -> Callable[[], None]:
-        """Feed every *future* tracer into this aggregator.
+    def replay(self, sim: Simulator) -> "StreamingAggregator":
+        """Fold ``sim``'s stored trace, as :meth:`attach` would have live.
 
-        Returns a remover; pair with :meth:`bind` once the run's
-        simulator exists so :meth:`summary` can read time/event totals.
+        Totals come from the tracer's O(1) counts; only the stored
+        issues and the ended spans go through the fold, so no record
+        object is built for a record that is not an issue.
         """
-        removers = [
-            add_default_subscriber("", self.on_record),
-            add_default_span_begin_hook(self.on_span_begin),
-            add_default_span_hook(self.on_span_end),
-        ]
-        self._removers.extend(removers)
-
-        def remove() -> None:
-            for remover in removers:
-                remover()
-
-        return remove
-
-    def bind(self, sim: Simulator) -> "StreamingAggregator":
-        """Associate ``sim`` without subscribing (hooks already wired)."""
         self._sim = sim
+        tracer = sim.tracer
+        self.records_seen += len(tracer)
+        for record in tracer.issues():
+            self._fold_issue(record)
+        self.spans_begun += tracer.span_count
+        for span in tracer.spans:
+            if span.end is not None:
+                self.on_span_end(span)
         return self
 
     def detach(self) -> None:
@@ -168,14 +150,16 @@ class StreamingAggregator:
     # ------------------------------------------------------------------
     def on_record(self, record: TraceRecord) -> None:
         self.records_seen += 1
-        if not record.matches("issue"):
-            return
+        if record.matches("issue"):
+            self._fold_issue(record)
+
+    def _fold_issue(self, record: TraceRecord) -> None:
         self.issues_seen += 1
         try:
             concern = self._classifier.from_trace(record, self._users)
         except Exception:
-            # Mirror telemetry_summary: an unplaceable issue counts under
-            # "unclassified" and must never kill the run that emitted it.
+            # An unplaceable issue counts under "unclassified" and must
+            # never kill the run that emitted it.
             self.unclassified += 1
             self._issues_by_layer["unclassified"] = \
                 self._issues_by_layer.get("unclassified", 0) + 1
@@ -205,17 +189,25 @@ class StreamingAggregator:
             if hist is None:
                 hist = self._histograms[category] = \
                     _new_histogram(self._edges)
-        _fold_duration(hist, self._edges, span.end - span.start)
+        duration = span.end - span.start
+        hist["count"] += 1
+        _add_exact(hist["sum"], duration)
+        hist["min"] = (duration if hist["min"] is None
+                       else min(hist["min"], duration))
+        hist["max"] = (duration if hist["max"] is None
+                       else max(hist["max"], duration))
+        hist["buckets"][bisect.bisect_right(self._edges, duration)] += 1
 
     # ------------------------------------------------------------------
     # Read-out
     # ------------------------------------------------------------------
     @property
     def sim(self) -> Simulator:
-        """The attached/bound simulator (raises if never wired)."""
+        """The attached or replayed simulator (raises if neither)."""
         if self._sim is None:
             raise ValueError(
-                "StreamingAggregator has no simulator — attach()/bind() one")
+                "StreamingAggregator has no simulator — attach() or "
+                "replay() one")
         return self._sim
 
     @property
@@ -227,23 +219,22 @@ class StreamingAggregator:
         return dict(self._grid), self.unclassified
 
     def span_histograms(self) -> Dict[str, Dict[str, Any]]:
-        """Per-category duration histograms, categories sorted."""
-        return {category: dict(hist, buckets=list(hist["buckets"]))
+        """Per-category duration histograms of ended spans, sorted."""
+        return {category: dict(hist, sum=math.fsum(hist["sum"]),
+                               buckets=list(hist["buckets"]))
                 for category, hist in sorted(self._histograms.items())}
 
-    def summary(self, sim: Optional[Simulator] = None) -> Dict[str, Any]:
-        """The streaming twin of ``telemetry_summary(sim)``.
+    def summary(self) -> Dict[str, Any]:
+        """The run in a few hundred bytes of JSON/pickle-friendly dict.
 
-        Byte-identical on unbounded traced runs (key order included);
-        closes the metrics registry, so call it when the run is over.
+        Event totals, trace volume, issues bucketed by LPC layer and
+        column (unplaceable ones under ``"unclassified"``), and the final
+        metrics snapshot.  A parallel sweep ships this instead of the raw
+        trace.  Closes the metrics registry (still-open latency
+        measurements become ``abandoned``), so call it when the run is
+        over.
         """
-        if sim is not None:
-            self._sim = sim
-        if self._sim is None:
-            raise ValueError(
-                "StreamingAggregator.summary() needs a simulator — "
-                "attach()/bind() one first or pass it in")
-        sim = self._sim
+        sim = self.sim
         return {
             "sim_time": sim.now,
             "events_executed": sim.events_executed,

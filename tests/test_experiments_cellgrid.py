@@ -29,7 +29,7 @@ from repro.experiments.cellgrid import (cell_layout, cell_room, cell_rooms,
 from repro.experiments.harness import run_experiment
 from repro.experiments.sweeps import shutdown_shared_pool
 from repro.kernel.errors import ConfigurationError, ExperimentError
-from repro.telemetry.summary import merge_summaries, telemetry_summary
+from repro.telemetry.summary import merge_summaries
 
 #: 3 cells x 6 stations: small enough for the fixed-hash-seed CI step.
 GRID = {"cells": 3, "stations_per_cell": 6, "seed": 11}
@@ -42,7 +42,7 @@ def _oracle():
     layout = cell_layout(**GRID)
     rooms = cell_rooms(layout)
     rooms.sim.run(until=HORIZON)
-    summary = telemetry_summary(rooms.sim, stream=rooms.aggregator)
+    summary = rooms.aggregator.summary()
     by_room = deliveries_by_room(layout, rooms.deliveries)
     return ([by_room.get(room, []) for room in range(layout.cells)],
             merge_summaries([summary]))

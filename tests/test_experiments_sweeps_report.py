@@ -192,6 +192,16 @@ def test_sweep_unpicklable_point_raises_clear_error():
                {"pairs": 1, "channel_plan": "y"}], workers=2)
 
 
+def test_sweep_unpicklable_point_with_closure_raises_clear_error():
+    import threading
+
+    # A lambda run_one takes the fork-inheritance path, which must reject
+    # an unpicklable point value the same way.
+    with pytest.raises(ExperimentError, match="picklable"):
+        sweep("X", "t", lambda seed, k: {"v": 1},
+              [{"k": threading.Lock()}, {"k": 1}], workers=2)
+
+
 def _run_one_boom(seed, k):
     raise ValueError("boom")
 

@@ -4,16 +4,16 @@ reports, and end-to-end causal-tree reconstruction over the wireless stack."""
 from __future__ import annotations
 
 from repro.env.world import World
-from repro.kernel.scheduler import Simulator
 from repro.net.stack import NetworkStack
 from repro.net.transport import ReliableEndpoint
 from repro.phys.mac import WirelessMedium
 from repro.phys.nic import WirelessNIC
 from repro.services.sessions import SessionManager
+from repro.telemetry.columnar import write_run
 from repro.telemetry.jsonl import (read_jsonl, span_ancestry_categories,
-                                   span_lines, write_run_jsonl)
+                                   span_lines)
 from repro.telemetry.report import layer_report
-from repro.telemetry.summary import telemetry_summary
+from repro.telemetry.streaming import StreamingAggregator
 
 
 # ---------------------------------------------------------------------------
@@ -26,7 +26,7 @@ def test_jsonl_round_trip(sim, tmp_path):
         pass
     sim.metrics.counter("mac.drops").add(2)
     path = tmp_path / "run.jsonl"
-    counts = write_run_jsonl(path, sim)
+    counts = write_run(path, sim)
     assert counts == {"records": 1, "spans": 1, "metrics": 1}
     lines = read_jsonl(path)
     assert [line["type"] for line in lines] == ["record", "span", "metrics"]
@@ -42,7 +42,7 @@ def test_jsonl_prefix_filter_and_unserialisable_payload(sim, tmp_path):
     sim.trace("mac.tx", "a", "kept", obj=object())  # repr-degraded, not fatal
     sim.trace("session.grant", "b", "filtered")
     path = tmp_path / "run.jsonl"
-    counts = write_run_jsonl(path, sim, prefix="mac", include_metrics=False)
+    counts = write_run(path, sim, prefix="mac", include_metrics=False)
     assert counts["records"] == 1
     (line,) = read_jsonl(path)
     assert line["message"] == "kept"
@@ -53,8 +53,8 @@ def test_jsonl_export_is_deterministic(sim, tmp_path):
     for i in range(3):
         sim.trace("tick", "t", str(i), n=i)
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    write_run_jsonl(a, sim)
-    write_run_jsonl(b, sim)
+    write_run(a, sim)
+    write_run(b, sim)
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -90,7 +90,7 @@ def test_multi_hop_span_tree_from_export(sim, tmp_path):
     assert sessions.holder == "laptop"
 
     path = tmp_path / "journey.jsonl"
-    write_run_jsonl(path, sim)
+    write_run(path, sim)
     lines = read_jsonl(path)
     acquires = [s for s in span_lines(lines)
                 if s["category"] == "session.acquire"]
@@ -123,7 +123,7 @@ def test_telemetry_summary_counts_and_classifies(sim):
     sim.issue("radio", "a", "multipath fade")
     sim.issue("goal", "alice", "projection expectation unmet")
     sim.metrics.counter("mac.drops").add()
-    summary = telemetry_summary(sim, user_sources={"alice"})
+    summary = StreamingAggregator(user_sources={"alice"}).replay(sim).summary()
     assert summary["records"] == 3  # issues are records too
     assert summary["issues_by_layer"]["environment"] == 1
     assert summary["issues_by_layer"]["intentional"] == 1
@@ -158,7 +158,8 @@ def test_layer_report_places_issues_in_both_columns(sim):
     sim.issue("radio", "adapter", "interference burst")
     sim.issue("goal", "alice", "meeting started late")
     sim.metrics.counter("mac.drops").add(4)
-    report = layer_report(sim, user_sources={"alice"})
+    report = layer_report(
+        StreamingAggregator(user_sources={"alice"}).replay(sim))
     assert "LPC run report" in report
     lines = report.splitlines()
     env_row = next(line for line in lines if line.startswith("Environment"))
@@ -172,6 +173,6 @@ def test_layer_report_places_issues_in_both_columns(sim):
 
 def test_layer_report_is_deterministic(sim):
     sim.issue("radio", "a", "fade")
-    first = layer_report(sim, user_sources={"u"})
-    second = layer_report(sim, user_sources={"u"})
+    first = layer_report(StreamingAggregator(user_sources={"u"}).replay(sim))
+    second = layer_report(StreamingAggregator(user_sources={"u"}).replay(sim))
     assert first == second

@@ -1,30 +1,28 @@
 """Tests for columnar telemetry export and streaming aggregation.
 
 The contract under test: the columnar ``.npz`` export carries the same
-logical lines as the JSONL export (and is byte-deterministic), and a
-:class:`StreamingAggregator` folding the run live is byte-identical to
-the record-replay paths (``telemetry_summary`` / ``layer_report``) on
-unbounded traced runs — including when the tracer runs in ``stream``
-mode and stores nothing at all.
+logical lines as the JSONL export (and is byte-deterministic), the file
+suffix picks the format, and a :class:`StreamingAggregator` folding the
+run live gives the same summary and layer report as one replaying the
+stored trace afterwards — including when the live tracer runs in
+``stream`` mode and stores nothing at all.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
 
 from repro.kernel.errors import ConfigurationError
 from repro.kernel.scheduler import Simulator
-from repro.telemetry.columnar import (HAVE_PYARROW, ColumnarWriter,
-                                      read_columnar, read_telemetry,
-                                      write_run_columnar)
-from repro.telemetry.jsonl import read_jsonl, write_run_jsonl
+from repro.telemetry.columnar import (ColumnarWriter, read_columnar,
+                                      read_telemetry, write_run)
+from repro.telemetry.jsonl import read_jsonl
 from repro.telemetry.report import layer_report, layer_report_data
-from repro.telemetry.streaming import (OVERFLOW_CATEGORY,
-                                       StreamingAggregator,
-                                       span_duration_histogram)
-from repro.telemetry.summary import aggregate_telemetry, telemetry_summary
+from repro.telemetry.streaming import OVERFLOW_CATEGORY, StreamingAggregator
+from repro.telemetry.summary import aggregate_telemetry
 
 USERS = {"alice"}
 
@@ -57,18 +55,18 @@ def test_columnar_round_trip_matches_jsonl(sim, tmp_path):
     _workload(sim)
     jsonl_path = tmp_path / "run.jsonl"
     npz_path = tmp_path / "run.npz"
-    jsonl_counts = write_run_jsonl(jsonl_path, sim)
-    npz_counts = write_run_columnar(npz_path, sim)
+    jsonl_counts = write_run(jsonl_path, sim)
+    npz_counts = write_run(npz_path, sim)
     assert npz_counts == jsonl_counts
     assert read_columnar(npz_path) == read_jsonl(jsonl_path)
 
 
 def test_columnar_prefix_filter_matches_jsonl(sim, tmp_path):
     _workload(sim)
-    a = write_run_jsonl(tmp_path / "a.jsonl", sim, prefix="mac",
-                        include_metrics=False)
-    b = write_run_columnar(tmp_path / "b.npz", sim, prefix="mac",
-                           include_metrics=False)
+    a = write_run(tmp_path / "a.jsonl", sim, prefix="mac",
+                  include_metrics=False)
+    b = write_run(tmp_path / "b.npz", sim, prefix="mac",
+                  include_metrics=False)
     assert a == b
     assert (read_columnar(tmp_path / "b.npz")
             == read_jsonl(tmp_path / "a.jsonl"))
@@ -80,7 +78,7 @@ def test_columnar_npz_is_byte_deterministic(tmp_path):
         sim = Simulator(seed=99)
         _workload(sim)
         path = tmp_path / name
-        write_run_columnar(path, sim)
+        write_run(path, sim)
         paths.append(path)
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
@@ -88,8 +86,8 @@ def test_columnar_npz_is_byte_deterministic(tmp_path):
 def test_columnar_repeated_export_is_byte_identical(sim, tmp_path):
     _workload(sim)
     a, b = tmp_path / "a.npz", tmp_path / "b.npz"
-    write_run_columnar(a, sim)
-    write_run_columnar(b, sim)
+    write_run(a, sim)
+    write_run(b, sim)
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -99,7 +97,7 @@ def test_columnar_open_span_and_parent_round_trip(sim, tmp_path):
             pass
     sim.span_begin("dangling", "t")
     path = tmp_path / "spans.npz"
-    write_run_columnar(path, sim, include_metrics=False)
+    write_run(path, sim, include_metrics=False)
     spans = {line["category"]: line for line in read_columnar(path)}
     assert spans["outer"]["parent_id"] is None
     assert spans["inner"]["parent_id"] == spans["outer"]["span_id"]
@@ -114,7 +112,7 @@ def test_columnar_distinguishes_equal_payload_values(sim, tmp_path):
     sim.trace("t", "s", "float", n=1.0)
     sim.trace("t", "s", "bool", n=True)
     path = tmp_path / "payloads.npz"
-    write_run_columnar(path, sim, include_metrics=False)
+    write_run(path, sim, include_metrics=False)
     values = [line["data"]["n"] for line in read_columnar(path)]
     assert values == [1, 1.0, True]
     assert [type(v) for v in values] == [int, float, bool]
@@ -123,37 +121,28 @@ def test_columnar_distinguishes_equal_payload_values(sim, tmp_path):
 def test_columnar_unserialisable_payload_degrades_to_repr(sim, tmp_path):
     sim.trace("t", "s", "obj", obj=object())
     path = tmp_path / "obj.npz"
-    write_run_columnar(path, sim, include_metrics=False)
+    write_run(path, sim, include_metrics=False)
     (line,) = read_columnar(path)
     assert line["data"]["obj"].startswith("<object object")
 
 
-def test_columnar_unknown_backend_rejected(tmp_path):
-    with pytest.raises(ConfigurationError):
-        ColumnarWriter(tmp_path / "x.bin", backend="csv")
-
-
-@pytest.mark.skipif(HAVE_PYARROW, reason="pyarrow installed here")
-def test_columnar_parquet_backend_gated_without_pyarrow(tmp_path):
-    with pytest.raises(ConfigurationError):
-        ColumnarWriter(tmp_path / "x.parquet", backend="parquet")
-
-
-@pytest.mark.skipif(not HAVE_PYARROW, reason="needs the pyarrow extra")
-def test_columnar_parquet_round_trip_matches_jsonl(sim, tmp_path):
-    _workload(sim)
-    write_run_jsonl(tmp_path / "run.jsonl", sim)
-    write_run_columnar(tmp_path / "run.parquet", sim)
-    assert (read_columnar(tmp_path / "run.parquet")
-            == read_jsonl(tmp_path / "run.jsonl"))
-
-
 def test_read_telemetry_dispatches_by_suffix(sim, tmp_path):
     _workload(sim)
-    write_run_jsonl(tmp_path / "run.jsonl", sim)
-    write_run_columnar(tmp_path / "run.npz", sim)
+    write_run(tmp_path / "run.jsonl", sim)
+    write_run(tmp_path / "run.npz", sim)
     assert (read_telemetry(tmp_path / "run.npz")
             == read_telemetry(tmp_path / "run.jsonl"))
+
+
+def test_write_run_picks_the_format_by_suffix(sim, tmp_path):
+    _workload(sim)
+    for name in ("run.npz", "run.jsonl", "run.log"):
+        write_run(tmp_path / name, sim)
+    assert (tmp_path / "run.npz").read_bytes()[:2] == b"PK"  # zip container
+    assert (tmp_path / "run.log").read_bytes() == \
+        (tmp_path / "run.jsonl").read_bytes()
+    assert (read_columnar(tmp_path / "run.npz")
+            == read_jsonl(tmp_path / "run.log"))
 
 
 def test_columnar_writer_flush_and_context_manager(sim, tmp_path):
@@ -175,7 +164,7 @@ def test_columnar_writer_flush_and_context_manager(sim, tmp_path):
 def test_jsonl_read_tolerates_truncated_final_line(sim, tmp_path):
     _workload(sim)
     path = tmp_path / "crash.jsonl"
-    write_run_jsonl(path, sim)
+    write_run(path, sim)
     whole = read_jsonl(path)
     raw = path.read_bytes()
     path.write_bytes(raw[:-20])  # chop mid-way through the last line
@@ -187,7 +176,7 @@ def test_jsonl_read_tolerates_truncated_final_line(sim, tmp_path):
 def test_jsonl_read_raises_on_mid_file_corruption(sim, tmp_path):
     _workload(sim)
     path = tmp_path / "corrupt.jsonl"
-    write_run_jsonl(path, sim)
+    write_run(path, sim)
     lines = path.read_text().splitlines()
     lines[1] = lines[1][:-5]  # damage a line that is *not* the last
     path.write_text("\n".join(lines) + "\n")
@@ -197,8 +186,8 @@ def test_jsonl_read_raises_on_mid_file_corruption(sim, tmp_path):
 
 def test_export_counters_recorded_at_close(sim, tmp_path):
     _workload(sim)
-    write_run_jsonl(tmp_path / "run.jsonl", sim, account=True)
-    write_run_columnar(tmp_path / "run.npz", sim, account=True)
+    write_run(tmp_path / "run.jsonl", sim, account=True)
+    write_run(tmp_path / "run.npz", sim, account=True)
     counters = sim.metrics.snapshot()["counters"]
     for fmt in ("jsonl", "npz"):
         assert counters[f"telemetry.export.{fmt}.records"] > 0
@@ -213,6 +202,10 @@ def test_export_counters_recorded_at_close(sim, tmp_path):
 # Streaming aggregation: byte-identical to replay
 # ---------------------------------------------------------------------------
 
+def _replay(sim):
+    return StreamingAggregator(user_sources=USERS).replay(sim)
+
+
 def _twin_runs():
     """Two identical seeded runs: one watched live, one replayed."""
     streamed = Simulator(seed=7)
@@ -220,13 +213,13 @@ def _twin_runs():
     _workload(streamed)
     replayed = Simulator(seed=7)
     _workload(replayed)
-    return aggregator, streamed, replayed
+    return aggregator, streamed, _replay(replayed)
 
 
 def test_streaming_summary_is_byte_identical_to_replay():
-    aggregator, streamed, replayed = _twin_runs()
-    live = telemetry_summary(streamed, user_sources=USERS, stream=aggregator)
-    replay = telemetry_summary(replayed, user_sources=USERS)
+    aggregator, _streamed, replayed = _twin_runs()
+    live = aggregator.summary()
+    replay = replayed.summary()
     assert json.dumps(live, sort_keys=False) == \
         json.dumps(replay, sort_keys=False)
     assert list(live) == list(replay)  # key order, not just content
@@ -235,14 +228,13 @@ def test_streaming_summary_is_byte_identical_to_replay():
 
 def test_streaming_layer_report_is_byte_identical_to_replay():
     aggregator, _streamed, replayed = _twin_runs()
-    assert (layer_report(aggregator, user_sources=USERS)
-            == layer_report(replayed, user_sources=USERS))
+    assert layer_report(aggregator) == layer_report(replayed)
 
 
 def test_streaming_layer_report_data_matches_replay():
     aggregator, _streamed, replayed = _twin_runs()
-    live = layer_report_data(aggregator, user_sources=USERS)
-    replay = layer_report_data(replayed, user_sources=USERS)
+    live = layer_report_data(aggregator)
+    replay = layer_report_data(replayed)
     assert json.dumps(live, sort_keys=True) == \
         json.dumps(replay, sort_keys=True)
     assert live["totals"] == {"device": 1, "user": 1}
@@ -257,8 +249,8 @@ def test_stream_mode_stores_nothing_but_aggregates_everything():
     assert streamed.tracer.spans == []
     replayed = Simulator(seed=7)
     _workload(replayed)
-    live = telemetry_summary(streamed, stream=aggregator)
-    replay = telemetry_summary(replayed, user_sources=USERS)
+    live = aggregator.summary()
+    replay = _replay(replayed).summary()
     assert json.dumps(live) == json.dumps(replay)
 
 
@@ -281,7 +273,7 @@ def test_streaming_counts_records_bounded_tracers_drop():
 
 def test_streaming_histograms_match_replay():
     aggregator, streamed, _replayed = _twin_runs()
-    replay = span_duration_histogram(streamed.tracer.spans)
+    replay = StreamingAggregator().replay(streamed).span_histograms()
     assert aggregator.span_histograms() == replay
     hist = aggregator.span_histograms()["transport.send"]
     assert hist["count"] == sum(hist["buckets"]) == 2
@@ -301,24 +293,6 @@ def test_streaming_histogram_category_cap_overflows():
     assert hists[OVERFLOW_CATEGORY]["count"] == 3
 
 
-def test_streaming_install_default_feeds_later_sims():
-    aggregator = StreamingAggregator(user_sources=USERS)
-    remove = aggregator.install_default()
-    try:
-        sim = Simulator(seed=7)  # constructed *after* the hooks
-        _workload(sim)
-    finally:
-        remove()
-    aggregator.bind(sim)
-    untouched = Simulator(seed=7)
-    _workload(untouched)
-    assert (layer_report(aggregator, user_sources=USERS)
-            == layer_report(untouched, user_sources=USERS))
-    before = aggregator.records_seen
-    Simulator(seed=1).trace("tick", "t", "after removal")
-    assert aggregator.records_seen == before
-
-
 def test_streaming_summary_requires_a_simulator():
     with pytest.raises(ValueError):
         StreamingAggregator().summary()
@@ -334,7 +308,7 @@ def test_aggregate_telemetry_merges_streaming_summaries():
         sim = Simulator(seed=seed, trace_mode="stream")
         aggregator = StreamingAggregator(user_sources=USERS).attach(sim)
         _workload(sim)
-        summaries.append(telemetry_summary(sim, stream=aggregator))
+        summaries.append(aggregator.summary())
     merged = aggregate_telemetry(summaries)
     assert merged["replicates"] == 2
     assert merged["records"] == sum(s["records"] for s in summaries)
@@ -349,7 +323,7 @@ def _streamed_point(seed, knob):
     aggregator = StreamingAggregator(user_sources=USERS).attach(sim)
     _workload(sim)
     return {"issues": aggregator.issues_seen,
-            "telemetry": telemetry_summary(sim, stream=aggregator)}
+            "telemetry": aggregator.summary()}
 
 
 def test_averaged_seeds_merge_streaming_summaries():
@@ -387,16 +361,22 @@ def test_sweep_ships_streaming_telemetry_across_fork_pipe():
 # CLI integration
 # ---------------------------------------------------------------------------
 
-def test_cli_report_stream_matches_replay(capsys):
-    # Session counters are per-simulator state now, so back-to-back CLI
-    # runs are byte-identical with no counter pinning.
+#: sha256 of ``repro.cli report --lpc --horizon 30``, as text and with
+#: ``--format json``; the same under any ``PYTHONHASHSEED``.
+REPORT_DIGESTS = {
+    "text": "823b202092bd408a52471808d3a43230ce984d3a54a19f9f36bb066e5120b3ff",
+    "json": "bc33a8cb12bc076315787cb408dfcb762c8806ad9b46f3ee5359f9650df2bd84",
+}
+
+
+def test_cli_report_lpc_bytes_are_pinned(capsys):
     from repro.cli import main
 
-    assert main(["report", "--lpc", "--horizon", "30"]) == 0
-    plain = capsys.readouterr().out
-    assert main(["report", "--lpc", "--horizon", "30", "--stream"]) == 0
-    streamed = capsys.readouterr().out
-    assert streamed == plain
+    for fmt, digest in REPORT_DIGESTS.items():
+        assert main(["report", "--lpc", "--horizon", "30",
+                     "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
 
 
 def test_cli_report_format_json_is_machine_readable(capsys):
@@ -410,9 +390,6 @@ def test_cli_report_format_json_is_machine_readable(capsys):
     assert len(data["layers"]) == 5
     assert {"device", "user"} == set(data["totals"])
     assert first == json.dumps(data, sort_keys=True, indent=2) + "\n"
-    assert main(["report", "--lpc", "--horizon", "30",
-                 "--format", "json", "--stream"]) == 0
-    assert capsys.readouterr().out == first
 
 
 def test_cli_report_format_json_requires_lpc(capsys):
@@ -427,8 +404,7 @@ def test_cli_demo_trace_columnar_export(capsys, tmp_path):
 
     out = tmp_path / "demo.npz"
     assert main(["demo", "--horizon", "20", "--trace", "mac",
-                 "--trace-out", str(out), "--telemetry-format",
-                 "columnar"]) == 0
+                 "--trace-out", str(out)]) == 0
     assert "columnar lines" in capsys.readouterr().err
     lines = read_telemetry(out)
     assert lines
