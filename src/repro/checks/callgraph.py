@@ -38,9 +38,8 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 #: modules absent from the analysed tree are ignored, so fixture trees
 #: can carry their own entries.
 DEFAULT_FORK_ENTRY_POINTS: Tuple[str, ...] = (
-    "repro.experiments.sweeps:_init_worker",  # legacy fork-pool init
-    "repro.experiments.sweeps:_run_chunk",    # fork-pool chunk runner
-    "repro.experiments.sweeps:_run_pickled_chunk",  # shared-pool mapper
+    "repro.experiments.sweeps:_init_worker",  # sweep pool initializer
+    "repro.experiments.sweeps:_run_task",     # sweep pool task runner
     "repro.checks.runner:analyze_file",       # checks runner pool
     "repro.cli:main",                         # CLI entry point
     "repro.__main__:<module>",                # python -m repro

@@ -11,7 +11,7 @@ design review land in the right place.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from ..kernel.errors import ModelError
 from ..kernel.trace import TraceRecord
@@ -108,7 +108,6 @@ class ConcernClassifier:
         if extra_topics:
             self.topic_layers.update(extra_topics)
         self.default = default
-        self.unclassified: List[str] = []
 
     # ------------------------------------------------------------------
     def classify_topic(self, topic: str) -> Optional[Layer]:
@@ -128,7 +127,6 @@ class ConcernClassifier:
             layer = self.classify_text(text)
         if layer is None:
             if self.default is None:
-                self.unclassified.append(f"{topic}: {text}")
                 raise ModelError(
                     f"cannot classify issue topic={topic!r} text={text!r}")
             layer = self.default

@@ -13,7 +13,7 @@ from .harness import (
     run_experiment,
 )
 from .report import build_report, run_all
-from .sweeps import averaged_over_seeds, grid, shutdown_shared_pool, sweep
+from .sweeps import averaged_over_seeds, grid, sweep
 from .workloads import (
     InterfererPair,
     Room,
@@ -54,7 +54,6 @@ __all__ = [
     "projector_room",
     "run_all",
     "run_experiment",
-    "shutdown_shared_pool",
     "source_digest",
     "sweep",
 ]

@@ -52,7 +52,7 @@ import math
 import os
 import pathlib
 import re
-from typing import Any, Callable, Dict, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Mapping, Optional
 
 from ..kernel.errors import ExperimentError
 from ..metrics.counters import Counter

@@ -24,7 +24,7 @@ Naming conventions:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict
 
 from ..kernel.errors import ConfigurationError
 from ..kernel.scheduler import Simulator

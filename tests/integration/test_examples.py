@@ -5,9 +5,6 @@ from __future__ import annotations
 
 import importlib.util
 import pathlib
-import sys
-
-import pytest
 
 EXAMPLES = pathlib.Path(__file__).resolve().parents[2] / "examples"
 

@@ -13,7 +13,7 @@ import pytest
 
 from repro.core.constraints import check_abstract_consistency
 from repro.experiments.workloads import presentation_workflow, projector_room
-from repro.resource.faculties import casual_user, researcher
+from repro.resource.faculties import researcher
 from repro.user.mental import MentalModel
 
 

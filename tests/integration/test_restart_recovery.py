@@ -7,8 +7,6 @@ the middleware's self-healing loop, end to end.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.discovery.leases import LeaseTable
 from repro.discovery.records import ServiceTemplate
 from repro.experiments.workloads import projector_room

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core.instrument import LPCInstrument
 from repro.core.layers import Layer
 from repro.core.model import smart_projector_model

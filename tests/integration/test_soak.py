@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.experiments.workloads import presentation_workflow, projector_room
 from repro.services.content import SlideShow
 

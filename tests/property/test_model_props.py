@@ -3,7 +3,7 @@ lease safety, session exclusivity, matching bounds."""
 
 from __future__ import annotations
 
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.concerns import TOPIC_LAYERS, ConcernClassifier

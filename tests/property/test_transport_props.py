@@ -3,7 +3,6 @@ accounting invariants."""
 
 from __future__ import annotations
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

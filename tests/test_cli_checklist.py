@@ -7,8 +7,6 @@ import pytest
 from repro.cli import build_parser, main
 from repro.core.checklist import (
     GENERIC_QUESTIONS,
-    Checklist,
-    ChecklistItem,
     build_checklist,
 )
 from repro.core.layers import Layer, RELATIONS

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.entities import Facet, ModelEntity, smart_projector_entities
+from repro.core.entities import ModelEntity, smart_projector_entities
 from repro.core.layers import (
     ABSTRACT_DEVICE_PARTS,
     ABSTRACT_USER_PARTS,

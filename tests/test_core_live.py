@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core.layers import Layer
 from repro.core.live import model_from_room
 from repro.experiments.workloads import projector_room

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.env.noise import (
@@ -12,7 +11,6 @@ from repro.env.noise import (
     combine_levels_db,
 )
 from repro.env.spectrum import (
-    CHANNELS,
     NON_OVERLAPPING,
     center_frequency_mhz,
     least_congested,

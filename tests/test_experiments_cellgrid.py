@@ -27,8 +27,7 @@ from repro.experiments import cellgrid
 from repro.experiments.cellgrid import (cell_layout, cell_room, cell_rooms,
                                         deliveries_by_room)
 from repro.experiments.harness import run_experiment
-from repro.experiments.sweeps import shutdown_shared_pool
-from repro.kernel.errors import ConfigurationError, ExperimentError
+from repro.kernel.errors import ConfigurationError
 from repro.telemetry.summary import merge_summaries
 
 #: 3 cells x 6 stations: small enough for the fixed-hash-seed CI step.
@@ -147,14 +146,9 @@ def _raising_room(layout, room, real=cell_room):
 @pytest.mark.skipif(not fork_available, reason="no fork start method")
 def test_e11_worker_exception_ships_its_traceback(monkeypatch):
     monkeypatch.setattr(cellgrid, "cell_room", _raising_room)
-    shutdown_shared_pool()  # fork workers that see the patch
-    try:
-        with pytest.raises(RuntimeError, match="room went sideways") as info:
-            _e11(2)
-        assert "boom" in str(info.value.__cause__)
-        assert sweeps_mod._SHARED_POOL is None
-    finally:
-        shutdown_shared_pool()
+    with pytest.raises(RuntimeError, match="room went sideways") as info:
+        _e11(2)
+    assert "boom" in str(info.value.__cause__)
 
 
 # ---------------------------------------------------------------------------

@@ -149,26 +149,6 @@ def test_sweep_parallel_records_meta():
     assert result.meta["computed"] == 3 and result.meta["cached"] == 0
 
 
-def test_sweep_parallel_records_per_chunk_walls():
-    result = sweep("X", "t", lambda seed, k: {"v": k}, grid(k=[1, 2, 3]),
-                   workers=2)
-    # 3 tasks at the adaptive chunksize (1) = 3 chunks, each with a
-    # worker-measured wall time, indexed by chunk regardless of the
-    # imap_unordered completion order.  Table assembly is folded into
-    # chunk arrival; the overlap saving rides along.
-    walls = result.meta["chunk_walls"]
-    per_chunk = walls["per_chunk"]
-    assert len(per_chunk) == 3
-    assert all(isinstance(w, float) and w >= 0.0 for w in per_chunk)
-    assert isinstance(walls["assemble_overlap_s"], float)
-    assert walls["assemble_overlap_s"] >= 0.0
-
-
-def test_sweep_serial_has_no_chunk_walls():
-    result = sweep("X", "t", lambda seed, k: {"v": k}, grid(k=[1, 2]))
-    assert "chunk_walls" not in result.meta
-
-
 def test_sweep_unpicklable_row_raises_clear_error():
     import threading
 
@@ -179,29 +159,6 @@ def test_sweep_unpicklable_row_raises_clear_error():
         sweep("X", "t", run_one, grid(k=[1, 2, 3]), workers=2)
 
 
-def test_sweep_unpicklable_point_raises_clear_error():
-    import threading
-
-    from repro.experiments.e2_interference import _measure_density_row
-
-    # A picklable run_one takes the shared-pool path, where point values
-    # must survive pickling too.
-    with pytest.raises(ExperimentError, match="picklable"):
-        sweep("X", "t", _measure_density_row,
-              [{"pairs": threading.Lock(), "channel_plan": "x"},
-               {"pairs": 1, "channel_plan": "y"}], workers=2)
-
-
-def test_sweep_unpicklable_point_with_closure_raises_clear_error():
-    import threading
-
-    # A lambda run_one takes the fork-inheritance path, which must reject
-    # an unpicklable point value the same way.
-    with pytest.raises(ExperimentError, match="picklable"):
-        sweep("X", "t", lambda seed, k: {"v": 1},
-              [{"k": threading.Lock()}, {"k": 1}], workers=2)
-
-
 def _run_one_boom(seed, k):
     raise ValueError("boom")
 
@@ -210,18 +167,60 @@ def _run_one_square(seed, k):
     return {"v": k * k}
 
 
-def test_sweep_failure_resets_shared_pool():
-    """A failure escaping pool.map must tear the shared pool down so the
-    next sweep re-forks instead of running on a broken pool."""
-    import repro.experiments.sweeps as sweeps_mod
+@pytest.mark.parametrize("run_one", [_run_one_square,
+                                     lambda seed, k: {"v": k}],
+                         ids=["module", "lambda"])
+def test_sweep_rejects_unpicklable_points(run_one):
+    import threading
 
+    # Workers inherit run_one by fork, but point values cross the pipe,
+    # so an unpicklable one is rejected up front whatever run_one is.
+    with pytest.raises(ExperimentError, match="picklable"):
+        sweep("X", "t", run_one, [{"k": threading.Lock()}, {"k": 1}],
+              workers=2)
+
+
+def test_sweep_failure_leaves_the_next_sweep_working():
     with pytest.raises(ValueError, match="boom"):
         sweep("X", "t", _run_one_boom, grid(k=[1, 2, 3]), workers=2)
-    assert sweeps_mod._SHARED_POOL is None
-    # The next parallel sweep gets a fresh pool and works normally.
     ok = sweep("X", "t", _run_one_square, grid(k=[1, 2, 3]), workers=2)
     assert ok.column("v") == [1, 4, 9]
     assert ok.meta["parallel"] is True
+
+
+#: Module state a module-level ``run_one`` reads.
+_SCALE = 1
+
+
+def _run_one_scaled(seed, k):
+    return {"v": k * _SCALE}
+
+
+def test_parallel_sweep_sees_state_changed_after_an_earlier_one(monkeypatch):
+    """Each parallel sweep forks its own workers, so they run against the
+    parent as it is when that sweep starts, never a stale snapshot."""
+    points = grid(k=[1, 2])
+    first = sweep("X", "t", _run_one_scaled, points, workers=2, cache=False)
+    assert first.column("v") == [1, 2]
+    monkeypatch.setattr(f"{__name__}._SCALE", 10)
+    again = sweep("X", "t", _run_one_scaled, points, workers=2, cache=False)
+    serial = sweep("X", "t", _run_one_scaled, points, cache=False)
+    assert serial.column("v") == [10, 20]
+    assert again.rows == serial.rows
+
+
+@pytest.mark.parametrize("run_one", [_run_one_square, _run_one_boom],
+                         ids=["returns", "raises"])
+def test_parallel_sweep_leaves_no_thread_or_worker_behind(run_one):
+    import multiprocessing
+    import threading
+
+    try:
+        sweep("X", "t", run_one, grid(k=[1, 2, 3]), workers=2, cache=False)
+    except ValueError:
+        pass
+    assert threading.active_count() == 1
+    assert multiprocessing.active_children() == []
 
 
 #: A sweep whose worker for point k=1 exits abruptly, then a sweep that

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.kernel.errors import ProcessError
-from repro.kernel.process import Process, Signal, spawn
+from repro.kernel.process import Signal, spawn
 
 
 def test_process_sleeps_for_yielded_delay(sim):

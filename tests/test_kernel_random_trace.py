@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.kernel.random import RandomStreams
 from repro.kernel.trace import TraceRecord, Tracer

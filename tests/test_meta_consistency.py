@@ -10,8 +10,6 @@ from __future__ import annotations
 import pathlib
 import re
 
-import pytest
-
 from repro.core.concerns import TOPIC_LAYERS, ConcernClassifier
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"

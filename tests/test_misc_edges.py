@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.discovery.protocol import DiscoveryAgent, RegistryLocator
 from repro.experiments.workloads import projector_room
 from repro.phys.devices import Device

@@ -8,7 +8,6 @@ from repro.kernel.errors import ConfigurationError, NetworkError
 from repro.net.bridge import Bridge
 from repro.net.frames import Frame
 from repro.net.link import WiredLink
-from repro.net.multicast import MULTICAST_PORT, GroupDatagram, MulticastService
 from repro.net.stack import NetworkStack
 
 

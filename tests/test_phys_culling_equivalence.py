@@ -12,7 +12,6 @@ plus the medium's station/partition caches.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.env.mobility import RandomWaypoint
 from repro.env.radio import PropagationModel

@@ -6,7 +6,6 @@ import pytest
 
 from repro.kernel.errors import ConfigurationError
 from repro.phys.ergonomics import (
-    CompatibilityReport,
     FormFactor,
     Mismatch,
     check_compatibility,

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.kernel.errors import ConfigurationError
-from repro.resource.execution import ExecutionEngine, Task
+from repro.resource.execution import ExecutionEngine
 from repro.resource.platform import ExecutionSpec, StorageSpec
 from repro.resource.storage import (
     OrganizationDenied,

@@ -17,7 +17,6 @@ from repro.resource.platform import (
     ExecutionSpec,
     MemorySpec,
     NetSpec,
-    PlatformProfile,
     StorageSpec,
     UISpec,
     adapter_platform,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.kernel.errors import ConfigurationError, ServiceError, SessionError
+from repro.kernel.errors import ConfigurationError, SessionError
 from repro.phys.devices import Device
 from repro.services.base import RpcClient, RpcService
 from repro.services.content import Animation, MixedContent, SlideShow, TypingContent

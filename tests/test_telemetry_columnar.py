@@ -254,6 +254,26 @@ def test_stream_mode_stores_nothing_but_aggregates_everything():
     assert json.dumps(live) == json.dumps(replay)
 
 
+def test_stream_mode_memory_stays_flat_over_unplaceable_issues():
+    """Unplaceable issues are counted, not kept: folding 10,000 of them
+    in stream mode leaves the aggregator's memory where it was."""
+    import tracemalloc
+
+    sim = Simulator(seed=7, trace_mode="stream")
+    aggregator = StreamingAggregator().attach(sim)
+    sim.issue("???", "mystery", "unplaceable concern -1")
+    tracemalloc.start()
+    try:
+        before, _peak = tracemalloc.get_traced_memory()
+        for n in range(10_000):
+            sim.issue("???", "mystery", f"unplaceable concern {n}")
+        after, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert aggregator.unclassified == 10_001
+    assert after - before < 64 * 1024
+
+
 def test_stream_mode_with_capacity_is_configuration_error():
     with pytest.raises(ConfigurationError):
         Simulator(trace_capacity=100, trace_mode="stream")

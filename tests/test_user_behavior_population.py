@@ -6,7 +6,7 @@ import pytest
 
 from repro.kernel.errors import ConfigurationError
 from repro.resource.faculties import FacultyProfile, casual_user, researcher
-from repro.user.behavior import AttemptResult, Procedure, Step, UserAgent
+from repro.user.behavior import Procedure, Step, UserAgent
 from repro.user.physiology import sample_bodies, sample_physical_profile
 from repro.user.population import (
     casual_population,
