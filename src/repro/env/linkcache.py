@@ -17,6 +17,9 @@ placement evicts nothing (a new entity has no links yet).  Stationary
 rooms compute link geometry exactly once; mobile rooms recompute only the
 links of stations that moved.
 
+:meth:`LinkCache.row` hands one entity's adjacency row to a caller that
+reads many of its links at once (the medium's per-receiver decode).
+
 Loss and shadowing are stored separately so a cached
 ``rx_power_dbm`` is bit-identical to the uncached
 ``tx_power - loss - shadow`` evaluation order of
@@ -74,6 +77,20 @@ class LinkCache:
         self._links.setdefault(a, {})[b] = terms
         self._links.setdefault(b, {})[a] = terms
         return terms
+
+    def row(self, name: str) -> Dict[str, Tuple[float, float]]:
+        """The cached links of ``name`` at the current topology: partner
+        -> ``(path_loss_db, shadowing_db)``, the terms :meth:`terms`
+        returns for ``{name, partner}``.
+
+        For a caller that reads many links of one entity.  It adds each
+        link it reads from the row to :attr:`hits` and takes a link
+        missing from it through :meth:`terms`, which counts the miss and
+        writes the link into this row, so :meth:`stats` stays exact.
+        """
+        if self.world.epoch != self._epoch:
+            self._evict_moved()
+        return self._links.setdefault(name, {})
 
     def _evict_moved(self) -> None:
         """Drop every link with an end placed or moved since the last sync."""

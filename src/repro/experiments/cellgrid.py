@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..env.radio import PropagationModel
 from ..env.world import World
@@ -217,14 +217,23 @@ def deliveries_by_room(layout: CellLayout,
 
 def _room_row(seed: int, room: int, cells: int, stations_per_cell: int,
               horizon: float) -> Dict[str, Any]:
-    """One E11 sweep task: run room ``room`` to ``horizon``, count it."""
+    """One E11 sweep task: run room ``room`` to ``horizon``, count it.
+
+    The row needs a delivery count and the set of senders heard, not the
+    room's delivery log: the count comes from the MACs' receive counters
+    and each delivery only adds its sender to a set.
+    """
     layout = cell_layout(cells=cells, stations_per_cell=stations_per_cell,
                          seed=seed)
     rooms = cell_room(layout, room)
+    senders: Set[str] = set()
+    heard = senders.add
+    for mac in rooms.macs:
+        mac.on_receive = lambda frame: heard(frame.src)
     rooms.sim.run(until=horizon)
     return {"stations": layout.stations_per_cell,
-            "deliveries": len(rooms.deliveries),
-            "senders": len({src for _, src, _ in rooms.deliveries}),
+            "deliveries": sum(mac.stats["rx_frames"] for mac in rooms.macs),
+            "senders": len(senders),
             "telemetry": rooms.aggregator.summary()}
 
 

@@ -10,13 +10,25 @@ This gives two properties the experiments rely on:
   does not perturb any other component's stream, so parameter sweeps only
   vary what they mean to vary (a standard common-random-numbers technique
   for comparing simulated systems).
+
+A hot consumer of single uniforms takes its stream through
+:meth:`RandomStreams.uniforms` instead of :meth:`RandomStreams.stream`:
+the same doubles, fetched a block at a time.
 """
 
 from __future__ import annotations
 
-from typing import Dict
+from itertools import chain
+from typing import Dict, Iterator
 
 import numpy as np
+
+from .errors import ConfigurationError
+
+#: Doubles a :meth:`RandomStreams.uniforms` view fetches per refill.  One
+#: ``Generator.random()`` call costs several times what serving a double
+#: from a fetched block does; 64 keeps the unused tail of a view small.
+UNIFORM_BLOCK: int = 64
 
 
 class RandomStreams:
@@ -26,6 +38,7 @@ class RandomStreams:
         self._seed = int(seed)
         self._root = np.random.SeedSequence(self._seed)
         self._streams: Dict[str, np.random.Generator] = {}
+        self._uniforms: Dict[str, Iterator[float]] = {}
 
     @property
     def seed(self) -> int:
@@ -41,23 +54,55 @@ class RandomStreams:
         """
         gen = self._streams.get(name)
         if gen is None:
-            # Derive a child seed from the root entropy plus a stable hash
-            # of the name.  Avoid Python's randomised str hash.
-            digest = np.frombuffer(name.encode("utf-8"), dtype=np.uint8)
-            key = int(digest.astype(np.uint64).sum() * 1000003 + len(name)) & 0xFFFFFFFF
-            child = np.random.SeedSequence(
-                entropy=self._root.entropy, spawn_key=(key,)
-            )
-            gen = np.random.default_rng(child)
+            if name in self._uniforms:
+                raise ConfigurationError(
+                    f"stream {name!r} is drawn through uniforms(); a raw "
+                    "draw would skip the doubles its view has fetched")
+            gen = self._generator(name)
             self._streams[name] = gen
         return gen
 
+    def uniforms(self, name: str) -> Iterator[float]:
+        """An iterator over exactly the doubles ``stream(name).random()``
+        would return, one per ``next()``, fetched :data:`UNIFORM_BLOCK` at
+        a time.
+
+        There is one view per name, and every call returns it, so callers
+        that share a name interleave their draws as they would on the
+        generator.  A name is taken through this view or through
+        :meth:`stream`, never both: a raw draw would skip the doubles the
+        view has fetched, so mixing the two raises
+        :class:`~repro.kernel.errors.ConfigurationError`.
+        """
+        view = self._uniforms.get(name)
+        if view is None:
+            if name in self._streams:
+                raise ConfigurationError(
+                    f"stream {name!r} is drawn through stream(); a uniforms() "
+                    "view would fetch doubles ahead of its raw draws")
+            gen = self._generator(name)
+            view = chain.from_iterable(
+                iter(lambda: gen.random(UNIFORM_BLOCK).tolist(), None))
+            self._uniforms[name] = view
+        return view
+
+    def _generator(self, name: str) -> np.random.Generator:
+        # Derive a child seed from the root entropy plus a stable hash of
+        # the name.  Avoid Python's randomised str hash.
+        digest = np.frombuffer(name.encode("utf-8"), dtype=np.uint8)
+        key = int(digest.astype(np.uint64).sum() * 1000003 + len(name)) & 0xFFFFFFFF
+        child = np.random.SeedSequence(
+            entropy=self._root.entropy, spawn_key=(key,)
+        )
+        return np.random.default_rng(child)
+
     def __contains__(self, name: str) -> bool:
-        return name in self._streams
+        return name in self._streams or name in self._uniforms
 
     def names(self) -> list:
         """Names of the streams created so far (sorted, for reporting)."""
-        return sorted(self._streams)
+        return sorted([*self._streams, *self._uniforms])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<RandomStreams seed={self._seed} n={len(self._streams)}>"
+        return (f"<RandomStreams seed={self._seed} "
+                f"n={len(self._streams) + len(self._uniforms)}>")

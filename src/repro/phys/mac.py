@@ -23,7 +23,9 @@ from __future__ import annotations
 
 from collections import deque
 from math import log10 as _math_log10
-from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
+from types import MappingProxyType
+from typing import (Callable, Dict, FrozenSet, Iterator, List, Mapping,
+                    Optional, Sequence, Tuple)
 
 import numpy as np
 
@@ -67,6 +69,9 @@ _MEDIUM_PRI: int = int(Priority.MEDIUM)
 #: one vectorised NumPy pass (array setup only pays off beyond a handful).
 _VECTORISE_MIN: int = 8
 
+#: The half-duplex map of a frame that overlapped nothing.
+_NO_SENDERS: Mapping["CsmaMac", int] = MappingProxyType({})
+
 #: Audibility allowance for per-frame Rayleigh fading, dB.  The fading
 #: boost is ``10*log10(Exponential(1))``; the largest value a float64
 #: uniform can produce is ~28.7 dB, so a 30 dB margin makes it *impossible*
@@ -104,7 +109,8 @@ class Transmission:
     """One in-flight frame on the medium."""
 
     __slots__ = ("sender", "frame", "channel", "rate", "power_dbm",
-                 "start", "end", "interferers", "span")
+                 "start", "end", "interferers", "span", "in_band",
+                 "transmitting")
 
     def __init__(self, sender: "CsmaMac", frame: Frame, channel: int,
                  rate: RateMode, power_dbm: float, start: float, end: float) -> None:
@@ -119,6 +125,13 @@ class Transmission:
         self.interferers: List["Transmission"] = []
         #: causal span covering the airtime (None with tracing disabled).
         self.span = None
+        #: the interferer view :meth:`WirelessMedium._finish` builds once
+        #: the airtime is over: ``(sender address, power_dbm, overlap
+        #: factor)`` of each in-band interferer, in ``interferers`` order,
+        #: and each interferer's sender -> the number of in-band entries
+        #: ahead of its first frame (the half-duplex set).
+        self.in_band: Sequence[Tuple[str, float, float]] = ()
+        self.transmitting: Mapping["CsmaMac", int] = _NO_SENDERS
 
 
 class ReceiveTable:
@@ -205,16 +218,16 @@ class WirelessMedium:
         self._grid = SpatialGrid(world, cell_size=grid_cell_m)
         self._macs: Dict[str, "CsmaMac"] = {}
         self._active: List[Transmission] = []
-        self._rng = sim.rng("radio.delivery")
-        self._fading_rng = sim.rng("radio.fading")
         #: draw delivery/fading randomness from per-receiver streams
         #: (``radio.delivery.<addr>``) instead of the two shared streams.
         #: Outcomes then depend only on each receiver's own frame history,
         #: so a world split across simulators (E11's rooms, one each)
         #: consumes randomness identically to the single-process oracle.
         self.per_station_rng = per_station_rng
-        self._rng_by_rx: Dict[str, np.random.Generator] = {}
-        self._fading_rng_by_rx: Dict[str, np.random.Generator] = {}
+        #: receiver address -> its delivery view / fading stream, resolved
+        #: on the receiver's first draw (see :meth:`_delivery_draw`).
+        self._delivery_views: Dict[str, Iterator[float]] = {}
+        self._fading_rngs: Dict[str, np.random.Generator] = {}
         #: hard interaction radius between *senders*: two transmissions
         #: only interfere (and carrier-sense each other) when their
         #: senders are within this distance.  ``None`` keeps the exact
@@ -494,19 +507,34 @@ class WirelessMedium:
     # ------------------------------------------------------------------
     # Channel state as seen by one station
     # ------------------------------------------------------------------
-    def _delivery_rng(self, rx_address: str) -> np.random.Generator:
-        """The delivery stream for one receiver (``per_station_rng`` mode)."""
-        rng = self._rng_by_rx.get(rx_address)
-        if rng is None:
-            rng = self.sim.rng(f"radio.delivery.{rx_address}")
-            self._rng_by_rx[rx_address] = rng
-        return rng
+    def _stream_name(self, stream: str, rx_address: str) -> str:
+        """``stream``'s name for one receiver: its own
+        ``<stream>.<addr>`` with ``per_station_rng``, else the shared one."""
+        return f"{stream}.{rx_address}" if self.per_station_rng else stream
 
-    def _fading_rng_for(self, rx_address: str) -> np.random.Generator:
-        rng = self._fading_rng_by_rx.get(rx_address)
+    def _delivery_draw(self, rx_address: str) -> float:
+        """The next delivery uniform for ``rx_address``.
+
+        Every delivery draw of the medium comes from here, through the
+        simulator's shared :meth:`~repro.kernel.random.RandomStreams.uniforms`
+        view of the receiver's stream: the doubles ``random()`` would
+        return, in the same order, also when several media on one
+        simulator share the ``radio.delivery`` stream.
+        """
+        view = self._delivery_views.get(rx_address)
+        if view is None:
+            view = self.sim.streams.uniforms(
+                self._stream_name("radio.delivery", rx_address))
+            self._delivery_views[rx_address] = view
+        return next(view)
+
+    def _fading_rng(self, rx_address: str) -> np.random.Generator:
+        """The fast-fading stream for ``rx_address`` (a raw stream: no
+        benchmark workload fades, so block fetching would buy nothing)."""
+        rng = self._fading_rngs.get(rx_address)
         if rng is None:
-            rng = self.sim.rng(f"radio.fading.{rx_address}")
-            self._fading_rng_by_rx[rx_address] = rng
+            rng = self.sim.rng(self._stream_name("radio.fading", rx_address))
+            self._fading_rngs[rx_address] = rng
         return rng
 
     def busy_for(self, mac: "CsmaMac") -> bool:
@@ -596,6 +624,20 @@ class WirelessMedium:
         frame = tx.frame
         sender = tx.sender
         channel = tx.channel
+        if tx.interferers:
+            # The interferer view, once per frame: every decode below is
+            # of a receiver on ``channel``, so which interferers overlap
+            # its band, and by how much, does not depend on the receiver.
+            in_band = []
+            transmitting: Dict["CsmaMac", int] = {}
+            for other in tx.interferers:
+                transmitting.setdefault(other.sender, len(in_band))
+                factor = overlap_factor(channel, other.channel)
+                if factor > 0.0:
+                    in_band.append((other.sender.address, other.power_dbm,
+                                    factor))
+            tx.in_band = in_band
+            tx.transmitting = transmitting
         delivered_to_dst: Optional[bool] = None
         if frame.dst == BROADCAST:
             if self.culling:
@@ -603,8 +645,7 @@ class WirelessMedium:
                 # cost is O(audible neighbours), not O(stations).
                 table = self._receive_table(sender)
                 if (tx.power_dbm == table.tx_power and not self.fast_fading
-                        and not any(overlap_factor(channel, other.channel)
-                                    > 0.0 for other in tx.interferers)):
+                        and not tx.in_band):
                     self._fan_out(tx, table)
                 else:
                     # Fading, an in-band interferer, or a power change
@@ -659,46 +700,60 @@ class WirelessMedium:
                 tx.span, "failed" if delivered_to_dst is False else "ok")
 
     def _decode(self, tx: Transmission, rx: "CsmaMac") -> bool:
-        """Did ``rx`` successfully decode ``tx``?  SINR through FER."""
+        """Did ``rx`` successfully decode ``tx``?  SINR through FER.
+
+        ``rx`` is on ``tx.channel`` (every caller checks), so the frame's
+        interferer view holds its in-band interferers.  Their terms and
+        the signal's come from ``rx``'s link-cache row.
+        """
         if rx.receiving_disabled:
             return False
         cache = self.link_cache
         rx_address = rx.address
-        signal = cache.rx_power_dbm(tx.power_dbm, tx.sender.address,
-                                    rx_address)
+        row = cache.row(rx_address)
+        hits = 0
+        link = row.get(tx.sender.address)
+        if link is None:
+            link = cache.terms(tx.sender.address, rx_address)
+        else:
+            hits += 1
+        signal = tx.power_dbm - link[0] - link[1]
         if self.fast_fading:
             # Rayleigh envelope: exponentially-distributed power with unit
             # mean; deep fades (-10 dB and worse) hit ~10% of frames.
-            fading_rng = (self._fading_rng_for(rx_address)
-                          if self.per_station_rng else self._fading_rng)
             signal += 10.0 * _math_log10(
-                max(fading_rng.exponential(1.0), 1e-6))
-        interference_mw = 0.0
-        if tx.interferers:
-            rx_channel = rx.channel
-            interferer_powers = []
-            overlaps = []
-            for other in tx.interferers:
-                if other.sender is rx:
-                    return False  # half-duplex: we were transmitting
-                factor = overlap_factor(rx_channel, other.channel)
-                if factor <= 0.0:
-                    continue
-                interferer_powers.append(cache.rx_power_dbm(
-                    other.power_dbm, other.sender.address, rx_address))
-                overlaps.append(factor)
-            if len(interferer_powers) >= _VECTORISE_MIN:
-                # One vectorised NumPy pass over all interferers.
-                interference_mw = interference_sum_mw(
-                    np.asarray(interferer_powers), np.asarray(overlaps))
+                max(self._fading_rng(rx_address).exponential(1.0), 1e-6))
+        in_band = tx.in_band
+        ahead = tx.transmitting.get(rx)
+        if ahead is not None:
+            # Half-duplex: rx was transmitting, so decoding fails at its
+            # own frame.  The in-band links ahead of that frame are still
+            # looked up, so the link cache counts the lookups of a scan of
+            # ``tx.interferers`` in order that stops there.
+            in_band = in_band[:ahead]
+        powers = []
+        for address, power_dbm, _ in in_band:
+            link = row.get(address)
+            if link is None:
+                link = cache.terms(address, rx_address)
             else:
-                for power, factor in zip(interferer_powers, overlaps):
-                    interference_mw += 10.0 ** (power / 10.0) * factor
+                hits += 1
+            powers.append(power_dbm - link[0] - link[1])
+        cache.hits += hits
+        if ahead is not None:
+            return False
+        interference_mw = 0.0
+        if len(powers) >= _VECTORISE_MIN:
+            # One vectorised NumPy pass over all interferers.
+            interference_mw = interference_sum_mw(
+                np.asarray(powers),
+                np.asarray([factor for _, _, factor in in_band]))
+        else:
+            for power, (_, _, factor) in zip(powers, in_band):
+                interference_mw += 10.0 ** (power / 10.0) * factor
         ratio = sinr_from_mw(10.0 ** (signal / 10.0), interference_mw)
         failure_probability = tx.rate.fer(ratio, tx.frame.wire_bytes)
-        rng = (self._delivery_rng(rx_address) if self.per_station_rng
-               else self._rng)
-        ok = bool(rng.random() >= failure_probability)
+        ok = self._delivery_draw(rx_address) >= failure_probability
         if ok:
             self._m_deliveries.add()
         else:
@@ -716,37 +771,34 @@ class WirelessMedium:
         table, memoised by :meth:`ReceiveTable.fers`.  Outcome-identical
         to :meth:`_decode` per receiver in table order: the same floats
         and the same draws in the same order.  A disabled receiver draws
-        nothing, and neither does a receiver that sent an interferer.
+        nothing, and neither does a receiver that sent an interferer.  The
+        delivery and failure counters are added once per frame; nothing
+        reads them while a frame is being delivered.
         """
         frame = tx.frame
         rate = tx.rate
         channel = tx.channel
         # Half-duplex: a station that retuned while its own frame is in
         # the air is still transmitting.
-        transmitting = {other.sender for other in tx.interferers}
-        per_station = self.per_station_rng
-        rng = self._rng
-        rngs = self._rng_by_rx
-        delivered = self._m_deliveries.add
-        failed = self._m_decode_failures.add
+        transmitting = tx.transmitting
+        draw = self._delivery_draw
         tracer = self.sim.tracer
+        delivered = failed = 0
         for mac, signal, fer in zip(table.macs, table.signals,
                                     table.fers(rate, frame.wire_bytes)):
             if (mac._channel != channel or mac.receiving_disabled
                     or mac in transmitting):
                 continue
-            if per_station:
-                rng = rngs.get(mac.address)
-                if rng is None:
-                    rng = self._delivery_rng(mac.address)
-            if rng.random() >= fer:
-                delivered()
+            if draw(mac.address) >= fer:
+                delivered += 1
                 mac._deliver(frame, rate)
             else:
-                failed()
+                failed += 1
                 if tracer.enabled:
                     self._trace_loss(tx, mac.address, sinr_from_mw(
                         10.0 ** (signal / 10.0), 0.0), fer)
+        self._m_deliveries.add(delivered)
+        self._m_decode_failures.add(failed)
 
     def _trace_loss(self, tx: Transmission, rx_address: str, ratio: float,
                     fer: float) -> None:

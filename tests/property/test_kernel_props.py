@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.kernel.errors import ConfigurationError
 from repro.kernel.random import RandomStreams
 from repro.kernel.scheduler import Simulator
 
@@ -72,6 +74,32 @@ def test_stream_any_name_works(name):
     streams = RandomStreams(7)
     value = streams.stream(name).random()
     assert 0.0 <= value < 1.0
+
+
+@given(st.integers(min_value=0, max_value=2**31 - 1),
+       st.text(alphabet=st.characters(min_codepoint=33, max_codepoint=126),
+               min_size=1, max_size=20),
+       st.lists(st.integers(min_value=0, max_value=300), min_size=1,
+                max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_uniforms_view_serves_exactly_the_stream(seed, name, counts):
+    """``uniforms(name)`` returns the doubles of as many raw
+    ``random()`` calls, across its block edges; every call returns the
+    same view; and a name cannot be taken both raw and as a view, in
+    either order."""
+    streams = RandomStreams(seed)
+    reference = RandomStreams(seed).stream(name)
+    view = streams.uniforms(name)
+    for count in counts:
+        assert ([next(view) for _ in range(count)]
+                == [reference.random() for _ in range(count)])
+        assert streams.uniforms(name) is view
+    with pytest.raises(ConfigurationError):
+        streams.stream(name)
+    raw_first = RandomStreams(seed)
+    raw_first.stream(name)
+    with pytest.raises(ConfigurationError):
+        raw_first.uniforms(name)
 
 
 @given(st.lists(st.floats(min_value=0.001, max_value=10.0), min_size=1,

@@ -122,6 +122,48 @@ def test_stats_keys_are_stable(cache):
                                   "hit_rate", "cached_links"}
 
 
+def test_row_is_synced_to_the_topology(world, cache):
+    """``row`` evicts moved entities' links first, as ``terms`` does."""
+    cache.terms("a", "b")
+    cache.terms("c", "b")
+    world.move("a", (90.0, 55.0))
+    assert cache.row("b") == {"c": cache.terms("b", "c")}
+    assert cache.row("a") == {}
+
+
+def _sweeps_room():
+    """The link-cache room ``BENCH_sweeps.json`` reports, to 3 s."""
+    from repro.experiments.workloads import interferer_field, projector_room
+
+    room = projector_room(seed=2, trace=False, register=False)
+    interferer_field(room, 16, frames_per_second=20.0)
+    room.sim.run(until=3.0)
+    return room.medium
+
+
+def _dense_cell():
+    """Room 2 of ``e11_cells``' grid, to 2 s: some of its receivers are
+    transmitting themselves while an in-band frame ahead of theirs
+    interferes."""
+    from repro.experiments.cellgrid import cell_layout, cell_room
+
+    rooms = cell_room(cell_layout(cells=8, stations_per_cell=50, seed=7), 2)
+    rooms.sim.run(until=2.0)
+    return rooms.medium
+
+
+@pytest.mark.parametrize("room, counts", [(_sweeps_room, (3446, 326)),
+                                          (_dense_cell, (6096, 1225))],
+                         ids=["sweeps_room", "e11_room"])
+def test_medium_lookups_keep_the_link_counts(room, counts):
+    """The medium reads links from a receiver's row and counts each read
+    as a hit, so ``hits`` and ``misses`` stay those of one ``terms`` call
+    per lookup of the in-order interferer scan (recorded when every
+    lookup was such a call)."""
+    stats = room().link_cache.stats()
+    assert (stats["hits"], stats["misses"]) == counts
+
+
 def test_world_epoch_counter(world):
     epoch = world.epoch
     world.move("a", (1.0, 1.0))

@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 
 from repro.env.radio import RATE_BY_NAME
+from repro.env.world import World
 from repro.kernel.errors import ConfigurationError
 from repro.net.addresses import BROADCAST
 from repro.net.frames import Frame
-from repro.phys.mac import ACK_S, CsmaMac, PREAMBLE_S, WirelessMedium
+from repro.env.spectrum import overlap_factor
+from repro.phys.mac import (ACK_S, CsmaMac, PREAMBLE_S, WirelessMedium,
+                            _VECTORISE_MIN)
 
 
 def _station(sim, world, medium, name, xy, **kwargs):
@@ -201,6 +207,96 @@ def test_hidden_terminal_collisions(sim, world):
     sim.every(0.0101, lambda: right.send(Frame("right", "mid", None, 1400)))
     sim.run(until=5.0)
     assert medium2.total_decode_failures > 0
+
+
+def _broadcaster(sim, world, medium, log, name, xy, period, start, size,
+                 **kwargs):
+    """``_station`` that broadcasts a ``size``-byte frame every ``period``
+    from ``start`` and logs each delivery to it as ``(time, src, name)``."""
+    mac = _station(sim, world, medium, name, xy, **kwargs)
+    mac.on_receive = lambda frame: log.append((sim.now, frame.src, name))
+    sim.every(period, lambda: mac.send(Frame(name, BROADCAST,
+                                             payload_bytes=size)),
+              start=start)
+    return mac
+
+
+def _outcome_sha256(logs, macs):
+    """sha256 of delivery logs plus every MAC's stats."""
+    text = json.dumps({"logs": logs, "stats": [mac.stats for mac in macs]},
+                      sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+#: ``_outcome_sha256`` of
+#: ``test_two_media_on_one_simulator_share_the_delivery_stream``,
+#: recorded while every delivery draw was a ``Generator.random()`` call.
+TWO_MEDIA_SHA256 = (
+    "fa855cdec1a7ceeba2e822ee22d30f80e063a1ce756d3a4971b44ddb64211b54")
+
+
+def test_two_media_on_one_simulator_share_the_delivery_stream(sim):
+    """Two busy broadcast groups in separate worlds on one simulator:
+    without ``per_station_rng`` both media draw from the simulator's
+    ``radio.delivery`` stream, and their draws interleave in frame-end
+    order.  A medium that buffered that stream for itself would hand
+    each decode a different double."""
+    logs, macs, media = [], [], []
+    for group in range(2):
+        world = World(60.0, 30.0)
+        medium = WirelessMedium(sim, world)
+        log = []
+        macs += [_broadcaster(sim, world, medium, log, f"g{group}-{i}",
+                              (2.0 + 10.0 * i, 5.0 + 8.0 * (i % 3)),
+                              0.02 + 0.003 * group,
+                              0.0013 * i + 0.0007 * group, 200,
+                              tx_power_dbm=-10.0)
+                 for i in range(6)]
+        logs.append(log)
+        media.append(medium)
+    sim.run(until=2.0)
+    for medium in media:  # both media decode, and draws decide outcomes
+        assert medium.total_deliveries > 0
+        assert medium.total_decode_failures > 0
+    assert _outcome_sha256(logs, macs) == TWO_MEDIA_SHA256
+
+
+#: ``_outcome_sha256`` of
+#: ``test_many_in_band_interferers_take_the_vectorised_sum``, recorded
+#: before the per-frame interferer view existed.
+VECTORISED_SUM_SHA256 = (
+    "d041c6e95b6bcca4910ad4823499fbc21e52bd6ff27f9982720cca07a49b37ab")
+
+
+def test_many_in_band_interferers_take_the_vectorised_sum(sim):
+    """Ten jammers on the adjacent channels 3 and 9 keep about nine
+    frames on the air, in band for the four stations on channel 6, whose
+    own frames never overlap each other; nobody defers (the carrier-sense
+    threshold is out of reach).  Nearly every decode sums at least
+    ``_VECTORISE_MIN`` interferers in the NumPy pass, and with SINRs
+    near the decode edge the outcomes pin that sum."""
+    world = World(200.0, 40.0)
+    medium = WirelessMedium(sim, world)
+    sums = []
+    decode = medium._decode
+    medium._decode = lambda tx, rx: (sums.append(sum(
+        overlap_factor(rx.channel, other.channel) > 0.0
+        for other in tx.interferers)) or decode(tx, rx))
+    log = []
+    macs = [_broadcaster(sim, world, medium, log, f"r{i}",
+                         (10.0 + 3.0 * i, 10.0 + 2.0 * i), 0.011, 0.0027 * i,
+                         200, channel=6, tx_power_dbm=-10.0,
+                         cs_threshold_dbm=100.0)
+            for i in range(4)]
+    macs += [_broadcaster(sim, world, medium, log, f"j{i}",
+                          (60.0 + 12.0 * i, 5.0 + 3.0 * i), 0.0125,
+                          0.0011 * i, 1400, channel=(3, 9)[i % 2],
+                          tx_power_dbm=10.0, cs_threshold_dbm=100.0)
+             for i in range(10)]
+    sim.run(until=1.0)
+    assert sum(n >= _VECTORISE_MIN for n in sums) > len(sums) // 2
+    assert medium.total_deliveries > 0 and medium.total_decode_failures > 0
+    assert _outcome_sha256([log], macs) == VECTORISED_SUM_SHA256
 
 
 def test_airtime_accounting(sim, world, medium):
