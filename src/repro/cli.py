@@ -488,11 +488,6 @@ BENCHES = (
         Gate("stream_memory_ratio", "max", 0.25,
              "streaming aggregation must stay bounded-memory against "
              "record replay"),
-        Gate("events_per_sec_disabled", "baseline", 0.95,
-             figure="kernel.events_per_sec",
-             reason="telemetry hooks must stay free when unused; this "
-                    "payload is always in-process, so the gate runs only "
-                    "against an in-process kernel baseline"),
         Gate("size_ratio", "baseline", 0.9,
              "the ratio is near-deterministic for the fixed synthetic "
              "workload"),

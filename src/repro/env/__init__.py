@@ -25,9 +25,7 @@ from .radio import (
     RateMode,
     best_rate,
     dbm_to_mw,
-    interference_sum_mw,
     mw_to_dbm,
-    sinr_db,
     sinr_from_mw,
 )
 from .spatialindex import SpatialGrid
@@ -38,7 +36,6 @@ from .spectrum import (
     center_frequency_mhz,
     least_congested,
     overlap_factor,
-    overlap_matrix,
     validate_channel,
 )
 from .world import Placement, World
@@ -69,12 +66,9 @@ __all__ = [
     "center_frequency_mhz",
     "combine_levels_db",
     "dbm_to_mw",
-    "interference_sum_mw",
     "least_congested",
     "mw_to_dbm",
     "overlap_factor",
-    "overlap_matrix",
-    "sinr_db",
     "sinr_from_mw",
     "validate_channel",
 ]

@@ -10,8 +10,9 @@ The model is deliberately classic so its shape is auditable:
 * **Log-normal shadowing**, frozen per transmitter/receiver pair so a given
   deployment has a stable radio map but different deployments differ.
 * **SINR** against the thermal noise floor plus the overlap-weighted sum of
-  co-channel and adjacent-channel interferers (vectorised NumPy — this is
-  the hot path in E2's 64-interferer sweeps).
+  co-channel and adjacent-channel interferers, accumulated in milliwatts
+  one interferer at a time by the medium (:func:`sinr_from_mw` turns the
+  sum into dB).
 * **802.11b-style rates** (1, 2, 5.5, 11 Mb/s) with DSSS/CCK processing
   gain, and a frame-error-rate model built from textbook BER curves.
 """
@@ -21,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 from scipy import special
@@ -32,27 +33,14 @@ from ..kernel.errors import ConfigurationError
 # Unit helpers
 # ---------------------------------------------------------------------------
 
-def dbm_to_mw(dbm):
-    """Convert dBm to milliwatts.
-
-    Scalar in, native ``float`` out; arrays convert elementwise and come
-    back as arrays.
-    """
-    if isinstance(dbm, (int, float)):
-        return 10.0 ** (float(dbm) / 10.0)
-    return 10.0 ** (np.asarray(dbm) / 10.0)
+def dbm_to_mw(dbm: float) -> float:
+    """Convert dBm to milliwatts (native ``float`` out)."""
+    return 10.0 ** (float(dbm) / 10.0)
 
 
-def mw_to_dbm(mw):
-    """Convert milliwatts to dBm (clipping at a -200 dBm floor).
-
-    Scalar in, native ``float`` out; arrays convert elementwise and come
-    back as arrays.
-    """
-    if isinstance(mw, (int, float)):
-        return 10.0 * math.log10(mw if mw > 1e-20 else 1e-20)
-    mw = np.maximum(np.asarray(mw, dtype=np.float64), 1e-20)
-    return 10.0 * np.log10(mw)
+def mw_to_dbm(mw: float) -> float:
+    """Convert milliwatts to dBm (clipping at a -200 dBm floor)."""
+    return 10.0 * math.log10(mw if mw > 1e-20 else 1e-20)
 
 
 #: Thermal noise floor for a 22 MHz 802.11b channel: -174 dBm/Hz + 10log10(22e6)
@@ -74,28 +62,20 @@ class RateMode:
     modulation: str
     name: str
 
-    def ber(self, sinr_linear: np.ndarray) -> np.ndarray:
-        """Bit error rate at the given *linear* SINR (vectorised)."""
-        ebn0 = np.maximum(sinr_linear * self.processing_gain, 0.0)
-        if self.modulation == "dpsk":
-            # Non-coherent differential PSK: Pb = 0.5 * exp(-Eb/N0).
-            return 0.5 * np.exp(-ebn0)
-        # CCK approximated as coherent QPSK: Pb = Q(sqrt(2 Eb/N0)).
-        return 0.5 * special.erfc(np.sqrt(np.maximum(ebn0, 0.0)))
-
     def fer(self, sinr_db: float, frame_bytes: int) -> float:
         """Frame error rate for a frame of ``frame_bytes`` at ``sinr_db``.
 
-        Pure-``math`` scalar path: this runs once per decode attempt in the
-        medium hot loop, where the 0-d NumPy round-trip of :meth:`ber` costs
-        more than the arithmetic itself.
+        Pure ``math``: this runs once per decode attempt in the medium's
+        hot loop.
         """
         ebn0 = dbm_to_mw(sinr_db) * self.processing_gain  # dB -> linear
         if ebn0 < 0.0:
             ebn0 = 0.0
         if self.modulation == "dpsk":
+            # Non-coherent differential PSK: Pb = 0.5 * exp(-Eb/N0).
             ber = 0.5 * math.exp(-ebn0)
         else:
+            # CCK approximated as coherent QPSK: Pb = Q(sqrt(2 Eb/N0)).
             ber = 0.5 * math.erfc(math.sqrt(ebn0))
         if ber <= 0.0:
             return 0.0
@@ -193,14 +173,9 @@ class PropagationModel:
         self._shadowing: Dict[Tuple[str, str], float] = {}
         self._name_hashes: Dict[str, int] = {}
 
-    def path_loss_db(self, distance_m: np.ndarray) -> np.ndarray:
-        """Deterministic path loss in dB at ``distance_m`` (vectorised)."""
-        d = np.maximum(np.asarray(distance_m, dtype=np.float64), 0.1)
-        return self.reference_loss_db + 10.0 * self.exponent * np.log10(d)
-
     def path_loss_scalar_db(self, distance_m: float) -> float:
-        """Scalar path loss in dB — the no-NumPy twin of :meth:`path_loss_db`
-        used by the link cache and the single-link fast path."""
+        """Deterministic path loss in dB at ``distance_m`` (clipped to
+        >= 0.1 m), as the link cache evaluates it per pair."""
         d = distance_m if distance_m > 0.1 else 0.1
         return self.reference_loss_db + 10.0 * self.exponent * math.log10(d)
 
@@ -260,23 +235,12 @@ class PropagationModel:
                            tx: str = "", rx: str = "") -> float:
         """Received power for one link, including frozen shadowing.
 
-        Scalar fast path (no array round-trip); the medium additionally
-        caches this per pair via :class:`repro.env.linkcache.LinkCache`.
+        The medium caches the two loss terms per pair via
+        :class:`repro.env.linkcache.LinkCache`.
         """
         loss = self.path_loss_scalar_db(distance_m)
         shadow = self.shadowing_db(tx, rx) if tx and rx else 0.0
         return tx_power_dbm - loss - shadow
-
-    def received_power_vector(self, tx_power_dbm: np.ndarray,
-                              distances_m: np.ndarray,
-                              shadowing_db: Optional[np.ndarray] = None) -> np.ndarray:
-        """Vectorised received power for many links at once (dBm)."""
-        powers = np.asarray(tx_power_dbm, dtype=np.float64)
-        loss = self.path_loss_db(distances_m)
-        rx = powers - loss
-        if shadowing_db is not None:
-            rx = rx - np.asarray(shadowing_db, dtype=np.float64)
-        return rx
 
     def range_for_rate(self, mode: RateMode, tx_power_dbm: float = 15.0,
                        frame_bytes: int = 1500, fer_target: float = 0.1,
@@ -314,33 +278,3 @@ def sinr_from_mw(signal_mw: float, interference_mw: float,
     ratio = signal_mw / (noise_mw + interference_mw)
     return 10.0 * math.log10(ratio if ratio > 1e-20 else 1e-20)
 
-
-def interference_sum_mw(interferer_dbm: np.ndarray,
-                        overlap: np.ndarray) -> float:
-    """Overlap-weighted interference sum in mW — one vectorised NumPy pass
-    over all interferers (E2's 64-interferer sweeps land here)."""
-    return float(np.sum(10.0 ** (interferer_dbm / 10.0) * overlap))
-
-
-def sinr_db(signal_dbm: float, interferer_dbm: Sequence[float],
-            overlap: Optional[Sequence[float]] = None,
-            noise_floor_dbm: float = NOISE_FLOOR_DBM) -> float:
-    """Signal-to-interference-plus-noise ratio in dB.
-
-    Args:
-        signal_dbm: received power of the wanted transmission.
-        interferer_dbm: received powers of concurrent transmissions.
-        overlap: spectral overlap factor for each interferer (default 1.0,
-            i.e. co-channel).
-        noise_floor_dbm: thermal noise power.
-    """
-    interference_mw = 0.0
-    interferers = np.asarray(list(interferer_dbm), dtype=np.float64)
-    if interferers.size:
-        factors = (np.ones_like(interferers) if overlap is None
-                   else np.asarray(list(overlap), dtype=np.float64))
-        if factors.shape != interferers.shape:
-            raise ConfigurationError("overlap length must match interferers")
-        interference_mw = interference_sum_mw(interferers, factors)
-    return sinr_from_mw(dbm_to_mw(signal_dbm), interference_mw,
-                        dbm_to_mw(noise_floor_dbm))

@@ -16,9 +16,9 @@ Design points (documented in ``docs/performance.md``):
   rebuilds the whole index when it moved.  A rebuild is one vectorised
   NumPy pass (sort by linearised cell id), so mobile scenarios pay one
   O(n log n) rebuild per mobility step — never per query.
-* **Cell size** defaults to a density heuristic (a few entities per cell)
-  and can be pinned for workloads that know their query radius; the classic
-  choice is one query radius per cell.
+* **Cell size** follows a density heuristic (a few entities per cell),
+  recomputed on every rebuild.  It sets what a query costs, never what it
+  returns.
 * **Queries are conservative and exact**: candidate cells are taken from
   the bounding box of the radius, then filtered by true Euclidean distance
   (min-clipped to 0.1 m exactly like
@@ -30,11 +30,9 @@ Design points (documented in ``docs/performance.md``):
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, TYPE_CHECKING, Tuple
+from typing import Dict, List, TYPE_CHECKING, Tuple
 
 import numpy as np
-
-from ..kernel.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (world -> grid)
     from .world import World
@@ -42,7 +40,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (world -> grid)
 #: Minimum separation enforced by distance queries, metres (matches World).
 MIN_SEPARATION_M: float = 0.1
 
-#: Target average entities per cell when the cell size is auto-derived.
+#: Target average entities per cell.
 _TARGET_PER_CELL: float = 2.0
 
 
@@ -50,20 +48,16 @@ class SpatialGrid:
     """Uniform bucket grid over world positions, rebuilt lazily per epoch.
 
     Args:
-        world: the world to index (positions are read on rebuild).
-        cell_size: cell edge in metres; ``None`` auto-sizes from density
-            (roughly :data:`_TARGET_PER_CELL` entities per cell).
+        world: the world to index (positions are read on rebuild).  Cells
+            are sized from its density, roughly :data:`_TARGET_PER_CELL`
+            entities per cell.
     """
 
-    __slots__ = ("world", "cell_size", "_auto_cell", "_epoch", "_cell_m",
-                 "_cells", "rebuilds", "queries", "full_scans")
+    __slots__ = ("world", "_epoch", "_cell_m", "_cells", "rebuilds",
+                 "queries", "full_scans")
 
-    def __init__(self, world: "World", cell_size: Optional[float] = None) -> None:
-        if cell_size is not None and cell_size <= 0:
-            raise ConfigurationError(f"cell_size must be positive, got {cell_size}")
+    def __init__(self, world: "World") -> None:
         self.world = world
-        self.cell_size = cell_size
-        self._auto_cell = cell_size is None
         self._epoch: int = -1  # force a build on first query
         self._cell_m: float = 1.0
         #: (cx, cy) -> array of entity indices in that cell (ascending).
@@ -73,7 +67,7 @@ class SpatialGrid:
         self.full_scans = 0
 
     # ------------------------------------------------------------------
-    def _auto_cell_size(self, count: int) -> float:
+    def _cell_size(self, count: int) -> float:
         """Cell edge targeting ~:data:`_TARGET_PER_CELL` entities per cell."""
         world = self.world
         if count <= 1:
@@ -88,8 +82,7 @@ class SpatialGrid:
         world = self.world
         positions = world.positions()
         count = positions.shape[0]
-        self._cell_m = (self._auto_cell_size(count) if self._auto_cell
-                        else float(self.cell_size))
+        self._cell_m = self._cell_size(count)
         cells: Dict[Tuple[int, int], np.ndarray] = {}
         if count:
             coords = np.floor(positions / self._cell_m).astype(np.intp)
@@ -165,9 +158,10 @@ class SpatialGrid:
     def neighbors_within(self, name: str, radius: float) -> List[str]:
         """Names of entities within ``radius`` of ``name`` (insertion order).
 
-        Byte-for-byte equivalent to
-        :meth:`World.within <repro.env.world.World.within>`'s brute-force
-        scan — the grid only changes how candidates are enumerated.
+        Byte-for-byte equivalent to a brute-force scan of the world with
+        :meth:`World.distance_between
+        <repro.env.world.World.distance_between>` — the grid only changes
+        how candidates are enumerated.
         """
         names = self.world.names_view()
         return [names[i] for i in self.neighbor_indices_within(name, radius)]

@@ -16,8 +16,6 @@ set.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 import numpy as np
 
 from ..kernel.errors import ConfigurationError
@@ -64,15 +62,6 @@ def overlap_factor(channel_a: int, channel_b: int) -> float:
         factor = max(0.0, 1.0 - separation / ORTHOGONAL_SEPARATION)
         _OVERLAP_MEMO[(channel_a, channel_b)] = factor
     return factor
-
-
-def overlap_matrix(channels: Iterable[int]) -> np.ndarray:
-    """Pairwise overlap factors for a sequence of channels (vectorised)."""
-    chans = np.asarray(list(channels), dtype=np.int64)
-    for c in chans:
-        validate_channel(int(c))
-    sep = np.abs(chans[:, None] - chans[None, :])
-    return np.maximum(0.0, 1.0 - sep / ORTHOGONAL_SEPARATION)
 
 
 def least_congested(channel_loads: dict) -> int:

@@ -3,9 +3,11 @@
 The paper argues the environment deserves its *own* layer beneath the
 physical layer: mobile pervasive systems cannot engineer the environment
 away.  :class:`World` is that layer made concrete — a bounded 2-D space
-holding positioned entities, with vectorised spatial queries used by the
-radio propagation model (distances to every interferer in one NumPy call,
-per the HPC guides' "vectorise the hot loop" rule).
+holding positioned entities.  The radio medium asks it one scalar
+distance per link (:meth:`World.distance_between`, memoised per pair by
+the link cache) and which entities moved since an epoch; range queries
+go through :class:`~repro.env.spatialindex.SpatialGrid` over its
+position array.
 """
 
 from __future__ import annotations
@@ -36,11 +38,6 @@ class Placement:
     def position(self, xy: Sequence[float]) -> None:
         self._world.move(self.name, xy)
 
-    def distance_to(self, other: "Placement") -> float:
-        """Euclidean distance in metres to another placement."""
-        delta = self._world._positions[self._index] - self._world._positions[other._index]
-        return float(np.hypot(delta[0], delta[1]))
-
     def __repr__(self) -> str:  # pragma: no cover
         x, y = self.position
         return f"<Placement {self.name} ({x:.2f}, {y:.2f})>"
@@ -53,9 +50,8 @@ class World:
         width: extent in metres along x.
         height: extent in metres along y.
 
-    Positions are stored in one contiguous ``(n, 2)`` float64 array so the
-    propagation model can compute all pairwise distances without Python
-    loops.
+    Positions are stored in one contiguous ``(n, 2)`` float64 array, the
+    array the spatial index and the medium's move checks read in one pass.
     """
 
     #: Initial capacity of the position buffer (doubles when exhausted).
@@ -77,7 +73,6 @@ class World:
         self._names: List[str] = []
         self._index: Dict[str, int] = {}
         self._epoch: int = 0
-        self._grid = None  # lazily-built SpatialGrid backing ``within``
 
     # ------------------------------------------------------------------
     @property
@@ -164,7 +159,7 @@ class World:
         return np.clip(pos, [0.0, 0.0], [self.width, self.height])
 
     # ------------------------------------------------------------------
-    # Vectorised queries (hot path for the radio model)
+    # Distance queries
     # ------------------------------------------------------------------
     def distance_between(self, a: str, b: str) -> float:
         """Scalar distance (m) between two entities, min-clipped to 0.1 m.
@@ -197,32 +192,6 @@ class World:
             return np.empty(0)
         delta = pts - origin
         return np.maximum(np.sqrt(np.einsum("ij,ij->i", delta, delta)), 0.1)
-
-    def pairwise_distances(self, names: Sequence[str]) -> np.ndarray:
-        """Full distance matrix (m) among ``names`` (min-clipped to 0.1 m)."""
-        idx = np.fromiter((self._lookup(n) for n in names), dtype=np.intp)
-        pts = self._positions[idx]
-        delta = pts[:, None, :] - pts[None, :, :]
-        dist = np.sqrt(np.einsum("ijk,ijk->ij", delta, delta))
-        np.fill_diagonal(dist, 0.0)
-        return np.where(dist > 0, np.maximum(dist, 0.1), dist)
-
-    def within(self, name: str, radius: float) -> List[str]:
-        """Names of other entities within ``radius`` metres of ``name``.
-
-        Served by the shared :class:`~repro.env.spatialindex.SpatialGrid`,
-        so the cost scales with the entities the radius can actually reach
-        rather than the world population.  Results keep the brute-force
-        scan's insertion order exactly.
-        """
-        return self.grid().neighbors_within(name, radius)
-
-    def grid(self):
-        """The world's lazily-built spatial index (shared by consumers)."""
-        if self._grid is None:
-            from .spatialindex import SpatialGrid
-            self._grid = SpatialGrid(self)
-        return self._grid
 
     def index_of(self, name: str) -> int:
         """Insertion index of ``name`` (stable for the entity's lifetime)."""

@@ -608,7 +608,7 @@ def bench_telemetry(events: int = TELEMETRY_EVENTS,
                     chunk: int = TELEMETRY_CHUNK) -> Dict[str, Any]:
     """JSONL vs columnar export cost plus streaming-aggregation bounds.
 
-    Four arms:
+    Three arms:
 
     * **export**: the same ``events`` synthetic records (+ spans + one
       metrics snapshot) through ``JsonlWriter`` and ``ColumnarWriter``,
@@ -621,10 +621,9 @@ def bench_telemetry(events: int = TELEMETRY_EVENTS,
     * **memory**: the same run traced in ``head`` mode (stores every
       record) vs ``stream`` mode (stores nothing), peak traced memory
       compared (``telemetry.stream_memory_ratio``).
-    * **disabled path**: the bound timer chain with tracing off, the
-      figure ``telemetry.events_per_sec_disabled`` holds against the
-      committed kernel baseline — subscriber/hook plumbing must stay
-      free for sweeps that never trace.
+
+    The disabled path (tracing off on the bound timer chain) is timed and
+    gated once, by :func:`bench_trace` (``trace.events_per_sec_disabled``).
     """
     import tempfile
 
@@ -678,8 +677,6 @@ def bench_telemetry(events: int = TELEMETRY_EVENTS,
         "stream_peak_bytes": stream_peak,
         "stream_memory_ratio": (stream_peak / replay_peak
                                 if replay_peak else 0.0),
-        "events_per_sec_disabled":
-            _ops_per_sec(_timer_chain_bound, KERNEL_EVENTS, 3),
         "source": "in-process",
     }
 

@@ -60,7 +60,6 @@ class CellLayout:
     channel: int
     frames_per_second: float
     frame_bytes: int
-    grid_cell_m: float
     interference_radius_m: float
     width: float
     height: float
@@ -90,15 +89,17 @@ def cell_layout(cells: int = 4, stations_per_cell: int = 50, *,
                 spacing_m: float = 5000.0, exponent: float = 4.0,
                 sigma_db: float = 2.0, tx_power_dbm: float = 0.0,
                 channel: int = 6, frames_per_second: float = 2.0,
-                frame_bytes: int = 66, grid_cell_m: float = 600.0,
+                frame_bytes: int = 66,
                 interference_radius_m: Optional[float] = None) -> CellLayout:
     """Draw a ``cells`` x ``stations_per_cell`` grid of dense rooms.
 
     Rooms are ``cell_width_m`` squares spaced ``spacing_m`` apart along
     x — far enough that no pair of stations in different rooms can ever
     interact at the default interference radius (three room widths).
-    ``grid_cell_m`` is pinned (the spatial grid's automatic cell size
-    depends on the attached population, which differs per room).
+    The medium's spatial grid sizes its cells from the placed
+    population, so one room alone gets larger cells than the whole grid
+    does; grid queries are exact and come back in insertion order, so
+    the cell size changes what a query costs, never what it returns.
     """
     if interference_radius_m is None:
         interference_radius_m = 3.0 * cell_width_m
@@ -123,7 +124,6 @@ def cell_layout(cells: int = 4, stations_per_cell: int = 50, *,
         cell_width_m=cell_width_m, spacing_m=spacing_m, exponent=exponent,
         sigma_db=sigma_db, tx_power_dbm=tx_power_dbm, channel=channel,
         frames_per_second=frames_per_second, frame_bytes=frame_bytes,
-        grid_cell_m=grid_cell_m,
         interference_radius_m=float(interference_radius_m),
         width=(cells - 1) * spacing_m + cell_width_m + 1.0,
         height=cell_width_m + 1.0,
@@ -147,8 +147,8 @@ def _assemble(sim: Simulator, layout: CellLayout,
               indices: Sequence[int]) -> CellRooms:
     """Instantiate ``indices`` (global order) of ``layout`` on ``sim``.
 
-    The world always spans the *full* grid extent and the spatial-grid
-    cell size is pinned, so oracle and per-room geometry agree exactly.
+    The world always spans the *full* grid extent, so oracle and
+    per-room geometry agree exactly.
     """
     aggregator = StreamingAggregator()
     aggregator.attach(sim)
@@ -158,7 +158,7 @@ def _assemble(sim: Simulator, layout: CellLayout,
                                    rng=sim.rng("radio.shadowing"))
     medium = WirelessMedium(
         sim, world, propagation=propagation, culling=True,
-        grid_cell_m=layout.grid_cell_m, per_station_rng=True,
+        per_station_rng=True,
         interference_radius_m=layout.interference_radius_m)
     deliveries: List[Tuple[float, str, str]] = []
     macs: List[CsmaMac] = []

@@ -36,7 +36,6 @@ from ..env.radio import (
     PropagationModel,
     RateMode,
     best_rate,
-    interference_sum_mw,
     sinr_from_mw,
 )
 from ..env.spatialindex import MIN_SEPARATION_M, SpatialGrid
@@ -64,10 +63,6 @@ ACK_TURNAROUND_S: float = SIFS_S + ACK_S
 
 #: Transmission-end priority as a plain int for the scheduler fast path.
 _MEDIUM_PRI: int = int(Priority.MEDIUM)
-
-#: Interferer count at which the SINR sum switches from a scalar loop to
-#: one vectorised NumPy pass (array setup only pays off beyond a handful).
-_VECTORISE_MIN: int = 8
 
 #: The half-duplex map of a frame that overlapped nothing.
 _NO_SENDERS: Mapping["CsmaMac", int] = MappingProxyType({})
@@ -198,7 +193,6 @@ class WirelessMedium:
     def __init__(self, sim: Simulator, world: World,
                  propagation: Optional[PropagationModel] = None,
                  fast_fading: bool = False, culling: bool = True,
-                 grid_cell_m: Optional[float] = None,
                  per_station_rng: bool = False,
                  interference_radius_m: Optional[float] = None) -> None:
         self.sim = sim
@@ -215,7 +209,7 @@ class WirelessMedium:
         self.fast_fading = fast_fading
         #: spatial audibility culling (see class docstring).
         self.culling = culling
-        self._grid = SpatialGrid(world, cell_size=grid_cell_m)
+        self._grid = SpatialGrid(world)
         self._macs: Dict[str, "CsmaMac"] = {}
         self._active: List[Transmission] = []
         #: draw delivery/fading randomness from per-receiver streams
@@ -237,13 +231,13 @@ class WirelessMedium:
         #: contract sharded configs rely on for oracle byte-identity.
         self.interference_radius_m = interference_radius_m
         #: bumped on attach / channel retune / promiscuous toggle; keys the
-        #: station-list, per-channel-partition and audible-set caches.
+        #: promiscuous tuple and the receive tables.
         self._config_epoch = 0
         self._attach_order: Dict[str, int] = {}
-        self._stations_cache: Optional[List[str]] = None
-        self._partitions: Optional[Dict[int, List["CsmaMac"]]] = None
-        self._promisc_cache: Optional[Tuple["CsmaMac", ...]] = None
-        self._caches_key = (-1, -1)
+        #: the promiscuous stations in attach order, and the config epoch
+        #: they were collected at.
+        self._promisc: Tuple["CsmaMac", ...] = ()
+        self._promisc_epoch = -1
         #: sender address -> its receive table (culling mode only).
         self._tables: Dict[str, ReceiveTable] = {}
         #: ``_movers`` results for the current topology epoch, by the
@@ -314,46 +308,23 @@ class WirelessMedium:
         self.notify_config_change()
 
     def notify_config_change(self) -> None:
-        """Invalidate station/partition/audible caches (attach, retune,
-        promiscuous toggle).  Cheap: one integer bump; caches rebuild
-        lazily on next use."""
+        """Invalidate the promiscuous tuple and the receive tables
+        (attach, retune, promiscuous toggle).  Cheap: one integer bump;
+        both rebuild lazily on next use."""
         self._config_epoch += 1
 
     def stations(self) -> List[str]:
-        """Sorted attached addresses (cached; invalidated by attach)."""
-        if self._stations_cache is None or \
-                self._caches_key[0] != self._config_epoch:
-            self._refresh_station_caches()
-        return list(self._stations_cache)
-
-    def _refresh_station_caches(self) -> None:
-        self._stations_cache = sorted(self._macs)
-        partitions: Dict[int, List["CsmaMac"]] = {}
-        promisc = []
-        for mac in self._macs.values():  # attach order
-            partitions.setdefault(mac._channel, []).append(mac)
-            if mac._promiscuous:
-                promisc.append(mac)
-        self._partitions = partitions
-        self._promisc_cache = tuple(promisc)
-        self._caches_key = (self._config_epoch, 0)
-
-    def stations_on_channel(self, channel: int) -> List[str]:
-        """Attached addresses tuned to ``channel``, in attach order.
-
-        Served from the per-channel partition cache so channel-filtered
-        scans never touch the full station dict.
-        """
-        if self._partitions is None or \
-                self._caches_key[0] != self._config_epoch:
-            self._refresh_station_caches()
-        return [mac.address for mac in self._partitions.get(channel, ())]
+        """Attached addresses, sorted."""
+        return sorted(self._macs)
 
     def _promiscuous_macs(self) -> Tuple["CsmaMac", ...]:
-        if self._promisc_cache is None or \
-                self._caches_key[0] != self._config_epoch:
-            self._refresh_station_caches()
-        return self._promisc_cache
+        """The promiscuous stations in attach order, collected once per
+        config epoch: every unicast frame reads them."""
+        if self._promisc_epoch != self._config_epoch:
+            self._promisc = tuple(mac for mac in self._macs.values()
+                                  if mac._promiscuous)
+            self._promisc_epoch = self._config_epoch
+        return self._promisc
 
     # ------------------------------------------------------------------
     # Audibility culling
@@ -731,26 +702,20 @@ class WirelessMedium:
             # looked up, so the link cache counts the lookups of a scan of
             # ``tx.interferers`` in order that stops there.
             in_band = in_band[:ahead]
-        powers = []
-        for address, power_dbm, _ in in_band:
+        # The interference sum runs left to right in ``tx.interferers``
+        # order, one term per in-band interferer, whatever their number.
+        interference_mw = 0.0
+        for address, power_dbm, factor in in_band:
             link = row.get(address)
             if link is None:
                 link = cache.terms(address, rx_address)
             else:
                 hits += 1
-            powers.append(power_dbm - link[0] - link[1])
+            interference_mw += (
+                10.0 ** ((power_dbm - link[0] - link[1]) / 10.0) * factor)
         cache.hits += hits
         if ahead is not None:
             return False
-        interference_mw = 0.0
-        if len(powers) >= _VECTORISE_MIN:
-            # One vectorised NumPy pass over all interferers.
-            interference_mw = interference_sum_mw(
-                np.asarray(powers),
-                np.asarray([factor for _, _, factor in in_band]))
-        else:
-            for power, (_, _, factor) in zip(powers, in_band):
-                interference_mw += 10.0 ** (power / 10.0) * factor
         ratio = sinr_from_mw(10.0 ** (signal / 10.0), interference_mw)
         failure_probability = tx.rate.fer(ratio, tx.frame.wire_bytes)
         ok = self._delivery_draw(rx_address) >= failure_probability
@@ -887,7 +852,7 @@ class CsmaMac:
     @property
     def channel(self) -> int:
         """Current 2.4 GHz channel; assigning retunes the radio and
-        invalidates the medium's per-channel partitions."""
+        bumps the medium's config epoch."""
         return self._channel
 
     @channel.setter
@@ -1028,7 +993,7 @@ class CsmaMac:
         validate_channel(channel)
         self.channel = channel
 
-    def scan_and_select(self, window_s: Optional[float] = None) -> int:
+    def scan_and_select(self) -> int:
         """Self-configuration: survey per-channel load and retune to the
         least-congested channel.
 
@@ -1036,9 +1001,7 @@ class CsmaMac:
         should be automatically available, self-configuring" — this is
         the radio half of that requirement.  The survey uses the medium's
         accumulated per-channel airtime (what a passive scan across the
-        band observes); ``window_s`` is accepted for interface
-        compatibility but the cumulative survey is already load-ordered.
-        Returns the selected channel.
+        band observes).  Returns the selected channel.
         """
         from ..env.spectrum import least_congested
 

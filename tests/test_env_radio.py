@@ -13,7 +13,7 @@ from repro.env.radio import (
     best_rate,
     dbm_to_mw,
     mw_to_dbm,
-    sinr_db,
+    sinr_from_mw,
 )
 from repro.kernel.errors import ConfigurationError
 
@@ -39,13 +39,6 @@ def test_scalar_conversions_return_native_float():
     assert type(NOISE_FLOOR_DBM) is float
 
 
-def test_array_conversions_still_return_arrays():
-    mw = dbm_to_mw(np.array([0.0, 10.0]))
-    assert isinstance(mw, np.ndarray)
-    assert np.allclose(mw, [1.0, 10.0])
-    assert isinstance(mw_to_dbm(np.array([1.0, 10.0])), np.ndarray)
-
-
 def test_mw_to_dbm_clips_at_floor():
     assert mw_to_dbm(0.0) == pytest.approx(-200.0)
     assert mw_to_dbm(-1.0) == pytest.approx(-200.0)
@@ -58,22 +51,21 @@ def test_noise_floor_plausible():
 
 def test_path_loss_monotone_in_distance():
     model = PropagationModel(shadowing_sigma_db=0.0)
-    d = np.array([1.0, 10.0, 100.0])
-    losses = model.path_loss_db(d)
+    losses = [model.path_loss_scalar_db(d) for d in (1.0, 10.0, 100.0)]
     assert losses[0] < losses[1] < losses[2]
 
 
 def test_path_loss_reference_value():
     model = PropagationModel(exponent=3.0, reference_loss_db=40.0,
                              shadowing_sigma_db=0.0)
-    assert float(model.path_loss_db(np.array(1.0))) == pytest.approx(40.0)
-    assert float(model.path_loss_db(np.array(10.0))) == pytest.approx(70.0)
+    assert model.path_loss_scalar_db(1.0) == pytest.approx(40.0)
+    assert model.path_loss_scalar_db(10.0) == pytest.approx(70.0)
 
 
 def test_free_space_exponent_slope():
     model = PropagationModel(exponent=2.0, shadowing_sigma_db=0.0)
-    l10 = float(model.path_loss_db(np.array(10.0)))
-    l100 = float(model.path_loss_db(np.array(100.0)))
+    l10 = model.path_loss_scalar_db(10.0)
+    l100 = model.path_loss_scalar_db(100.0)
     assert l100 - l10 == pytest.approx(20.0)
 
 
@@ -104,14 +96,6 @@ def test_received_power_includes_shadowing():
     plain = model.received_power_dbm(15.0, 10.0)
     shadowed = model.received_power_dbm(15.0, 10.0, "a", "b")
     assert shadowed == pytest.approx(plain - model.shadowing_db("a", "b"))
-
-
-def test_received_power_vector_matches_scalar():
-    model = PropagationModel(shadowing_sigma_db=0.0)
-    distances = np.array([5.0, 20.0, 80.0])
-    vector = model.received_power_vector(np.full(3, 15.0), distances)
-    for i, d in enumerate(distances):
-        assert vector[i] == pytest.approx(model.received_power_dbm(15.0, d))
 
 
 # ---------------------------------------------------------------------------
@@ -178,31 +162,37 @@ def test_range_for_rate_zero_when_impossible():
 # SINR
 # ---------------------------------------------------------------------------
 
+def _interference_mw(powers_dbm, overlaps):
+    """The medium's overlap-weighted interference sum, in milliwatts."""
+    total = 0.0
+    for power, factor in zip(powers_dbm, overlaps):
+        total += dbm_to_mw(power) * factor
+    return total
+
+
 def test_sinr_without_interference_is_snr():
-    assert sinr_db(-60.0, []) == pytest.approx(-60.0 - NOISE_FLOOR_DBM)
+    assert sinr_from_mw(dbm_to_mw(-60.0), 0.0) == \
+        pytest.approx(-60.0 - NOISE_FLOOR_DBM)
 
 
 def test_sinr_with_equal_interferer_near_zero():
     # One co-channel interferer at the same power: SINR ≈ 0 dB (noise makes
     # it slightly negative).
-    value = sinr_db(-60.0, [-60.0])
+    value = sinr_from_mw(dbm_to_mw(-60.0), dbm_to_mw(-60.0))
     assert -0.5 < value < 0.0
 
 
 def test_sinr_overlap_scales_interference():
-    full = sinr_db(-60.0, [-60.0], [1.0])
-    half = sinr_db(-60.0, [-60.0], [0.5])
-    none = sinr_db(-60.0, [-60.0], [0.0])
+    signal = dbm_to_mw(-60.0)
+    full = sinr_from_mw(signal, _interference_mw([-60.0], [1.0]))
+    half = sinr_from_mw(signal, _interference_mw([-60.0], [0.5]))
+    none = sinr_from_mw(signal, _interference_mw([-60.0], [0.0]))
     assert full < half < none
-    assert none == pytest.approx(sinr_db(-60.0, []))
-
-
-def test_sinr_overlap_length_mismatch_rejected():
-    with pytest.raises(ConfigurationError):
-        sinr_db(-60.0, [-60.0, -70.0], [1.0])
+    assert none == pytest.approx(sinr_from_mw(signal, 0.0))
 
 
 def test_sinr_multiple_interferers_sum():
-    one = sinr_db(-60.0, [-70.0])
-    two = sinr_db(-60.0, [-70.0, -70.0])
+    signal = dbm_to_mw(-60.0)
+    one = sinr_from_mw(signal, _interference_mw([-70.0], [1.0]))
+    two = sinr_from_mw(signal, _interference_mw([-70.0, -70.0], [1.0, 1.0]))
     assert two < one

@@ -1,4 +1,4 @@
-"""Tests for the uniform-grid spatial index behind ``World.within``."""
+"""Tests for the uniform-grid spatial index behind the medium's culling."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import pytest
 
 from repro.env.spatialindex import MIN_SEPARATION_M, SpatialGrid
 from repro.env.world import World
-from repro.kernel.errors import ConfigurationError
 
 
 def brute_force_within(world: World, name: str, radius: float):
@@ -58,7 +57,7 @@ def test_results_in_insertion_order():
     for name in ("z", "m", "a", "q"):
         world.place(name, (5.0, 5.0))
     # All co-located: everything within 0.1 of everything, insertion order.
-    assert world.within("m", 0.2) == ["z", "a", "q"]
+    assert SpatialGrid(world).neighbors_within("m", 0.2) == ["z", "a", "q"]
 
 
 def test_min_separation_clip_matches_world():
@@ -112,22 +111,6 @@ def test_placements_after_build_are_observed():
 # Configuration and edge cases
 # ---------------------------------------------------------------------------
 
-def test_bad_cell_size_rejected():
-    world = World(10.0, 10.0)
-    with pytest.raises(ConfigurationError):
-        SpatialGrid(world, cell_size=0.0)
-    with pytest.raises(ConfigurationError):
-        SpatialGrid(world, cell_size=-1.0)
-
-
-def test_pinned_cell_size_used():
-    world = World(100.0, 100.0)
-    scatter(world, 30)
-    grid = SpatialGrid(world, cell_size=12.5)
-    grid.neighbors_within("e0", 5.0)
-    assert grid.stats()["cell_m"] == 12.5
-
-
 def test_world_spanning_radius_takes_full_scan_path():
     world = World(100.0, 100.0)
     scatter(world, 50)
@@ -146,8 +129,13 @@ def test_single_entity_world():
 
 
 def test_world_within_uses_shared_grid():
+    """One grid serves every within-radius query of a static world from
+    one build, each equal to the brute-force scan."""
     world = World(100.0, 100.0)
     scatter(world, 40)
-    assert world.within("e0", 15.0) == brute_force_within(world, "e0", 15.0)
-    assert world.grid() is world.grid()
-    assert world.grid().stats()["queries"] >= 1
+    grid = SpatialGrid(world)
+    for name in ("e0", "e9", "e39"):
+        assert grid.neighbors_within(name, 15.0) == \
+            brute_force_within(world, name, 15.0)
+    assert grid.stats()["queries"] == 3
+    assert grid.stats()["rebuilds"] == 1

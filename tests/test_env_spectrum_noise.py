@@ -15,7 +15,6 @@ from repro.env.spectrum import (
     center_frequency_mhz,
     least_congested,
     overlap_factor,
-    overlap_matrix,
     validate_channel,
 )
 from repro.env.world import World
@@ -57,14 +56,6 @@ def test_non_overlapping_plan_is_orthogonal():
 
 def test_adjacent_channel_partial_overlap():
     assert 0.0 < overlap_factor(6, 7) < 1.0
-
-
-def test_overlap_matrix_matches_scalar():
-    channels = [1, 4, 6, 11]
-    matrix = overlap_matrix(channels)
-    for i, a in enumerate(channels):
-        for j, b in enumerate(channels):
-            assert matrix[i, j] == pytest.approx(overlap_factor(a, b))
 
 
 def test_least_congested_avoids_load():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.env.spatialindex import SpatialGrid
 from repro.env.world import World
 from repro.kernel.errors import ConfigurationError
 
@@ -52,7 +53,7 @@ def test_bad_position_shape_rejected(world):
 def test_distance_between_placements(world):
     a = world.place("a", (0, 0))
     b = world.place("b", (3, 4))
-    assert a.distance_to(b) == pytest.approx(5.0)
+    assert world.distance_between(a.name, b.name) == pytest.approx(5.0)
 
 
 def test_distances_from_vectorised(world):
@@ -76,22 +77,11 @@ def test_minimum_separation_enforced(world):
     assert world.distances_from("a", ["b"])[0] == pytest.approx(0.1)
 
 
-def test_pairwise_distances_symmetric_zero_diagonal(world):
-    world.place("a", (0, 0))
-    world.place("b", (10, 0))
-    world.place("c", (0, 10))
-    matrix = world.pairwise_distances(["a", "b", "c"])
-    assert matrix.shape == (3, 3)
-    assert np.allclose(np.diag(matrix), 0.0)
-    assert np.allclose(matrix, matrix.T)
-    assert matrix[0, 1] == pytest.approx(10.0)
-
-
 def test_within_radius(world):
     world.place("centre", (50, 30))
     world.place("near", (52, 30))
     world.place("far", (90, 30))
-    assert world.within("centre", 5.0) == ["near"]
+    assert SpatialGrid(world).neighbors_within("centre", 5.0) == ["near"]
 
 
 def test_placement_property_setter(world):

@@ -41,8 +41,7 @@ PASSING = {
     "telemetry": {"source": "in-process", "summary_identical": True,
                   "stream_stored_records": 0, "stream_stored_spans": 0,
                   "size_ratio": 12.0, "write_speedup": 3.5,
-                  "lines_identical": True, "stream_memory_ratio": 0.01,
-                  "events_per_sec_disabled": 2_600_000.0},
+                  "lines_identical": True, "stream_memory_ratio": 0.01},
     "checks": {"source": "in-process", "findings_identical": True,
                "warm_analyzed": 0, "warm_speedup": 24.0},
     "shard": {"source": "in-process", "outcomes_identical": True,
@@ -202,15 +201,14 @@ CASES = [
      ["telemetry.stream_stored_records max",
       "telemetry.stream_stored_spans max"], []),
     ("telemetry-at-floors", "telemetry",
-     {"size_ratio": 3.0, "write_speedup": 2.0, "stream_memory_ratio": 0.25,
-      "events_per_sec_disabled": 950_000.0}, {"telemetry": None}, [],
+     {"size_ratio": 3.0, "write_speedup": 2.0, "stream_memory_ratio": 0.25},
+     {"telemetry": None}, [],
      ["telemetry.size_ratio baseline: no baseline"]),
     ("telemetry-below-floors", "telemetry",
-     {"size_ratio": 2.99, "write_speedup": 1.99, "stream_memory_ratio": 0.2501,
-      "events_per_sec_disabled": 949_999.0}, {"telemetry": None},
+     {"size_ratio": 2.99, "write_speedup": 1.99, "stream_memory_ratio": 0.2501},
+     {"telemetry": None},
      ["telemetry.size_ratio min", "telemetry.write_speedup min",
-      "telemetry.stream_memory_ratio max",
-      "telemetry.events_per_sec_disabled baseline"],
+      "telemetry.stream_memory_ratio max"],
      ["telemetry.size_ratio baseline: no baseline"]),
     ("telemetry-lines-differ", "telemetry", {"lines_identical": False}, {},
      ["telemetry.lines_identical true"], []),
@@ -219,12 +217,6 @@ CASES = [
     ("telemetry-at-baseline", "telemetry", {"size_ratio": 9.0}, {}, [], []),
     ("telemetry-below-baseline", "telemetry", {"size_ratio": 8.99}, {},
      ["telemetry.size_ratio baseline"], []),
-    # the committed situation: BENCH_telemetry is in-process and the
-    # kernel baseline is pytest-benchmark, so the disabled path skips
-    ("telemetry-unlike-kernel-baseline", "telemetry",
-     {"events_per_sec_disabled": 100.0},
-     {"kernel": {"source": "pytest-benchmark"}}, [],
-     [f"telemetry.events_per_sec_disabled baseline: {UNLIKE}"]),
     ("telemetry-unlike-baseline", "telemetry", {"size_ratio": 4.0},
      {"telemetry": {"source": "pytest-benchmark"}}, [],
      [f"telemetry.size_ratio baseline: {UNLIKE}"]),
@@ -317,7 +309,7 @@ def test_every_gate_has_a_passing_and_a_failing_case():
     # Gates are told apart by their place in the row: the two shard
     # speedup floors share a key and a kind.
     gates = {(row.name, i) for row in BENCHES for i in range(len(row.gates))}
-    assert len(gates) == 34
+    assert len(gates) == 33
     failed = set()
     for _id, row, changes, baseline_changes, _failing, _skipped in CASES:
         verdicts = _verdicts(row, changes, baseline_changes)

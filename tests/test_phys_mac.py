@@ -13,8 +13,8 @@ from repro.kernel.errors import ConfigurationError
 from repro.net.addresses import BROADCAST
 from repro.net.frames import Frame
 from repro.env.spectrum import overlap_factor
-from repro.phys.mac import (ACK_S, CsmaMac, PREAMBLE_S, WirelessMedium,
-                            _VECTORISE_MIN)
+from repro.phys import mac as phys_mac
+from repro.phys.mac import ACK_S, CsmaMac, PREAMBLE_S, WirelessMedium
 
 
 def _station(sim, world, medium, name, xy, **kwargs):
@@ -261,27 +261,14 @@ def test_two_media_on_one_simulator_share_the_delivery_stream(sim):
     assert _outcome_sha256(logs, macs) == TWO_MEDIA_SHA256
 
 
-#: ``_outcome_sha256`` of
-#: ``test_many_in_band_interferers_take_the_vectorised_sum``, recorded
-#: before the per-frame interferer view existed.
-VECTORISED_SUM_SHA256 = (
-    "d041c6e95b6bcca4910ad4823499fbc21e52bd6ff27f9982720cca07a49b37ab")
-
-
-def test_many_in_band_interferers_take_the_vectorised_sum(sim):
-    """Ten jammers on the adjacent channels 3 and 9 keep about nine
-    frames on the air, in band for the four stations on channel 6, whose
-    own frames never overlap each other; nobody defers (the carrier-sense
-    threshold is out of reach).  Nearly every decode sums at least
-    ``_VECTORISE_MIN`` interferers in the NumPy pass, and with SINRs
-    near the decode edge the outcomes pin that sum."""
+def _jammer_room(sim, channels):
+    """Four stations on channel 6 whose 200-byte broadcasts never overlap
+    each other, plus one 1400-byte broadcaster at +10 dBm per entry of
+    ``channels``, tuned to it, that keeps a frame on the air nearly all
+    the time; nobody defers (the carrier-sense threshold is out of
+    reach).  Returns the medium, the delivery log and every MAC."""
     world = World(200.0, 40.0)
     medium = WirelessMedium(sim, world)
-    sums = []
-    decode = medium._decode
-    medium._decode = lambda tx, rx: (sums.append(sum(
-        overlap_factor(rx.channel, other.channel) > 0.0
-        for other in tx.interferers)) or decode(tx, rx))
     log = []
     macs = [_broadcaster(sim, world, medium, log, f"r{i}",
                          (10.0 + 3.0 * i, 10.0 + 2.0 * i), 0.011, 0.0027 * i,
@@ -289,14 +276,78 @@ def test_many_in_band_interferers_take_the_vectorised_sum(sim):
                          cs_threshold_dbm=100.0)
             for i in range(4)]
     macs += [_broadcaster(sim, world, medium, log, f"j{i}",
-                          (60.0 + 12.0 * i, 5.0 + 3.0 * i), 0.0125,
-                          0.0011 * i, 1400, channel=(3, 9)[i % 2],
+                          (60.0 + 12.0 * (i % 12),
+                           5.0 + 3.0 * (i % 12) + 0.5 * (i // 12)),
+                          0.0125, 0.0011 * i, 1400, channel=channel,
                           tx_power_dbm=10.0, cs_threshold_dbm=100.0)
-             for i in range(10)]
+             for i, channel in enumerate(channels)]
+    return medium, log, macs
+
+
+#: ``_outcome_sha256`` of
+#: ``test_many_in_band_interferers_keep_their_outcomes``, recorded before
+#: the per-frame interferer view existed, while a decode with eight or
+#: more in-band interferers summed them in one NumPy call.
+MANY_INTERFERERS_SHA256 = (
+    "d041c6e95b6bcca4910ad4823499fbc21e52bd6ff27f9982720cca07a49b37ab")
+
+
+def test_many_in_band_interferers_keep_their_outcomes(sim):
+    """Ten jammers on the adjacent channels 3 and 9 keep about nine
+    frames on the air, in band for the four stations on channel 6.
+    Nearly every decode sums at least eight interferers, and with SINRs
+    near the decode edge the outcomes pin that sum."""
+    medium, log, macs = _jammer_room(sim, [(3, 9)[i % 2] for i in range(10)])
+    sums = []
+    decode = medium._decode
+    medium._decode = lambda tx, rx: (sums.append(sum(
+        overlap_factor(rx.channel, other.channel) > 0.0
+        for other in tx.interferers)) or decode(tx, rx))
     sim.run(until=1.0)
-    assert sum(n >= _VECTORISE_MIN for n in sums) > len(sums) // 2
+    assert sum(n >= 8 for n in sums) > len(sums) // 2
     assert medium.total_deliveries > 0 and medium.total_decode_failures > 0
-    assert _outcome_sha256([log], macs) == VECTORISED_SUM_SHA256
+    assert _outcome_sha256([log], macs) == MANY_INTERFERERS_SHA256
+
+
+def test_interference_sum_runs_in_interferer_order(sim, monkeypatch):
+    """Every decode's interference sum is the left-to-right float sum of
+    its in-band terms in ``tx.interferers`` order, however many there
+    are.  Twenty-four jammers on channels 3, 4, 8 and 9 put 16 or more
+    in-band interferers on most decodes; a sum that reorders its terms
+    (pairwise, or in blocks) differs from this one in the last bits."""
+    medium, _log, _macs = _jammer_room(
+        sim, [(3, 4, 8, 9)[i % 4] for i in range(24)])
+    decoding = []  # the (tx, rx) of the decode running now
+    sums = []  # (tx, rx, interference_mw) of each decode that got a SINR
+    decode = medium._decode
+
+    def spy_decode(tx, rx):
+        decoding.append((tx, rx))
+        try:
+            return decode(tx, rx)
+        finally:
+            decoding.pop()
+
+    sinr_from_mw = phys_mac.sinr_from_mw
+
+    def spy_sinr(signal_mw, interference_mw, *args):
+        if decoding:
+            sums.append((*decoding[-1], interference_mw))
+        return sinr_from_mw(signal_mw, interference_mw, *args)
+
+    medium._decode = spy_decode
+    monkeypatch.setattr(phys_mac, "sinr_from_mw", spy_sinr)
+    sim.run(until=1.0)
+    assert sum(len(tx.in_band) >= 16 for tx, _, _ in sums) > len(sums) // 2
+    terms = medium.link_cache.terms
+    mismatched = 0
+    for tx, rx, interference_mw in sums:
+        expected = 0.0
+        for address, power_dbm, factor in tx.in_band:
+            loss, shadow = terms(address, rx.address)
+            expected += 10.0 ** ((power_dbm - loss - shadow) / 10.0) * factor
+        mismatched += interference_mw != expected
+    assert mismatched == 0, f"{mismatched} of {len(sums)} sums reordered"
 
 
 def test_airtime_accounting(sim, world, medium):
