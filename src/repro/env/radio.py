@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
-from scipy import special
 
 from ..kernel.errors import ConfigurationError
 
@@ -109,6 +108,87 @@ def best_rate(sinr_db: float, frame_bytes: int = 1500,
 
 
 # ---------------------------------------------------------------------------
+# Inverse normal CDF
+# ---------------------------------------------------------------------------
+
+# Cephes ``ndtri`` (S. L. Moshier), the algorithm behind
+# ``scipy.special.ndtri``, with its constants.  P0/Q0 serve the centre,
+# e^-2 < y < 1 - e^-2; P1/Q1 and P2/Q2 the tails, in z = sqrt(-2 ln y)
+# below and above z = 8.  Each Q carries the leading 1.0 that Cephes'
+# ``p1evl`` leaves implicit: ``1.0 * x`` is exactly ``x``, so one Horner
+# loop evaluates both ``polevl`` and ``p1evl`` in Cephes' order.
+_EXP_MINUS_2 = 0.13533528323661269189
+_SQRT_2PI = 2.50662827463100050242
+_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1,
+       -5.66762857469070293439e1, 1.39312609387279679503e1,
+       -1.23916583867381258016e0)
+_Q0 = (1.0, 1.95448858338141759834e0, 4.67627912898881538453e0,
+       8.63602421390890590575e1, -2.25462687854119370527e2,
+       2.00260212380060660359e2, -8.20372256168333339912e1,
+       1.59056225126211695515e1, -1.18331621121330003142e0)
+_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1,
+       5.71628192246421288162e1, 4.40805073893200834700e1,
+       1.46849561928858024014e1, 2.18663306850790267539e0,
+       -1.40256079171354495875e-1, -3.50424626827848203418e-2,
+       -8.57456785154685413611e-4)
+_Q1 = (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1,
+       4.13172038254672030440e1, 1.50425385692907503408e1,
+       2.50464946208309415979e0, -1.42182922854787788574e-1,
+       -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0,
+       3.93881025292474443415e0, 1.33303460815807542389e0,
+       2.01485389549179081538e-1, 1.23716634817820021358e-2,
+       3.01581553508235416007e-4, 2.65806974686737550832e-6,
+       6.23974539184983293730e-9)
+_Q2 = (1.0, 6.02427039364742014255e0, 3.67983563856160859403e0,
+       1.37702099489081330271e0, 2.16236993594496635890e-1,
+       1.34204006088543189037e-2, 3.28014464682127739104e-4,
+       2.89247864745380683936e-6, 6.79019408009981274425e-9)
+
+
+def _polevl(x: float, coef: Tuple[float, ...]) -> float:
+    # The first step, 0.0 * x + coef[0], is exactly Cephes' start coef[0].
+    ans = 0.0
+    for c in coef:
+        ans = ans * x + c
+    return ans
+
+
+def ndtri(y: float) -> float:
+    """Inverse of the standard normal CDF: the ``x`` with Phi(x) = ``y``.
+
+    A port of Cephes ``ndtri`` that returns the same doubles as
+    ``scipy.special.ndtri``: the same constants, the same branches and
+    the same order of every float operation, with ``math.log`` and
+    ``math.sqrt`` for the C library's ``log`` and ``sqrt``.  Gives
+    -inf at 0, inf at 1 and NaN outside [0, 1].
+    """
+    if y == 0.0:
+        return -math.inf
+    if y == 1.0:
+        return math.inf
+    if not 0.0 < y < 1.0:
+        return math.nan
+    upper = y > 1.0 - _EXP_MINUS_2
+    if upper:
+        y = 1.0 - y
+    if y > _EXP_MINUS_2:
+        y = y - 0.5
+        y2 = y * y
+        x = y + y * (y2 * _polevl(y2, _P0) / _polevl(y2, _Q0))
+        return x * _SQRT_2PI
+    x = math.sqrt(-2.0 * math.log(y))
+    x0 = x - math.log(x) / x
+    z = 1.0 / x
+    if x < 8.0:  # y > e^-32
+        x1 = z * _polevl(z, _P1) / _polevl(z, _Q1)
+    else:
+        x1 = z * _polevl(z, _P2) / _polevl(z, _Q2)
+    x = x0 - x1
+    return x if upper else -x
+
+
+# ---------------------------------------------------------------------------
 # Propagation
 # ---------------------------------------------------------------------------
 
@@ -160,10 +240,18 @@ class PropagationModel:
     def __init__(self, exponent: float = 3.0, reference_loss_db: float = 40.0,
                  shadowing_sigma_db: float = 4.0,
                  rng: Optional[np.random.Generator] = None) -> None:
-        if exponent < 1.0 or exponent > 6.0:
+        # Written so NaN fails too: a NaN exponent or reference loss
+        # shrinks the culling radius to 0.1 m, and an infinite sigma makes
+        # every shadowing term infinite.
+        if not 1.0 <= exponent <= 6.0:
             raise ConfigurationError(f"implausible path-loss exponent {exponent}")
-        if shadowing_sigma_db < 0:
-            raise ConfigurationError("shadowing sigma must be non-negative")
+        if not -math.inf < reference_loss_db < math.inf:
+            raise ConfigurationError(
+                f"reference loss must be finite, not {reference_loss_db}")
+        if not 0.0 <= shadowing_sigma_db < math.inf:
+            raise ConfigurationError(
+                f"shadowing sigma must be finite and non-negative, not "
+                f"{shadowing_sigma_db}")
         self.exponent = float(exponent)
         self.reference_loss_db = float(reference_loss_db)
         self.shadowing_sigma_db = float(shadowing_sigma_db)
@@ -222,10 +310,11 @@ class PropagationModel:
         if value is None:
             mixed = _mix64(_mix64(self._shadow_seed ^ self._hash_of(key[0]))
                            ^ self._hash_of(key[1]))
-            # 53 uniform bits strictly inside (0, 1), through the normal
-            # inverse CDF, clamped to the documented +-6 sigma support.
+            # 53 uniform bits in (0, 1], through the normal inverse CDF,
+            # clamped to the documented +-6 sigma support.  (The top key
+            # rounds to 1.0, whose infinite deviate the clamp catches.)
             uniform = ((mixed >> 11) + 0.5) / float(1 << 53)
-            value = sigma * float(special.ndtri(uniform))
+            value = sigma * ndtri(uniform)
             clamp = SHADOWING_CLAMP_SIGMAS * sigma
             value = -clamp if value < -clamp else (clamp if value > clamp else value)
             self._shadowing[key] = value

@@ -21,6 +21,7 @@ Timing constants follow 802.11b long-preamble numbers.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from math import log10 as _math_log10
 from types import MappingProxyType
@@ -802,6 +803,12 @@ class CsmaMac:
         validate_channel(channel)
         if queue_limit < 1 or retry_limit < 0:
             raise ConfigurationError("bad queue_limit/retry_limit")
+        # Written so NaN fails too: a NaN power shrinks the culling radius
+        # to 0.1 m, and a NaN threshold never senses carrier.
+        for name, value in (("tx_power_dbm", tx_power_dbm),
+                            ("cs_threshold_dbm", cs_threshold_dbm)):
+            if not -math.inf < value < math.inf:
+                raise ConfigurationError(f"{name} must be finite, not {value}")
         self.sim = sim
         self.medium = medium
         # DIFS/backoff expiry and the genie-ACK turnaround are

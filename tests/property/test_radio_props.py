@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.env.radio import (
@@ -13,6 +14,7 @@ from repro.env.radio import (
     best_rate,
     dbm_to_mw,
     mw_to_dbm,
+    ndtri,
     sinr_from_mw,
 )
 from repro.env.spectrum import CHANNELS, overlap_factor
@@ -109,3 +111,78 @@ def test_scalar_rx_power_matches_vector_path(distance, power):
                     - 10.0 * model.exponent
                     * np.log10(np.maximum(np.asarray([distance]), 0.1)))[0])
     assert abs(scalar - vector) < 1e-9
+
+
+def shadowing_uniform(k):
+    """The uniform :meth:`PropagationModel.shadowing_db` builds from its
+    64 mixed bits ``k``."""
+    return ((k >> 11) + 0.5) / float(1 << 53)
+
+
+#: (k, ``scipy.special.ndtri(shadowing_uniform(k)).hex()``), recorded with
+#: SciPy 1.17.1: both sides of e^-2 and of 1 - e^-2 (the central branch's
+#: ends), both sides of the z = 8 switch between the tail approximations
+#: (y = e^-32), and the two ends of the 64-bit range.  The top one's
+#: 1 - 2^-54 rounds to 1.0, so its normal deviate is inf.
+NDTRI_PINS = [
+    (0x22A555477F039000, "-0x1.19fd30bc4de02p+0"),
+    (0x22A555477F039800, "-0x1.19fd30bc4de02p+0"),
+    (0xDD5AAAB880FC6000, "0x1.19fd30bc4de01p+0"),
+    (0xDD5AAAB880FC6800, "0x1.19fd30bc4de05p+0"),
+    (0x38800, "-0x1.e7bbec3af9b5ap+2"),
+    (0x39000, "-0x1.e7a95f31848dfp+2"),
+    (0, "-0x1.095b059d67c4dp+3"),
+    ((1 << 64) - 1, "inf"),
+]
+
+
+def with_pinned_examples(test):
+    for k, _ in NDTRI_PINS:
+        test = example(k=k)(test)
+    return test
+
+
+@pytest.fixture(scope="module")
+def scipy_special():
+    return pytest.importorskip("scipy.special")
+
+
+@with_pinned_examples
+@given(k=st.integers(min_value=0, max_value=(1 << 64) - 1))
+@settings(max_examples=500, deadline=None)
+def test_ndtri_port_equals_scipy_on_shadowing_uniforms(scipy_special, k):
+    """The in-tree port returns SciPy's double, bit for bit, on every
+    uniform the shadowing hash can build."""
+    uniform = shadowing_uniform(k)
+    assert ndtri(uniform).hex() == float(scipy_special.ndtri(uniform)).hex()
+
+
+@given(y=st.floats(min_value=0.0, max_value=1.0))
+@settings(max_examples=500, deadline=None)
+def test_ndtri_port_equals_scipy_on_any_probability(scipy_special, y):
+    """Beyond the shadowing grid: the deep tails down to subnormal
+    probabilities, where the P2/Q2 approximation serves."""
+    assert ndtri(y).hex() == float(scipy_special.ndtri(y)).hex()
+
+
+@pytest.mark.parametrize("k, expected", NDTRI_PINS)
+def test_ndtri_port_matches_recorded_scipy_values(k, expected):
+    """SciPy-free: the port at the branch switches, against ``float.hex``
+    values that SciPy's ndtri returned."""
+    assert ndtri(shadowing_uniform(k)).hex() == expected
+
+
+@pytest.mark.parametrize("seed, tx, rx, sigma, expected", [
+    (2, "sta", "stb", 4.0, "-0x1.4b04a18978084p-2"),
+    (7, "mac.st-111", "mac.st-102", 6.0, "0x1.399bb6908fd00p+2"),
+    (42, "projector", "laptop", 8.0, "-0x1.196c5bd777087p+3"),
+    # ndtri gives 6.07 sigma here: clamped to +6 sigma = 24 dB.
+    (1, "a24017", "b36435", 4.0, "0x1.8000000000000p+4"),
+])
+def test_shadowing_matches_values_recorded_with_scipy(seed, tx, rx, sigma,
+                                                      expected):
+    """SciPy-free: frozen shadowing terms equal the ones the SciPy-backed
+    model gave for the same seed and pair."""
+    model = PropagationModel(shadowing_sigma_db=sigma,
+                             rng=np.random.default_rng(seed))
+    assert model.shadowing_db(tx, rx).hex() == expected

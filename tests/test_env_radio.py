@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,20 @@ def test_implausible_exponent_rejected():
         PropagationModel(exponent=0.5)
     with pytest.raises(ConfigurationError):
         PropagationModel(shadowing_sigma_db=-1.0)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"exponent": math.nan},
+    {"reference_loss_db": math.nan},
+    {"reference_loss_db": math.inf},
+    {"shadowing_sigma_db": math.nan},
+    {"shadowing_sigma_db": math.inf},
+])
+def test_non_finite_propagation_parameters_rejected(kwargs):
+    """A NaN exponent or reference loss made the culling radius 0.1 m,
+    and an infinite sigma made every shadowing term infinite."""
+    with pytest.raises(ConfigurationError):
+        PropagationModel(**kwargs)
 
 
 def test_shadowing_frozen_and_symmetric():

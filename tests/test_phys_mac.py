@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -31,6 +32,20 @@ def test_duplicate_attach_rejected(sim, world, medium):
     _station(sim, world, medium, "a", (0, 0))
     with pytest.raises(ConfigurationError):
         CsmaMac(sim, medium, "a")
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"tx_power_dbm": math.nan},
+    {"tx_power_dbm": math.inf},
+    {"cs_threshold_dbm": math.nan},
+    {"cs_threshold_dbm": -math.inf},
+])
+def test_non_finite_radio_parameters_rejected(sim, world, medium, kwargs):
+    """A NaN tx power gave a 0.1 m culling radius, and a NaN carrier-sense
+    threshold never sensed carrier."""
+    world.place("a", (0, 0))
+    with pytest.raises(ConfigurationError):
+        CsmaMac(sim, medium, "a", **kwargs)
 
 
 def test_unicast_delivery_close_range(sim, world, medium):
