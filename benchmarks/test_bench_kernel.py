@@ -3,52 +3,18 @@
 The paper says the effect of high device concentrations "needs to be
 studied"; studying it at scale needs a kernel that stays fast as the
 device count grows.  These are true microbenchmarks (pytest-benchmark
-statistics matter here, unlike the table-regeneration benches).
+statistics matter here, unlike the table-regeneration benches).  Kernel
+speed on real workloads is timed end to end by ``bench/``; these keep
+three shapes it does not run: a cancellation storm, a growing device
+count and the room's start-up.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.experiments.bench import (_timer_chain_bound, _timer_chain_records,
-                                     _timer_chain_schedule, _timer_chain_spans,
-                                     calibration_spin)
 from repro.experiments.workloads import interferer_field, projector_room
 from repro.kernel.scheduler import Simulator
-
-
-def test_machine_calibration(benchmark):
-    """Fixed pure-Python workload — the machine-speed reference the
-    regression gate uses to tell load swings from kernel regressions."""
-    total = benchmark(calibration_spin)
-    assert total > 0
-
-
-def test_kernel_event_throughput(benchmark):
-    """Throughput of the kernel hot path (``schedule_bound``) — the loop
-    the MAC/radio layers actually drive.  ``repro.cli bench --raw`` keys
-    on this test name."""
-    events = benchmark(_timer_chain_bound)
-    assert events == 20_000
-
-
-def test_kernel_public_schedule_throughput(benchmark):
-    """Throughput of the validated public ``schedule`` path."""
-    events = benchmark(_timer_chain_schedule)
-    assert events == 20_000
-
-
-def test_trace_records_throughput(benchmark):
-    """The bound timer chain emitting one trace record per event — the
-    enabled-tracing price the BENCH_trace.json overhead ratios gate."""
-    events = benchmark(_timer_chain_records)
-    assert events == 20_000
-
-
-def test_trace_spans_throughput(benchmark):
-    """The bound timer chain opening/closing one causal span per event."""
-    events = benchmark(_timer_chain_spans)
-    assert events == 20_000
 
 
 def test_kernel_cancellation_storm(benchmark):

@@ -11,10 +11,6 @@ Subcommands:
   per-LPC-layer telemetry report (issue grid plus metrics), folded from
   the trace the scenario stores.  ``--format json`` emits the same grid
   machine-readably.
-* ``bench`` — run every row of :data:`BENCHES`, write one
-  ``BENCH_<name>.json`` per row, and print one verdict per gate; exits 1
-  when any gate fails.  ``bench --help`` lists every gate with its
-  threshold and reason.
 * ``cache`` — inspect (``stats``) or empty (``clear``) the
   content-addressed run cache behind incremental sweeps; honours
   ``REPRO_CACHE_DIR``.
@@ -38,12 +34,9 @@ import pathlib
 import sys
 from typing import Iterator, List, Optional
 
-from .checks.bench import bench_checks
 from .core.analysis import compare_with_paper
 from .core.figures import ALL_FIGURES, render_all
-from .experiments import (bench, get_experiment, list_experiments,
-                          run_experiment)
-from .experiments.bench import Bench, Gate
+from .experiments import get_experiment, list_experiments, run_experiment
 from .kernel.errors import ExperimentError, ReproError
 
 
@@ -243,33 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "grid as byte-stable JSON")
     report.set_defaults(func=_cmd_report)
 
-    bench_cmd = sub.add_parser(
-        "bench", help="run perf microbenchmarks and write BENCH_*.json",
-        epilog=bench.gate_list(BENCHES),
-        formatter_class=argparse.RawDescriptionHelpFormatter)
-    bench_cmd.add_argument("--out-dir", default="benchmarks",
-                           help="directory for BENCH_<name>.json files")
-    bench_cmd.add_argument("--baseline",
-                           default="benchmarks/baseline_kernel.json",
-                           help="committed kernel baseline to gate against; "
-                                "the other rows' baseline_<name>.json sit "
-                                "beside it")
-    bench_cmd.add_argument("--raw", default=None,
-                           help="pytest --benchmark-json output to ingest "
-                                "for the kernel and trace figures")
-    bench_cmd.add_argument("--workers", type=int, default=4,
-                           help="worker count for the parallel sweep and "
-                                "checks benchmarks")
-    bench_cmd.add_argument("--repeats", type=int, default=5,
-                           help="repeats per kernel microbenchmark")
-    bench_cmd.add_argument("--kernel-only", action="store_true",
-                           help="run only the kernel row (the `make "
-                                "bench-kernel` leg)")
-    bench_cmd.add_argument("--update-baseline", action="store_true",
-                           help="rewrite the committed baselines instead "
-                                "of gating against them")
-    bench_cmd.set_defaults(func=_cmd_bench)
-
     cache = sub.add_parser(
         "cache", help="inspect or clear the incremental-sweep run cache")
     cache.add_argument("action", choices=("stats", "clear"),
@@ -388,191 +354,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
     print(report.to_json() if args.fmt == "json"
           else report.format_text())
     return 0 if report.clean else 1
-
-
-#: Every benchmark ``repro.cli bench`` runs, in run order, with its gates.
-#: ``repro.experiments.bench`` and ``repro.checks.bench`` share layer rank
-#: 7, so this entry point is the one module that may table both.
-BENCHES = (
-    Bench("kernel", lambda args: bench.bench_kernel(repeats=args.repeats), (
-        Gate("events_per_sec", "baseline", 0.8,
-             "raw events/sec within 20% of the baseline; deliberately not "
-             "calibration-scaled, because host noise slows the "
-             "allocation-heavy kernel loops without slowing the calibration "
-             "spin, so rescaling the band misfires"),
-        Gate("events_per_sec_public_schedule", "baseline", 0.8,
-             "the validated public schedule path, same raw 20% band"),
-        Gate("events_per_sec", "calibrated", 2.0,
-             "the dispatch core must hold 2x over the pre-rewrite baseline "
-             "after both sides are divided by their calibration spin, so a "
-             "slower host cannot fail it and a faster one cannot hide a "
-             "regressed loop"),
-    ), raw=(
-        ("test_kernel_event_throughput", "events_per_sec",
-         bench.KERNEL_EVENTS),
-        ("test_kernel_public_schedule_throughput",
-         "events_per_sec_public_schedule", bench.KERNEL_EVENTS),
-        ("test_machine_calibration", "calibration_ops_per_sec",
-         bench.CALIBRATION_OPS),
-    )),
-    Bench("sweeps", lambda args: bench.bench_sweeps(workers=args.workers), (
-        Gate("rows_identical", "true",
-             reason="parallel sweep rows must equal serial rows on every "
-                    "machine"),
-        Gate("parallel_speedup", "min", 2.0, cpus=4,
-             reason="a fork pool cannot beat serial execution on fewer "
-                    "cores than workers, so below 4 usable cpus the ratio "
-                    "is scheduling noise"),
-    )),
-    Bench("trace", lambda args: bench.bench_trace(repeats=args.repeats), (
-        Gate("events_per_sec_disabled", "baseline", 0.95,
-             figure="kernel.events_per_sec",
-             reason="span plumbing on the run loop must stay free for "
-                    "sweeps that never trace"),
-        Gate("records_overhead_ratio", "min", 0.1,
-             "within-run ratio, portable across hosts; catches an "
-             "accidental O(n) scan in emit/append, not the ordinary "
-             "allocation cost"),
-        Gate("spans_overhead_ratio", "min", 0.1,
-             "within-run ratio; catches an accidental O(n) scan in "
-             "span_begin/begin_span"),
-    ), raw=(
-        ("test_kernel_event_throughput", "events_per_sec_disabled",
-         bench.KERNEL_EVENTS),
-        ("test_trace_records_throughput", "events_per_sec_records",
-         bench.KERNEL_EVENTS),
-        ("test_trace_spans_throughput", "events_per_sec_spans",
-         bench.KERNEL_EVENTS),
-    ), derive=bench.trace_ratios),
-    Bench("scale", lambda args: bench.bench_scale(), (
-        Gate("outcomes_identical", "true",
-             reason="culled and exhaustive runs must deliver the same "
-                    "frames: the audibility fast path may only be faster"),
-        Gate("speedup_at_max", "min", 2.0,
-             "both modes run back to back in one process, so the ratio is "
-             "portable; catches culling degenerating to a full scan"),
-        Gate("culled_events_per_sec_at_max", "baseline", 0.8,
-             "absolute culled throughput at the largest population"),
-    )),
-    Bench("cache", lambda args: bench.bench_cache(), (
-        Gate("rows_identical", "true",
-             reason="uncached, cold and warm sweeps must produce the same "
-                    "rows: the cache may only be faster"),
-        Gate("warm_hit_rate", "min", 1.0,
-             "a warm re-run must replay every point (key stability)"),
-        Gate("warm_speedup", "min", 5.0,
-             "real figures run to hundreds; 5x catches replay silently "
-             "recomputing without flapping on slow disks"),
-        Gate("cold_overhead_ratio", "max", 0.05,
-             "key hashing, source digest and entry writes must not tax "
-             "cold sweeps"),
-        Gate("warm_speedup", "baseline", 0.25,
-             "generous, because warm runs take milliseconds and their "
-             "relative timing noise is large"),
-    )),
-    Bench("telemetry", lambda args: bench.bench_telemetry(), (
-        Gate("summary_identical", "true",
-             reason="streaming summaries must equal the record-replay "
-                    "summary"),
-        Gate("stream_stored_records", "max", 0,
-             "stream mode must store no records"),
-        Gate("stream_stored_spans", "max", 0,
-             "stream mode must store no spans"),
-        Gate("size_ratio", "min", 3.0,
-             "columnar files must stay 3x smaller than JSONL"),
-        Gate("write_speedup", "min", 2.0,
-             "columnar export must stay 2x faster than JSONL, timed back "
-             "to back in one process"),
-        Gate("lines_identical", "true",
-             reason="both exporters must write the same logical lines"),
-        Gate("stream_memory_ratio", "max", 0.25,
-             "streaming aggregation must stay bounded-memory against "
-             "record replay"),
-        Gate("size_ratio", "baseline", 0.9,
-             "the ratio is near-deterministic for the fixed synthetic "
-             "workload"),
-    )),
-    Bench("checks", lambda args: bench_checks(jobs=args.workers), (
-        Gate("findings_identical", "true",
-             reason="warm incremental findings must equal the cold run "
-                    "(sound SCC-region invalidation)"),
-        Gate("warm_analyzed", "max", 0,
-             "an unchanged tree must re-parse no file (stable digest "
-             "keys)"),
-        Gate("warm_speedup", "min", 3.0,
-             "the incremental cache must keep paying"),
-        Gate("warm_speedup", "baseline", 0.5,
-             "conservative, because hosts vary"),
-    )),
-    Bench("shard", lambda args: bench.bench_shard(), (
-        Gate("outcomes_identical", "true",
-             reason="sharded disjoint cells must deliver what the "
-                    "single-process oracle delivers"),
-        Gate("telemetry_identical", "true",
-             reason="merged per-room telemetry must equal the oracle "
-                    "summary"),
-        Gate("speedup", "min", 1.2, cpus=2, mode="processes",
-             reason="independent rooms on two cores must keep beating "
-                    "one simulator (1.28-2.25x over 22 runs on a 2-cpu "
-                    "host)"),
-        Gate("speedup", "min", 2.0, cpus=4, mode="processes",
-             reason="on fewer cores than shards, or without forking, the "
-                    "shards time-slice one core and the ratio is "
-                    "scheduling noise"),
-        Gate("oracle_deliveries_per_sec", "baseline", 0.8,
-             "catches the workload itself slowing down"),
-    )),
-)
-
-
-def _baseline_path(args: argparse.Namespace, name: str) -> pathlib.Path:
-    """``--baseline`` is the kernel row's file; the others sit beside it."""
-    kernel = pathlib.Path(args.baseline)
-    return kernel if name == "kernel" else \
-        kernel.with_name(f"baseline_{name}.json")
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    rows = [row for row in BENCHES
-            if not args.kernel_only or row.name == "kernel"]
-    # Read every input before the first (slow) bench runs.
-    best = {}
-    if args.raw is not None:
-        if not pathlib.Path(args.raw).exists():
-            print(f"error: --raw file not found: {args.raw}", file=sys.stderr)
-            return 2
-        best = bench.load_raw(pathlib.Path(args.raw))
-    owners = bench.baseline_rows(rows)
-    baselines = {} if args.update_baseline else {
-        name: bench.load_json(_baseline_path(args, name)) for name in owners}
-
-    payloads = {}
-    failed = False
-    for row in rows:
-        payload = bench.ingest(row, row.run(args), best)
-        payloads[row.name] = payload
-        path = bench.write_bench_json(pathlib.Path(args.out_dir), payload)
-        print(f"{row.name} -> {path}")
-        if args.update_baseline:
-            if row.name in owners:
-                target = _baseline_path(args, row.name)
-                target.parent.mkdir(parents=True, exist_ok=True)
-                target.write_text(path.read_text())
-                print(f"baseline updated -> {target}")
-            continue
-        for verdict in bench.evaluate(row, payload, baselines):
-            failed = failed or verdict.status == "FAIL"
-            print(f"  {verdict.line}", file=sys.stderr
-                  if verdict.status == "FAIL" else sys.stdout)
-    if failed:
-        return 1
-    if args.update_baseline:
-        return 0
-    label = ("regression gate (kernel only)" if args.kernel_only
-             else "regression gate")
-    skip = bench.baseline_skip(baselines["kernel"], payloads["kernel"])
-    print(f"{label}: skipped ({skip})" if skip else f"{label}: ok")
-    return 0
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -124,7 +124,7 @@ class LinkCache:
         return self.hits / total if total else 0.0
 
     def stats(self) -> Dict[str, float]:
-        """Counters for benchmarks and ``BENCH_*.json`` reporting."""
+        """The cache's counters, for tests and ad-hoc profiling."""
         return {
             "hits": self.hits,
             "misses": self.misses,

@@ -116,7 +116,7 @@ def test_self_link_is_counted_once_and_evicted(world, cache):
 
 
 def test_stats_keys_are_stable(cache):
-    """``experiments/bench.py`` and ``cli.py`` read these keys."""
+    """The link-count pins below read these keys."""
     cache.terms("a", "b")
     assert set(cache.stats()) == {"hits", "misses", "invalidations",
                                   "hit_rate", "cached_links"}
@@ -132,7 +132,8 @@ def test_row_is_synced_to_the_topology(world, cache):
 
 
 def _sweeps_room():
-    """The link-cache room ``BENCH_sweeps.json`` reports, to 3 s."""
+    """A 16-pair E2-style room (the retired sweeps benchmark's link-cache
+    room), to 3 s."""
     from repro.experiments.workloads import interferer_field, projector_room
 
     room = projector_room(seed=2, trace=False, register=False)

@@ -11,8 +11,6 @@ import sys
 import pytest
 
 import repro.experiments.cache as cache_mod
-from repro.cli import BENCHES
-from repro.experiments.bench import evaluate
 from repro.experiments.cache import (
     CACHE_SCHEMA_VERSION,
     RunCache,
@@ -379,49 +377,3 @@ def test_sweep_cache_invalidated_by_schema_version(tmp_path, monkeypatch):
     bumped = sweep("X", "t", run_one_linear, grid(knob=[1]), cache=cache)
     assert bumped.meta["cached"] == 0 and bumped.meta["computed"] == 1
 
-
-# ---------------------------------------------------------------------------
-# The bench gate (the cache row of repro.cli.BENCHES)
-# ---------------------------------------------------------------------------
-
-CACHE_ROW = next(row for row in BENCHES if row.name == "cache")
-
-
-def _cache_failures(payload, baseline):
-    return [verdict.line for verdict
-            in evaluate(CACHE_ROW, payload, {"cache": baseline})
-            if verdict.status == "FAIL"]
-
-
-def _payload(**overrides):
-    payload = {"name": "cache", "rows_identical": True, "warm_hit_rate": 1.0,
-               "warm_speedup": 50.0, "cold_overhead_ratio": 0.01,
-               "source": "in-process"}
-    payload.update(overrides)
-    return payload
-
-
-def test_cache_gate_passes_clean_payload():
-    assert _cache_failures(_payload(), None) == []
-
-
-@pytest.mark.parametrize("overrides, needle", [
-    (dict(rows_identical=False), "rows_identical"),
-    (dict(warm_hit_rate=0.5), "warm_hit_rate"),
-    (dict(warm_speedup=2.0), "warm_speedup"),
-    (dict(cold_overhead_ratio=0.2), "cold_overhead_ratio"),
-])
-def test_cache_gate_fails_each_invariant(overrides, needle):
-    failures = _cache_failures(_payload(**overrides), None)
-    assert failures and needle in failures[0]
-
-
-def test_cache_gate_baseline_floor():
-    baseline = _payload(warm_speedup=100.0)
-    ok = _cache_failures(_payload(warm_speedup=30.0), baseline)
-    assert ok == []
-    bad = _cache_failures(_payload(warm_speedup=20.0), baseline)
-    assert bad and "baseline" in bad[0]
-    skew = _cache_failures(
-        _payload(warm_speedup=20.0), dict(baseline, source="other"))
-    assert skew == []  # unlike sources never compared

@@ -64,19 +64,23 @@ def run_broadcast(culling: bool, stations: int = 150):
 
 
 def test_broadcast_population_identical():
-    culled = run_broadcast(True)
-    exhaustive = run_broadcast(False)
-    # Delivery logs compare (time, src, rx) — frame ids come from a global
-    # counter and are construction-order artefacts, not outcomes.
-    assert sorted(culled.deliveries) == sorted(exhaustive.deliveries)
-    assert culled.sim.events_executed == exhaustive.sim.events_executed
-    assert mac_outcomes(culled.medium) == mac_outcomes(exhaustive.medium)
-    # And culling actually culled — otherwise this test proves nothing.
-    stats = culled.medium.culling_stats()
-    assert stats["enabled"] is True
-    assert stats["culled"] > 0
-    assert stats["cull_rate"] > 0.5
-    assert exhaustive.medium.culling_stats()["enabled"] is False
+    # 1000 stations is the room bench/'s broadcast_static workload times;
+    # its exhaustive twin takes a few seconds.
+    for stations in (150, 1000):
+        culled = run_broadcast(True, stations)
+        exhaustive = run_broadcast(False, stations)
+        # Delivery logs compare (time, src, rx) — frame ids come from a
+        # global counter and are construction-order artefacts, not
+        # outcomes.
+        assert sorted(culled.deliveries) == sorted(exhaustive.deliveries)
+        assert culled.sim.events_executed == exhaustive.sim.events_executed
+        assert mac_outcomes(culled.medium) == mac_outcomes(exhaustive.medium)
+        # And culling actually culled — otherwise this proves nothing.
+        stats = culled.medium.culling_stats()
+        assert stats["enabled"] is True
+        assert stats["culled"] > 0
+        assert stats["cull_rate"] > 0.5
+        assert exhaustive.medium.culling_stats()["enabled"] is False
 
 
 def test_broadcast_population_with_fading_identical():
