@@ -17,7 +17,7 @@ RESULTS_PATH = pathlib.Path(__file__).parent / "results.txt"
 @pytest.fixture(scope="session")
 def _fresh_results_file():
     # Not autouse: truncation only happens when some test actually records
-    # a table, so kernel-only microbenchmark runs (``make bench``) leave
+    # a table, so microbenchmark-only runs (test_bench_kernel.py) leave
     # the committed table dump alone.
     RESULTS_PATH.write_text("Regenerated tables and figures "
                             "(one section per benchmark)\n\n")

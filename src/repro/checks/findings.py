@@ -134,9 +134,9 @@ _CATALOGUE = (
          "engine objects"),
     Rule("LPC109", "per-event attribute lookup in a registered hot loop",
          WARNING,
-         "Functions registered in repro.kernel.dispatch.HOT_LOOP are the "
-         "kernel's two run loops (unbounded and bounded): they execute "
-         "once per simulated event, so every attribute walk inside their "
+         "Functions registered in repro.kernel.dispatch.HOT_LOOP hold the "
+         "kernel's run loop: its body executes once per simulated event, "
+         "so every attribute walk inside a registered function's "
          "while/for bodies is paid millions of times per run. The "
          "dispatch-core contract is that loop state is hoisted into "
          "locals before the loop and only a short allow-list of "

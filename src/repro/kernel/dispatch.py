@@ -1,30 +1,29 @@
-"""The two dispatch loops of :class:`repro.kernel.scheduler.Simulator`.
+"""The dispatch loop of :class:`repro.kernel.scheduler.Simulator`.
 
-``Simulator.run`` picks one loop at entry, on whether the call has an
-``until`` horizon or ``max_events`` budget: :func:`loop_plain` drains
-the heap with no limit tests at all, :func:`loop_bounded` tests both
-bounds per event.  Those are the only invariants a loop is chosen on.
-Tracing is not one of them: both loops restore the span context
+``Simulator.run`` calls :func:`loop_bounded` with an ``until`` horizon
+and a ``max_events`` budget, substituting ``math.inf`` for whichever is
+absent, so an unbounded run tests both bounds per event against ``inf``.
+A second loop without those tests ran a bare timer chain about 12%
+faster, but no experiment, CLI path or benchmark workload ran it: each
+passes a bound.  See docs/performance.md for the figures.
+
+Tracing is not a loop invariant: the loop restores the span context
 captured at schedule time around every callback that has one, or that
 finds one left ambient.  With tracing off neither case arises (a
 disabled tracer never activates spans, and every direct ``_span_ctx``
 writer — transport, ``_SpanScope`` — save/restores within its own
 event), so the untraced path costs one extra attribute read per event.
-On the bound timer chain an untraced twin of each loop, without that
-read, measured within noise of it, while one loop for bounded and
-unbounded runs measured about 0.9 of the unbounded loop; see
-docs/performance.md for the figures.
 
 Heap entries are plain 7-tuples ``(time, priority, seq, fn, args, ctx,
 handle)`` rather than :class:`~repro.kernel.events.Event` objects:
 ``heapq`` then compares entries with the C tuple comparator (which never
-reaches ``fn`` — ``seq`` is globally unique), and the loops unpack one
+reaches ``fn`` — ``seq`` is globally unique), and the loop unpacks one
 entry in a single ``UNPACK_SEQUENCE`` instead of seven attribute loads.
 ``handle`` is the :class:`Event` cancellation handle for public
 ``schedule``/``schedule_at`` entries and ``None`` for the
 ``schedule_bound`` fast path.
 
-Both loops are byte-for-byte equivalent to the reference semantics
+The loop is byte-for-byte equivalent to the reference semantics
 pinned by ``tests/test_kernel_dispatch_matrix.py`` and the
 ``(time, priority, seq)`` model in ``tests/property/test_batchq_props.py``:
 identical event orderings, span parentage, cancellation accounting and
@@ -41,13 +40,12 @@ from __future__ import annotations
 
 from heapq import heappop, heappush
 
-__all__ = ["HOT_LOOP", "HOT_LOOP_ALLOWED_ATTRS", "loop_plain",
-           "loop_bounded"]
+__all__ = ["HOT_LOOP", "HOT_LOOP_ALLOWED_ATTRS", "loop_bounded"]
 
 #: Functions holding the kernel's zero-overhead dispatch contract.
 #: LPC109 flags per-event attribute reads inside ``while``/``for``
 #: bodies of any function with one of these names.
-HOT_LOOP = frozenset({"loop_plain", "loop_bounded"})
+HOT_LOOP = frozenset({"loop_bounded"})
 
 #: Attribute reads a hot loop legitimately performs per event:
 #: ``handle.cancelled`` (lazy-cancellation check), ``sim._stopped``
@@ -56,44 +54,13 @@ HOT_LOOP = frozenset({"loop_plain", "loop_bounded"})
 HOT_LOOP_ALLOWED_ATTRS = frozenset({"cancelled", "_stopped", "_span_ctx"})
 
 
-def loop_plain(sim, queue):
-    """Unbounded: drain the heap dry."""
-    pop = heappop
-    executed = 0
-    while queue:
-        t, _p, _s, fn, args, ctx, handle = pop(queue)
-        if handle is not None:
-            if handle.cancelled:
-                sim._cancelled_count -= 1
-                continue
-            # Fired: break ref cycles; a late cancel() is a true no-op.
-            handle.owner = None
-            handle.fn = None
-            handle.args = ()
-        sim._now = t
-        if ctx is not None or sim._span_ctx is not None:
-            # Restore the causal span context captured at schedule time,
-            # and clear it after — a span "continues" only in the events
-            # it scheduled, never by wall-clock accident.
-            sim._span_ctx = ctx
-            fn(*args)
-            sim._span_ctx = None
-        else:
-            fn(*args)
-        executed += 1
-        if sim._stopped:
-            break
-    return executed
-
-
 def loop_bounded(sim, queue, until, max_events):
-    """With an ``until`` horizon and/or ``max_events`` budget.
+    """Run events up to the ``until`` horizon and ``max_events`` budget.
 
-    The caller substitutes ``math.inf`` for whichever bound is absent, so
-    one loop serves both.  A live head beyond the bounds is pushed
-    straight back — content and ordering of the heap are unchanged; dead
-    heads are discarded even past the horizon, exactly like
-    :func:`loop_plain`.
+    The caller substitutes ``math.inf`` for whichever bound is absent.  A
+    live head beyond the bounds is pushed straight back — content and
+    ordering of the heap are unchanged; dead heads are discarded even
+    past the horizon.
     """
     pop = heappop
     push = heappush
@@ -108,11 +75,15 @@ def loop_bounded(sim, queue, until, max_events):
             push(queue, entry)
             break
         if handle is not None:
+            # Fired: break ref cycles; a late cancel() is a true no-op.
             handle.owner = None
             handle.fn = None
             handle.args = ()
         sim._now = t
         if ctx is not None or sim._span_ctx is not None:
+            # Restore the causal span context captured at schedule time,
+            # and clear it after — a span "continues" only in the events
+            # it scheduled, never by wall-clock accident.
             sim._span_ctx = ctx
             fn(*args)
             sim._span_ctx = None

@@ -16,9 +16,8 @@ optimise the bottleneck" workflow):
   instruction.  ``handle`` is the :class:`Event` cancellation handle for
   public ``schedule`` calls and ``None`` on the
   :meth:`Simulator.schedule_bound` fast path.
-* ``run()`` selects one of two loops at entry (bounded or not; see
-  :mod:`repro.kernel.dispatch`), so an unbounded run carries no per-event
-  limit tests.
+* ``run()`` drives one loop, :func:`repro.kernel.dispatch.loop_bounded`;
+  an unbounded run passes ``inf`` for both bounds.
 * Bulk cancellation (periodic tasks, retry timers) is O(1) per cancel and
   triggers a heap compaction once dead entries outnumber live ones, so
   ``run``/``peek``/``pending`` never degrade to O(dead events).
@@ -29,10 +28,10 @@ optimise the bottleneck" workflow):
 from __future__ import annotations
 
 import heapq
-from math import inf, isnan
+from math import inf, isfinite
 from typing import Any, Callable, Dict, List, Optional
 
-from .dispatch import loop_bounded, loop_plain
+from .dispatch import loop_bounded
 from .errors import ScheduleError, SimulationFinished
 from .events import Event, Priority
 from .random import RandomStreams
@@ -190,8 +189,11 @@ class Simulator:
         priority: int = Priority.PROTOCOL,
     ) -> "PeriodicTask":
         """Run ``fn(*args)`` every ``interval`` seconds until cancelled."""
-        if not interval > 0:
-            raise ScheduleError(f"non-positive or NaN interval {interval!r}")
+        # Written so NaN fails too; an infinite interval would fire
+        # forever at t=inf.
+        if not 0 < interval < inf:
+            raise ScheduleError(
+                f"non-positive or non-finite interval {interval!r}")
         task = PeriodicTask(self, interval, fn, args, priority)
         first = self._now + (interval if start is None else start)
         task._arm(first)
@@ -210,28 +212,24 @@ class Simulator:
         over the full horizon.  A run that ``max_events`` stops before the
         horizon leaves the clock at its last event.
 
-        The loop is chosen here, once: :func:`~repro.kernel.dispatch.loop_plain`
-        when neither bound is given, so an unbounded run carries no
-        per-event limit tests, else
-        :func:`~repro.kernel.dispatch.loop_bounded`.  Runs do not nest: a
-        callback calling ``run()`` (or :meth:`step`) raises
-        :class:`ScheduleError`, since the inner run would move the clock
-        past the outer horizon.
+        ``until`` must be finite: leave it out to run without a horizon,
+        which keeps the clock at the last event.  The events run in
+        :func:`~repro.kernel.dispatch.loop_bounded`, with ``inf`` for an
+        absent bound.  Runs do not nest: a callback calling ``run()`` (or
+        :meth:`step`) raises :class:`ScheduleError`, since the inner run
+        would move the clock past the outer horizon.
         """
         if self._stopped:
             raise SimulationFinished("simulator has been stopped")
         if self._running:
             raise ScheduleError("run() called while the simulator is running")
-        if until is not None and isnan(until):
-            raise ScheduleError("NaN run horizon")
+        if until is not None and not isfinite(until):
+            raise ScheduleError(f"non-finite run horizon {until!r}")
         self._running = True
         try:
-            if until is None and max_events is None:
-                executed = loop_plain(self, self._queue)
-            else:
-                executed = loop_bounded(
-                    self, self._queue, inf if until is None else until,
-                    inf if max_events is None else max_events)
+            executed = loop_bounded(
+                self, self._queue, inf if until is None else until,
+                inf if max_events is None else max_events)
         finally:
             self._running = False
         if until is not None and not self._stopped and self._now < until:

@@ -254,7 +254,7 @@ def test_lpc108_ignores_sanctioned_access(source):
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("source", [
     # Attribute load in the loop body of a registered loop.
-    "def loop_plain(sim, queue):\n"
+    "def loop_bounded(sim, queue):\n"
     "    while queue:\n"
     "        fn = sim.handler\n"
     "        fn()\n",
@@ -279,11 +279,11 @@ def test_lpc109_flags_hot_loop_attribute_loads(source):
     "        fn = sim.handler\n"
     "        fn()\n",
     # Allow-listed per-event reads (cancel flag, stop latch, span ctx).
-    "def loop_plain(sim, queue):\n"
+    "def loop_bounded(sim, queue):\n"
     "    while queue:\n"
     "        if sim._stopped:\n"
     "            break\n",
-    pytest.param("def loop_plain(sim, queue):\n"
+    pytest.param("def loop_bounded(sim, queue):\n"
                  "    while queue:\n"
                  "        ctx = sim._span_ctx\n",
                  id="span_ctx"),
@@ -292,12 +292,12 @@ def test_lpc109_flags_hot_loop_attribute_loads(source):
     "        if handle.cancelled:\n"
     "            continue\n",
     # Hoisted before the loop: the pattern the rule exists to enforce.
-    "def loop_plain(sim, queue):\n"
+    "def loop_bounded(sim, queue):\n"
     "    pop = sim.pop\n"
     "    while queue:\n"
     "        pop()\n",
     # Stores / augmented assignments are not lookup tax.
-    "def loop_plain(sim, queue):\n"
+    "def loop_bounded(sim, queue):\n"
     "    while queue:\n"
     "        sim._now = 1.0\n",
 ])
@@ -306,7 +306,7 @@ def test_lpc109_ignores_sanctioned_hot_loop_access(source):
 
 
 def test_lpc109_is_a_warning_with_hoist_hint():
-    source = ("def loop_plain(sim, queue):\n"
+    source = ("def loop_bounded(sim, queue):\n"
               "    while queue:\n"
               "        fn = sim.handler\n")
     (finding,) = [f for f in check_source("snippet.py", source)

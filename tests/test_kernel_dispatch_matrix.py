@@ -1,7 +1,7 @@
 """Dispatch-core matrix oracle: every trace mode must be byte-identical
 on seeded workloads.
 
-Both run loops of :mod:`repro.kernel.dispatch` restore span context
+The run loop of :mod:`repro.kernel.dispatch` restores span context
 around callbacks; tracing may not change *what* the simulation
 computes — only what it records.  These tests sweep the matrix:
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.kernel.errors import ScheduleError, SimulationFinished
@@ -65,10 +67,16 @@ def test_schedule_in_past_rejected(sim):
     lambda sim: sim.schedule_at(float("nan"), lambda: None),
     lambda sim: sim.every(float("nan"), lambda: None),
     lambda sim: sim.run(until=float("nan")),
-], ids=["schedule", "schedule_at", "every", "run_until"])
+    lambda sim: sim.every(math.inf, lambda: None),
+    lambda sim: sim.run(until=math.inf),
+], ids=["schedule", "schedule_at", "every", "run_until", "every_inf",
+        "run_until_inf"])
 def test_nan_times_rejected(sim, call):
     """A NaN key breaks the heap order: delays 3, nan, 1, 2, 0.5 used to
-    fire at 1, 0.5, 2, nan, 3, running the clock backwards."""
+    fire at 1, 0.5, 2, nan, 3, running the clock backwards.  Infinite
+    times break the clock too: ``run(until=inf)`` left ``now`` at inf, so
+    every later event landed there, and ``every(inf)`` fired forever at
+    t=inf, so an unbounded ``run()`` never returned."""
     with pytest.raises(ScheduleError):
         call(sim)
     assert sim.pending() == 0
