@@ -26,7 +26,7 @@ JOBS = 4
 WARM_REPEATS = 3
 
 #: Cold over best warm wall time: 0.5 x 12.0, the speedup recorded when
-#: the floor was set (12-50x since, depending on host load).
+#: the floor was set (15-71x in later runs, depending on host load).
 WARM_SPEEDUP_FLOOR = 0.5 * 12.0
 
 
