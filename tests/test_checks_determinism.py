@@ -254,10 +254,11 @@ def test_lpc108_ignores_sanctioned_access(source):
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("source", [
     # Attribute load in the loop body of a registered loop.
-    "def loop_bounded(sim, queue):\n"
-    "    while queue:\n"
-    "        fn = sim.handler\n"
-    "        fn()\n",
+    pytest.param("def loop_bounded(sim, queue):\n"
+                 "    while queue:\n"
+                 "        fn = sim.handler\n"
+                 "        fn()\n",
+                 id="loop_body"),
     # ...or in the loop condition itself.
     pytest.param("def loop_bounded(sim, queue):\n"
                  "    while sim.queue:\n"
@@ -279,10 +280,11 @@ def test_lpc109_flags_hot_loop_attribute_loads(source):
     "        fn = sim.handler\n"
     "        fn()\n",
     # Allow-listed per-event reads (cancel flag, stop latch, span ctx).
-    "def loop_bounded(sim, queue):\n"
-    "    while queue:\n"
-    "        if sim._stopped:\n"
-    "            break\n",
+    pytest.param("def loop_bounded(sim, queue):\n"
+                 "    while queue:\n"
+                 "        if sim._stopped:\n"
+                 "            break\n",
+                 id="stop_latch"),
     pytest.param("def loop_bounded(sim, queue):\n"
                  "    while queue:\n"
                  "        ctx = sim._span_ctx\n",
@@ -292,14 +294,16 @@ def test_lpc109_flags_hot_loop_attribute_loads(source):
     "        if handle.cancelled:\n"
     "            continue\n",
     # Hoisted before the loop: the pattern the rule exists to enforce.
-    "def loop_bounded(sim, queue):\n"
-    "    pop = sim.pop\n"
-    "    while queue:\n"
-    "        pop()\n",
+    pytest.param("def loop_bounded(sim, queue):\n"
+                 "    pop = sim.pop\n"
+                 "    while queue:\n"
+                 "        pop()\n",
+                 id="hoisted"),
     # Stores / augmented assignments are not lookup tax.
-    "def loop_bounded(sim, queue):\n"
-    "    while queue:\n"
-    "        sim._now = 1.0\n",
+    pytest.param("def loop_bounded(sim, queue):\n"
+                 "    while queue:\n"
+                 "        sim._now = 1.0\n",
+                 id="store"),
 ])
 def test_lpc109_ignores_sanctioned_hot_loop_access(source):
     assert "LPC109" not in codes(source)
