@@ -24,8 +24,12 @@ from repro.experiments.harness import ExperimentResult
 SWEEP = dict(densities=(0, 2, 4), duration=10.0)
 
 #: Rounds per mode; the best one is timed.  Uncached and cold rounds are
-#: interleaved so a host-load phase cannot land on one mode only.
-REPEATS = 3
+#: interleaved so a host-load phase cannot land on one mode only.  Over
+#: ten fresh processes each, the cold overhead read -1.3% to +9.4% with
+#: 3 rounds (2 above the ceiling) and -31.4% to +6.3% with 9 (1 above):
+#: on a 2-cpu host the best round is a rare fast one that either mode
+#: may catch, so more rounds did not steady it.
+REPEATS = 9
 
 #: Uncached over warm wall time: 0.25 x 281.65, the speedup recorded when
 #: the floor was set.  Warm runs take milliseconds, so their relative

@@ -36,7 +36,7 @@ import pickle
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from ..kernel.errors import ExperimentError
 from .cache import cache_key, resolve_cache, run_one_identity, source_digest
@@ -76,7 +76,7 @@ def _run_task(seed: int, point: Dict[str, Any]) -> bytes:
 
     Pickling here, in the worker, turns a row that cannot cross the
     process boundary into a clear error instead of a failure inside the
-    executor's result pipe, and the blob's length is the row traffic.
+    executor's result pipe.
     """
     row = dict(_WORKER_RUN_ONE[0](seed=seed, **point))
     try:
@@ -99,7 +99,7 @@ def _execute_parallel(run_one: Callable[..., Mapping[str, Any]],
                       pending: List[Tuple[int, int, Dict[str, Any]]],
                       workers: int,
                       on_row: Callable[[int, Dict[str, Any]], None],
-                      ) -> Dict[str, int]:
+                      ) -> None:
     """Run ``pending`` tasks on a pool forked for this call alone.
 
     ``on_row(index, row)`` fires per task in submission order, so the
@@ -107,17 +107,13 @@ def _execute_parallel(run_one: Callable[..., Mapping[str, Any]],
     as on the serial path.  The pool is shut down before this returns or
     raises; a worker process that dies raises
     :class:`~repro.kernel.errors.ExperimentError` at once.
-
-    Returns a ``{"tasks": ..., "rows": ...}`` account of the pickled
-    bytes that crossed the pool pipe (``meta["bytes_shipped"]``).
     """
     try:
-        task_blob = pickle.dumps([(seed, point) for _i, seed, point in pending])
+        pickle.dumps([(seed, point) for _i, seed, point in pending])
     except Exception as exc:
         raise ExperimentError(
             "sweep point values must be picklable for parallel "
             f"execution (workers>1): {exc!r}") from exc
-    row_bytes = 0
     pool = ProcessPoolExecutor(
         min(workers, len(pending)),
         mp_context=multiprocessing.get_context("fork"),
@@ -126,9 +122,7 @@ def _execute_parallel(run_one: Callable[..., Mapping[str, Any]],
         futures = [(index, pool.submit(_run_task, seed, point))
                    for index, seed, point in pending]
         for index, future in futures:
-            reply = future.result()
-            row_bytes += len(reply)
-            on_row(index, pickle.loads(reply))
+            on_row(index, pickle.loads(future.result()))
     except BrokenProcessPool as exc:
         raise ExperimentError(
             "a sweep worker process died before returning its rows "
@@ -136,7 +130,6 @@ def _execute_parallel(run_one: Callable[..., Mapping[str, Any]],
             "cannot continue") from exc
     finally:
         pool.shutdown(cancel_futures=True)
-    return {"tasks": len(task_blob), "rows": row_bytes}
 
 
 # ---------------------------------------------------------------------------
@@ -170,9 +163,8 @@ def sweep(experiment_id: str, title: str,
 
     The result's ``meta`` dict records how the sweep actually ran:
     ``workers`` (requested), ``parallel`` (whether a pool was used),
-    ``computed`` / ``cached`` task counts, a ``bytes_shipped`` account
-    of pickled pipe traffic (``{"tasks", "rows"}``) when a pool was
-    used, and a per-sweep ``cache`` stats delta when caching was on.
+    ``computed`` / ``cached`` task counts, and a per-sweep ``cache``
+    stats delta when caching was on.
     """
     if not isinstance(workers, int) or isinstance(workers, bool):
         raise ExperimentError(f"workers must be an int, not {workers!r}")
@@ -239,10 +231,8 @@ def sweep(experiment_id: str, title: str,
                 "this platform; running serially (workers request "
                 "ignored). This warning is emitted once.",
                 RuntimeWarning, stacklevel=2)
-    bytes_shipped: Optional[Dict[str, int]] = None
     if parallel:
-        bytes_shipped = _execute_parallel(run_one, pending, workers,
-                                          store_row)
+        _execute_parallel(run_one, pending, workers, store_row)
     else:
         for index, seed, point in pending:
             store_row(index, dict(run_one(seed=seed, **point)))
@@ -272,8 +262,6 @@ def sweep(experiment_id: str, title: str,
         "computed": len(pending),
         "cached": len(replayed),
     })
-    if bytes_shipped is not None:
-        result.meta["bytes_shipped"] = bytes_shipped
     if run_cache is not None:
         after = run_cache.stats.snapshot()
         delta = {name: after[name] - stats_before[name]

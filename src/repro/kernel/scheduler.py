@@ -118,12 +118,14 @@ class Simulator:
         priority: int = Priority.PROTOCOL,
     ) -> Event:
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now."""
-        # Written so NaN fails too: a NaN key breaks the heap order.
-        if not delay >= 0:
-            raise ScheduleError(f"negative or NaN delay {delay!r}")
+        # Written so NaN fails too: a NaN key breaks the heap order, and
+        # an event at inf would run the clock to inf.
+        time = self._now + delay
+        if not (delay >= 0 and time < inf):
+            raise ScheduleError(f"negative, NaN or infinite delay {delay!r}")
         if self._stopped:
             raise SimulationFinished("simulator has been stopped")
-        event = Event(self._now + delay, priority, self._seq, fn, args)
+        event = Event(time, priority, self._seq, fn, args)
         event.owner = self
         event.ctx = self._span_ctx
         self._seq += 1
@@ -141,7 +143,7 @@ class Simulator:
         """Schedule ``fn(*args)`` at absolute simulation time ``time``."""
         if self._stopped:
             raise SimulationFinished("simulator has been stopped")
-        if not time >= self._now:
+        if not self._now <= time < inf:
             raise ScheduleError(
                 f"cannot schedule at {time!r}, now is {self._now!r}"
             )

@@ -19,10 +19,12 @@ reconstructable after the run even though it crossed many events.
 
 Tracing is cheap when disabled (a single predicate test per emit) and
 cheap to leave on: the tracer keeps records and spans as parallel column
-lists of floats, strings and payload dicts, which the garbage collector
-does not track, and builds :class:`TraceRecord`/:class:`Span` objects
-only for a subscriber whose prefix covers the record's category or for
-a reader of :attr:`Tracer.records`/:attr:`Tracer.spans`.
+lists of floats, strings and tuples, which the garbage collector does
+not walk, and builds :class:`TraceRecord`/:class:`Span` objects only for
+a subscriber whose prefix covers the record's category or for a reader
+of :attr:`Tracer.records`/:attr:`Tracer.spans`.  A record's payload is
+kept as a shared key tuple and a tuple of values; a span's payload stays
+the caller's dict, because that dict marks which handle owns the row.
 """
 
 from __future__ import annotations
@@ -183,11 +185,17 @@ def add_default_span_hook(callback: Callable[[Span], None],
 class Tracer:
     """Collects trace records and spans; dispatches to live subscribers.
 
-    Storage is columnar: one list per :class:`TraceRecord` field and one
-    per :class:`Span` field, so a run that keeps its trace adds no
-    objects for the garbage collector to walk.  :attr:`records`,
-    :attr:`spans`, :meth:`select`, :meth:`issues` and :meth:`open_spans`
-    build the objects when read — read them once, not inside a loop.
+    Storage is columnar, so a run that keeps its trace adds no objects
+    for the garbage collector to walk.  Records keep one column per
+    :class:`TraceRecord` field, with the payload split in two: a key
+    tuple, shared by every row with the same key sequence (``()`` for
+    no payload), and a tuple of the values.  Spans keep one column per
+    :class:`Span` field but the id, which is the row index plus a base.
+    :attr:`records`, :attr:`spans`, :meth:`select`, :meth:`issues` and
+    :meth:`open_spans` build the objects when read — read them once, not
+    inside a loop.  A record read back carries a fresh payload dict in
+    the stored key order; changing it, or the dict given to
+    :meth:`emit` or :meth:`append`, changes nothing stored.
     ``len(tracer)``, :attr:`span_count` and :attr:`open_span_count` are
     O(1).  Each category's subscribers are resolved once and cached
     until the next subscribe or unsubscribe; a record object is built
@@ -215,21 +223,25 @@ class Tracer:
         self.capacity = capacity
         self.mode = mode
         self._retain = mode != "stream"
-        # Record columns in TraceRecord field order.  In ring mode with a
-        # capacity each deque evicts its oldest entry on append-when-full,
-        # in O(1) and in step with the others; _store() counts the
-        # eviction.  Otherwise the deques are unbounded.
+        # Record columns in TraceRecord field order, the payload as key
+        # and value tuples.  In ring mode with a capacity each deque
+        # evicts its oldest entry on append-when-full, in O(1) and in
+        # step with the others; _store() counts the eviction.  Otherwise
+        # the deques are unbounded.
         maxlen = capacity if mode == "ring" else None
-        self._record_columns = tuple(deque(maxlen=maxlen) for _ in range(5))
+        self._record_columns = tuple(deque(maxlen=maxlen) for _ in range(6))
         (self._times, self._categories, self._sources, self._messages,
-         self._datas) = self._record_columns
-        # Span columns in Span field order.  Row r holds span id
-        # _span_base + r: ids are consecutive, and clear() rebases.
+         self._keys, self._values) = self._record_columns
+        #: key tuple -> itself: one stored tuple per distinct key sequence.
+        self._key_tuples: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
+        # Span columns in Span field order after the id: row r holds
+        # span id _span_base + r, because ids are consecutive and clear()
+        # rebases.
         self._span_columns: Tuple[List[Any], ...] = tuple(
-            [] for _ in range(8))
-        (self._span_ids, self._span_parents, self._span_categories,
-         self._span_sources, self._span_starts, self._span_ends,
-         self._span_statuses, self._span_datas) = self._span_columns
+            [] for _ in range(7))
+        (self._span_parents, self._span_categories, self._span_sources,
+         self._span_starts, self._span_ends, self._span_statuses,
+         self._span_datas) = self._span_columns
         self._span_base = 1
         self._next_span_id = 1
         self._open = 0
@@ -262,7 +274,7 @@ class Tracer:
 
     def append(self, time: float, category: str, source: str, message: str,
                data: Dict[str, Any]) -> None:
-        """:meth:`emit` given as fields, storing ``data`` as given.
+        """:meth:`emit` given as fields; subscribers get ``data`` itself.
 
         Unlike :meth:`emit` this does not test :attr:`enabled`:
         ``Simulator.trace`` tests it first, and ``Simulator.issue``
@@ -288,7 +300,13 @@ class Tracer:
         self._categories.append(category)
         self._sources.append(source)
         self._messages.append(message)
-        self._datas.append(data)
+        if data:
+            keys = tuple(data)
+            self._keys.append(self._key_tuples.setdefault(keys, keys))
+            self._values.append(tuple(data.values()))
+        else:
+            self._keys.append(())
+            self._values.append(())
 
     def _route(self, category: str) -> Tuple[Callable[[TraceRecord], None], ...]:
         """The callbacks subscribed to ``category``, resolved once."""
@@ -321,13 +339,17 @@ class Tracer:
     @property
     def records(self) -> List[TraceRecord]:
         """The stored records, oldest first, built afresh on every read."""
-        return list(map(TraceRecord, *self._record_columns))
+        return list(map(TraceRecord, self._times, self._categories,
+                        self._sources, self._messages,
+                        map(dict, map(zip, self._keys, self._values))))
 
     def select(self, prefix: str) -> List[TraceRecord]:
         """All stored records whose category sits under ``prefix``."""
         hit = _matching(self._categories, prefix)
-        return [TraceRecord(*row) for row in zip(*self._record_columns)
-                if hit[row[1]]]
+        return [TraceRecord(time, category, source, message,
+                            dict(zip(keys, values)))
+                for time, category, source, message, keys, values
+                in zip(*self._record_columns) if hit[category]]
 
     def issues(self) -> List[TraceRecord]:
         """All records in the ``issue.*`` namespace (LPC classifier input)."""
@@ -349,7 +371,6 @@ class Tracer:
         self._next_span_id = span_id + 1
         span = Span(span_id, parent_id, category, source, time, data=data)
         if self._retain:
-            self._span_ids.append(span_id)
             self._span_parents.append(parent_id)
             self._span_categories.append(category)
             self._span_sources.append(source)
@@ -410,12 +431,15 @@ class Tracer:
     @property
     def spans(self) -> List[Span]:
         """The stored spans in begin order, built afresh on every read."""
-        return list(map(Span, *self._span_columns))
+        return list(map(Span, self._span_id_range(), *self._span_columns))
+
+    def _span_id_range(self) -> range:
+        return range(self._span_base, self._span_base + self.span_count)
 
     @property
     def span_count(self) -> int:
         """Number of stored spans."""
-        return len(self._span_ids)
+        return len(self._span_parents)
 
     @property
     def open_span_count(self) -> int:
@@ -425,18 +449,21 @@ class Tracer:
     def select_spans(self, prefix: str) -> List[Span]:
         """All spans whose category sits under ``prefix``."""
         hit = _matching(self._span_categories, prefix)
-        return [Span(*row) for row in zip(*self._span_columns)
+        return [Span(*row) for row in zip(self._span_id_range(),
+                                          *self._span_columns)
                 if hit[row[2]]]
 
     def open_spans(self) -> List[Span]:
         """Spans begun but never ended (useful for leak hunting)."""
-        return [Span(*row) for row in zip(*self._span_columns)
+        return [Span(*row) for row in zip(self._span_id_range(),
+                                          *self._span_columns)
                 if row[5] is None]
 
     # ------------------------------------------------------------------
     def clear(self) -> None:
         for column in self._record_columns + self._span_columns:
             column.clear()
+        self._key_tuples.clear()
         self.dropped = 0
         self._open = 0
         self._span_base = self._next_span_id

@@ -34,6 +34,7 @@ from __future__ import annotations
 import io
 import json
 import pathlib
+from math import copysign
 from typing import Any, Dict, List, Tuple, Union
 
 import numpy as np
@@ -107,6 +108,32 @@ def _pool_strings(pool_bytes: np.ndarray, pool_len: np.ndarray) -> List[str]:
     return strings
 
 
+#: Classes whose equal values always encode alike once the class is
+#: part of the memo key.
+_MEMO_SCALARS = frozenset((str, int, bool, type(None)))
+
+
+def _memo_key(value: Any) -> Any:
+    """``value`` as a payload-memo key that equals another only where
+    both encode alike.
+
+    Python equates 1, 1.0 and True, and 0.0 and -0.0, which JSON writes
+    differently, so the key carries each value's class and each float's
+    sign, inside tuples too.  Raises :class:`TypeError` for a value of
+    any other class, subclasses included (a frozenset or a Decimal can
+    equal another that encodes differently), so its payload is encoded
+    without the memo.
+    """
+    cls = value.__class__
+    if cls in _MEMO_SCALARS:
+        return cls, value
+    if cls is float:
+        return cls, value, copysign(1.0, value)
+    if cls is tuple:
+        return cls, tuple(map(_memo_key, value))
+    raise TypeError(f"no payload memo for {cls.__name__}")
+
+
 class ColumnarWriter:
     """Buffers telemetry lines and packs them into a columnar file.
 
@@ -166,12 +193,11 @@ class ColumnarWriter:
 
     def _intern_payload(self, data: Dict[str, Any]) -> int:
         try:
-            # The value's class rides in the key so 1, 1.0 and True (equal
-            # and same-hash in Python, different in JSON) never collide.
-            key = tuple((k, v.__class__, v) for k, v in sorted(data.items()))
+            key = tuple((k, _memo_key(v)) for k, v in sorted(data.items()))
             code = self._payload_memo.get(key)
         except TypeError:
-            # Unsortable keys or unhashable values: no memo, just encode.
+            # Unsortable keys, unhashable values or values of other
+            # classes: no memo, just encode.
             return self._pool.intern(_dumps(data))
         if code is None:
             code = self._pool.intern(_dumps(data))

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
+import pytest
 
 from repro.kernel.random import RandomStreams
+from repro.kernel.scheduler import Simulator
 from repro.kernel.trace import TraceRecord, Tracer
 
 
@@ -139,3 +143,53 @@ def test_clear_resets():
     tracer.emit(_record())
     tracer.clear()
     assert len(tracer) == 0 and tracer.dropped == 0
+
+
+def test_stored_payload_is_not_shared():
+    """The store keeps a record's payload as key and value tuples, so
+    neither the dict given to ``emit`` nor a dict read back shares it."""
+    tracer = Tracer()
+    data = {"n": 1}
+    tracer.emit(TraceRecord(0.0, "mac.tx", "nic", "m", data))
+    data["n"] = 2
+    data["extra"] = 3
+    tracer.records[0].data["n"] = 4
+    tracer.select("mac")[0].data.clear()
+    next(iter(tracer)).data["n"] = 5
+    assert [r.data for r in tracer.records] == [{"n": 1}]
+    assert tracer.records[0].data is not tracer.records[0].data
+
+
+def test_payload_key_order_survives_the_store():
+    sim = Simulator(seed=0, trace=True)
+    sim.trace("mac.tx", "nic", "m", z=1, a=2, m=3)
+    sim.trace("mac.tx", "nic", "m", a=2, z=1, m=3)
+    sim.issue("session", "nic", "m", z=1, a=2)
+    orders = [["z", "a", "m"], ["a", "z", "m"], ["z", "a"]]
+    assert [list(r.data) for r in sim.tracer.records] == orders
+    assert [list(r.data) for r in sim.tracer] == orders
+    assert [list(r.data) for r in sim.tracer.select("")] == orders
+    assert [list(r.data) for r in sim.tracer.issues()] == [["z", "a"]]
+
+
+@pytest.mark.parametrize("payload,bound", [
+    ({}, 64),
+    ({"bytes": 1500, "channel": 6}, 160),
+], ids=["no_payload", "two_keys"])
+def test_stored_record_retains_few_bytes(payload, bound):
+    """10,000 records traced at one time with one message string keep
+    under ``bound`` bytes each: a payload dict per row took 105 B
+    without a payload and 225 B with two keys."""
+    sim = Simulator(seed=0, trace=True)
+    message = "frame out"
+    sim.trace("mac.tx", "nic", message, **payload)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(10_000):
+            sim.trace("mac.tx", "nic", message, **payload)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(sim.tracer) == 10_001
+    assert retained / 10_000 < bound

@@ -69,14 +69,18 @@ def test_schedule_in_past_rejected(sim):
     lambda sim: sim.run(until=float("nan")),
     lambda sim: sim.every(math.inf, lambda: None),
     lambda sim: sim.run(until=math.inf),
+    lambda sim: sim.schedule(math.inf, lambda: None),
+    lambda sim: sim.schedule_at(math.inf, lambda: None),
+    lambda sim: sim.every(1.0, lambda: None, start=math.inf),
 ], ids=["schedule", "schedule_at", "every", "run_until", "every_inf",
-        "run_until_inf"])
+        "run_until_inf", "schedule_inf", "schedule_at_inf", "every_start_inf"])
 def test_nan_times_rejected(sim, call):
     """A NaN key breaks the heap order: delays 3, nan, 1, 2, 0.5 used to
     fire at 1, 0.5, 2, nan, 3, running the clock backwards.  Infinite
     times break the clock too: ``run(until=inf)`` left ``now`` at inf, so
     every later event landed there, and ``every(inf)`` fired forever at
-    t=inf, so an unbounded ``run()`` never returned."""
+    t=inf, so an unbounded ``run()`` never returned.  An event scheduled
+    at inf ran and left ``now`` there."""
     with pytest.raises(ScheduleError):
         call(sim)
     assert sim.pending() == 0

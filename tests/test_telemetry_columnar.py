@@ -118,6 +118,22 @@ def test_columnar_distinguishes_equal_payload_values(sim, tmp_path):
     assert [type(v) for v in values] == [int, float, bool]
 
 
+def test_columnar_keeps_the_sign_of_zero(sim, tmp_path):
+    """0.0 and -0.0 are equal and hash alike, as are 1, 1.0 and True,
+    but JSON writes each differently, also inside a tuple: both exports
+    must read back the same values, compared by their JSON text."""
+    for value in (0.0, -0.0, 1, 1.0, True, (0.0,), (-0.0,), (1,), (True,)):
+        sim.trace("t", "s", "x", x=value)
+    write_run(tmp_path / "run.jsonl", sim, include_metrics=False)
+    write_run(tmp_path / "run.npz", sim, include_metrics=False)
+    jsonl = read_telemetry(tmp_path / "run.jsonl")
+    assert [json.dumps(line["data"]["x"]) for line in jsonl] == [
+        "0.0", "-0.0", "1", "1.0", "true", "[0.0]", "[-0.0]", "[1]",
+        "[true]"]
+    assert (json.dumps(read_telemetry(tmp_path / "run.npz"), sort_keys=True)
+            == json.dumps(jsonl, sort_keys=True))
+
+
 def test_columnar_unserialisable_payload_degrades_to_repr(sim, tmp_path):
     sim.trace("t", "s", "obj", obj=object())
     path = tmp_path / "obj.npz"
