@@ -12,6 +12,7 @@ sweeps.
 from __future__ import annotations
 
 import pathlib
+import statistics
 import tempfile
 import time
 from typing import Any, Dict
@@ -23,12 +24,12 @@ from repro.experiments.harness import ExperimentResult
 #: The E2 sweep: 3 densities x 2 channel plans of 10 simulated seconds.
 SWEEP = dict(densities=(0, 2, 4), duration=10.0)
 
-#: Rounds per mode; the best one is timed.  Uncached and cold rounds are
-#: interleaved so a host-load phase cannot land on one mode only.  Over
-#: ten fresh processes each, the cold overhead read -1.3% to +9.4% with
-#: 3 rounds (2 above the ceiling) and -31.4% to +6.3% with 9 (1 above):
-#: on a 2-cpu host the best round is a rare fast one that either mode
-#: may catch, so more rounds did not steady it.
+#: Rounds per mode.  Each round times one uncached and one cold sweep,
+#: alternating which runs first, so a host-load phase lands on both
+#: modes of a round.  The cold overhead is the median over rounds of
+#: each round's cold / uncached - 1: a ratio of two best-of-N walls
+#: read -31.4% to +6.3% over ten fresh processes, because the best
+#: round is a rare fast one that either mode may catch.
 REPEATS = 9
 
 #: Uncached over warm wall time: 0.25 x 281.65, the speedup recorded when
@@ -40,28 +41,37 @@ WARM_SPEEDUP_FLOOR = 0.25 * 281.65
 COLD_OVERHEAD_CEILING = 0.05
 
 
+def _timed(fn, **kwargs):
+    t0 = time.perf_counter()
+    result = fn(**kwargs)
+    return result, time.perf_counter() - t0
+
+
 def bench_cache() -> Dict[str, Any]:
-    """Best-of-``REPEATS`` uncached, cold and warm walls of one sweep."""
+    """Uncached, cold and warm walls of one sweep (best of ``REPEATS``)
+    and the median per-round cold overhead."""
     # The source digest is memoized process-wide (one hash per session);
     # prewarm it so the cold figure measures steady-state caching cost.
     source_digest()
     uncached_wall = cold_wall = warm_wall = float("inf")
+    overheads = []
     with tempfile.TemporaryDirectory() as tmp:
         for attempt in range(REPEATS):
-            t0 = time.perf_counter()
-            uncached = e2_run(cache=False, **SWEEP)
-            uncached_wall = min(uncached_wall, time.perf_counter() - t0)
-
             cache = RunCache(pathlib.Path(tmp) / f"round-{attempt}")
-            t0 = time.perf_counter()
-            cold = e2_run(cache=cache, **SWEEP)
-            cold_wall = min(cold_wall, time.perf_counter() - t0)
+            if attempt % 2:
+                cold, cold_s = _timed(e2_run, cache=cache, **SWEEP)
+                uncached, uncached_s = _timed(e2_run, cache=False, **SWEEP)
+            else:
+                uncached, uncached_s = _timed(e2_run, cache=False, **SWEEP)
+                cold, cold_s = _timed(e2_run, cache=cache, **SWEEP)
+            overheads.append(cold_s / uncached_s - 1.0)
+            uncached_wall = min(uncached_wall, uncached_s)
+            cold_wall = min(cold_wall, cold_s)
 
         # Warm replay against the last round's populated cache.
         for _ in range(REPEATS):
-            t0 = time.perf_counter()
-            warm = e2_run(cache=cache, **SWEEP)
-            warm_wall = min(warm_wall, time.perf_counter() - t0)
+            warm, warm_s = _timed(e2_run, cache=cache, **SWEEP)
+            warm_wall = min(warm_wall, warm_s)
 
     return {
         "points": len(uncached.rows),
@@ -69,7 +79,7 @@ def bench_cache() -> Dict[str, Any]:
         "cold_wall_s": cold_wall,
         "warm_wall_s": warm_wall,
         "warm_speedup": uncached_wall / warm_wall,
-        "cold_overhead_ratio": cold_wall / uncached_wall - 1.0,
+        "cold_overhead_ratio": statistics.median(overheads),
         "warm_hit_rate": warm.meta["cache"]["hit_rate"],
         "rows_identical": (
             uncached.rows == cold.rows == warm.rows

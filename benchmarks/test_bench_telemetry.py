@@ -118,8 +118,7 @@ def _time_export(writer) -> Dict[str, Any]:
 def _chain(n_events: int, trace_mode: str, attach: bool):
     """A seeded kernel run emitting records, issues and spans every event:
     the live-simulation side of the streaming comparisons."""
-    kwargs = {} if trace_mode == "head" else {"trace_mode": trace_mode}
-    sim = Simulator(seed=11, trace=True, **kwargs)
+    sim = Simulator(seed=11, trace=True, trace_mode=trace_mode)
     aggregator = (StreamingAggregator(user_sources=("bench-user",))
                   .attach(sim) if attach else None)
     counter = [0]
@@ -156,12 +155,12 @@ def bench_telemetry() -> Dict[str, Any]:
         jsonl = _time_export(JsonlWriter(tmp_path / "bench.jsonl"))
         columnar = _time_export(ColumnarWriter(tmp_path / "bench.npz"))
 
-    stored_sim, _ = _chain(SUMMARY_EVENTS, "head", False)
+    stored_sim, _ = _chain(SUMMARY_EVENTS, "store", False)
     stream_sim, aggregator = _chain(SUMMARY_EVENTS, "stream", True)
     replayed = StreamingAggregator(
         user_sources=("bench-user",)).replay(stored_sim).summary()
 
-    stored_peak = _peak_memory(lambda: _chain(MEMORY_EVENTS, "head", False))
+    stored_peak = _peak_memory(lambda: _chain(MEMORY_EVENTS, "store", False))
     stream_peak = _peak_memory(lambda: _chain(MEMORY_EVENTS, "stream", True))
     return {
         "events": EVENTS,

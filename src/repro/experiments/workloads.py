@@ -58,19 +58,17 @@ def projector_room(seed: int = 0, *, trace: bool = True,
                    viewer_fps: float = 15.0,
                    register: bool = True,
                    culling: bool = True,
-                   trace_mode: str = "head",
-                   trace_capacity: Optional[int] = None) -> Room:
+                   trace_mode: str = "store") -> Room:
     """Build the Smart Projector room.
 
     When ``register`` is True the adapter registers both services as soon
     as it discovers the lookup service (a few hundred milliseconds in).
     ``culling=False`` makes the medium scan every station exhaustively —
     outcome-identical, used to validate the spatial-grid fast path.
-    ``trace_mode`` / ``trace_capacity`` pass straight through to :class:`Simulator` so the dispatch-matrix oracle can run
-    the same room under every trace mode.
+    ``trace_mode`` passes straight through to :class:`Simulator` so the
+    dispatch-matrix oracle can run the same room under every trace mode.
     """
-    sim = Simulator(seed=seed, trace=trace, trace_capacity=trace_capacity,
-                    trace_mode=trace_mode)
+    sim = Simulator(seed=seed, trace=trace, trace_mode=trace_mode)
     world = World(width, height)
     medium = WirelessMedium(sim, world, culling=culling)
 

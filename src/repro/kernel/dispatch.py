@@ -75,10 +75,8 @@ def loop_bounded(sim, queue, until, max_events):
             push(queue, entry)
             break
         if handle is not None:
-            # Fired: break ref cycles; a late cancel() is a true no-op.
+            # Fired: a late cancel() is a true no-op.
             handle.owner = None
-            handle.fn = None
-            handle.args = ()
         sim._now = t
         if ctx is not None or sim._span_ctx is not None:
             # Restore the causal span context captured at schedule time,

@@ -1,16 +1,16 @@
-"""Event objects used by the discrete-event scheduler.
+"""Event priorities and cancellation tokens for the scheduler.
 
-An :class:`Event` is a callback bound to a simulation time.  Events fire
-in ``(time, priority, seq)`` order, where ``seq`` is a scheduler
-assigned monotone counter — this makes runs *deterministic*: two events at
-the same time and priority always fire in scheduling order, independent of
-hash seeds or heap internals.
+Scheduled callbacks fire in ``(time, priority, seq)`` order, where
+``seq`` is a scheduler assigned monotone counter — this makes runs
+*deterministic*: two events at the same time and priority always fire in
+scheduling order, independent of hash seeds or heap internals.  An
+:class:`Event` is the token that cancels one of them.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Any, Callable, Optional
+from typing import Any
 
 
 class Priority(enum.IntEnum):
@@ -28,57 +28,39 @@ class Priority(enum.IntEnum):
 
 
 class Event:
-    """A scheduled callback.
+    """The cancellation token of a scheduled callback.
 
-    Instances are created by :meth:`repro.kernel.scheduler.Simulator.schedule`
-    and friends; user code normally only keeps them to :meth:`cancel`.
+    Returned by :meth:`repro.kernel.scheduler.Simulator.schedule` and
+    friends; user code only keeps it to :meth:`cancel`.
 
     The scheduler's heap itself stores plain tuples (see
-    :mod:`repro.kernel.dispatch`); an :class:`Event` is the *cancellation
-    handle* riding in the tuple's last slot — the ``schedule_bound`` fast
-    path stores ``None`` there and allocates no handle at all.  ``owner``
+    :mod:`repro.kernel.dispatch`) holding the time, priority, sequence
+    number, callback, arguments and span context; an :class:`Event`
+    rides in the tuple's last slot — the ``schedule_bound`` fast path
+    stores ``None`` there and allocates no token at all.  ``owner``
     points back at the scheduler while the event sits in the queue so
     cancellation can maintain an exact dead-entry count for O(1)
     ``pending()`` and threshold-triggered heap compaction.
     """
 
-    __slots__ = ("time", "priority", "seq", "fn", "args", "cancelled",
-                 "owner", "ctx")
+    __slots__ = ("cancelled", "owner")
 
-    def __init__(
-        self,
-        time: float,
-        priority: int,
-        seq: int,
-        fn: Callable[..., Any],
-        args: tuple = (),
-    ) -> None:
-        self.time = float(time)
-        self.priority = int(priority)
-        self.seq = int(seq)
-        self.fn: Optional[Callable[..., Any]] = fn
-        self.args = args
+    def __init__(self, owner: Any) -> None:
         self.cancelled = False
-        self.owner: Optional[Any] = None
-        #: span id current when the event was scheduled; the run loop
-        #: restores it so causal span context crosses event boundaries.
-        self.ctx: Optional[int] = None
+        self.owner = owner
 
     def cancel(self) -> None:
         """Mark the event so the scheduler skips it.
 
         Cancelling is O(1); the dead entry is discarded lazily when it
         reaches the head of the heap, or in bulk when dead entries come to
-        dominate the queue.  Cancelling an already-fired or already-cancelled
-        event is a no-op.
+        dominate the queue.  Until then the heap entry still holds the
+        callback and its arguments.  Cancelling an already-fired or
+        already-cancelled event is a no-op.
         """
         if self.cancelled:
             return
         self.cancelled = True
-        # Drop references eagerly so cancelled closures do not pin objects
-        # (NICs, frames, sessions) until the heap drains.
-        self.fn = None
-        self.args = ()
         owner = self.owner
         if owner is not None:
             self.owner = None
@@ -86,5 +68,4 @@ class Event:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
-        name = getattr(self.fn, "__qualname__", repr(self.fn))
-        return f"<Event t={self.time:.6f} p={self.priority} {name} [{state}]>"
+        return f"<Event [{state}]>"

@@ -54,11 +54,10 @@ class Simulator:
         trace: whether to record trace events.  The tracer stores them
             as columns the garbage collector does not walk, so tracing is
             cheap to leave on; heavy interference sweeps turn it off.
-        trace_capacity: optional bound on stored trace records.
-        trace_mode: bounded-buffer policy when ``trace_capacity`` is set —
-            ``"head"`` drops the newest records, ``"ring"`` the oldest;
-            ``"stream"`` retains nothing and only feeds tracer subscribers
-            (pair with a streaming aggregator or live exporter).
+        trace_mode: ``"store"`` (the default) keeps every record and
+            span; ``"stream"`` retains nothing and only feeds tracer
+            subscribers (pair with a streaming aggregator or live
+            exporter).
     Example:
         >>> sim = Simulator(seed=1)
         >>> fired = []
@@ -73,8 +72,7 @@ class Simulator:
         self,
         seed: int = 0,
         trace: bool = True,
-        trace_capacity: Optional[int] = None,
-        trace_mode: str = "head",
+        trace_mode: str = "store",
     ) -> None:
         self._now: float = 0.0
         #: the heap of 7-tuples ``(time, priority, seq, fn, args, ctx,
@@ -88,8 +86,7 @@ class Simulator:
         #: number of threshold-triggered heap compactions (observability).
         self.compactions: int = 0
         self.streams = RandomStreams(seed)
-        self.tracer = Tracer(enabled=trace, capacity=trace_capacity,
-                             mode=trace_mode)
+        self.tracer = Tracer(enabled=trace, mode=trace_mode)
         #: span id of the currently-active causal span (ambient context);
         #: captured by every schedule call and restored by the run loop.
         self._span_ctx: Optional[int] = None
@@ -125,12 +122,11 @@ class Simulator:
             raise ScheduleError(f"negative, NaN or infinite delay {delay!r}")
         if self._stopped:
             raise SimulationFinished("simulator has been stopped")
-        event = Event(time, priority, self._seq, fn, args)
-        event.owner = self
-        event.ctx = self._span_ctx
-        self._seq += 1
-        heapq.heappush(self._queue, (event.time, event.priority, event.seq,
-                                     fn, args, event.ctx, event))
+        event = Event(self)
+        seq = self._seq
+        self._seq = seq + 1
+        heapq.heappush(self._queue, (float(time), int(priority), seq, fn,
+                                     args, self._span_ctx, event))
         return event
 
     def schedule_at(
@@ -147,12 +143,11 @@ class Simulator:
             raise ScheduleError(
                 f"cannot schedule at {time!r}, now is {self._now!r}"
             )
-        event = Event(time, priority, self._seq, fn, args)
-        event.owner = self
-        event.ctx = self._span_ctx
-        self._seq += 1
-        heapq.heappush(self._queue, (event.time, event.priority, event.seq,
-                                     fn, args, event.ctx, event))
+        event = Event(self)
+        seq = self._seq
+        self._seq = seq + 1
+        heapq.heappush(self._queue, (float(time), int(priority), seq, fn,
+                                     args, self._span_ctx, event))
         return event
 
     def schedule_bound(

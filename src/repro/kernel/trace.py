@@ -17,35 +17,30 @@ scheduler propagates the current span through every scheduled event (see
 ``transport.send -> mac.tx -> transport.deliver -> session.acquire`` is
 reconstructable after the run even though it crossed many events.
 
-Tracing is cheap when disabled (a single predicate test per emit) and
+Tracing is cheap when disabled (a single predicate test per record) and
 cheap to leave on: the tracer keeps records and spans as parallel column
 lists of floats, strings and tuples, which the garbage collector does
 not walk, and builds :class:`TraceRecord`/:class:`Span` objects only for
 a subscriber whose prefix covers the record's category or for a reader
-of :attr:`Tracer.records`/:attr:`Tracer.spans`.  A record's payload is
-kept as a shared key tuple and a tuple of values; a span's payload stays
-the caller's dict, because that dict marks which handle owns the row.
+of :attr:`Tracer.records`/:attr:`Tracer.spans`.  Record and span
+payloads alike are kept as a shared key tuple and a tuple of values.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
                     Tuple)
 
 from .errors import ConfigurationError
 
-#: Bounded-buffer policies for :class:`Tracer`.
-#: ``head`` (default) drops the *newest* records once full — preserving the
-#: warm-up behaviour experiments usually care about; ``ring`` drops the
-#: *oldest*, keeping a sliding window of the most recent records.  Both
-#: count every drop.  ``stream`` stores nothing at all: every record and
-#: span is dispatched to subscribers/hooks and then discarded, giving
-#: O(1) memory for million-event runs consumed by
+#: Tracer modes.  ``store`` (the default) keeps every record and span;
+#: ``stream`` stores nothing at all: every record and span is dispatched
+#: to subscribers/hooks and then discarded, giving O(1) memory for
+#: million-event runs consumed by
 #: :class:`repro.telemetry.streaming.StreamingAggregator` or a live
 #: exporter.
-TRACER_MODES: Tuple[str, ...] = ("head", "ring", "stream")
+TRACER_MODES: Tuple[str, ...] = ("store", "stream")
 
 
 def _under(category: str, prefix: str) -> bool:
@@ -95,7 +90,7 @@ class Span:
     The span ``span_begin`` returns is the caller's handle: ending it
     updates the handle and the tracer's stored row.  :attr:`Tracer.spans`
     returns fresh copies of the rows, equal to the handles field for
-    field but not the same objects.
+    field but not the same objects; ending a copy updates its row too.
     """
 
     span_id: int
@@ -106,6 +101,10 @@ class Span:
     end: Optional[float] = None
     status: str = "open"  #: "open" until ended, then "ok"/"error"/custom.
     data: Dict[str, Any] = field(default_factory=dict)
+    #: The tracer holding this span's row, set on the handle and on
+    #: copies read back; None for a span no store holds.
+    _tracer: Optional["Tracer"] = field(default=None, init=False,
+                                        repr=False, compare=False)
 
     @property
     def duration(self) -> Optional[float]:
@@ -186,62 +185,50 @@ class Tracer:
     """Collects trace records and spans; dispatches to live subscribers.
 
     Storage is columnar, so a run that keeps its trace adds no objects
-    for the garbage collector to walk.  Records keep one column per
-    :class:`TraceRecord` field, with the payload split in two: a key
-    tuple, shared by every row with the same key sequence (``()`` for
-    no payload), and a tuple of the values.  Spans keep one column per
-    :class:`Span` field but the id, which is the row index plus a base.
-    :attr:`records`, :attr:`spans`, :meth:`select`, :meth:`issues` and
-    :meth:`open_spans` build the objects when read — read them once, not
-    inside a loop.  A record read back carries a fresh payload dict in
-    the stored key order; changing it, or the dict given to
-    :meth:`emit` or :meth:`append`, changes nothing stored.
-    ``len(tracer)``, :attr:`span_count` and :attr:`open_span_count` are
-    O(1).  Each category's subscribers are resolved once and cached
-    until the next subscribe or unsubscribe; a record object is built
-    only for a category someone subscribed to.
+    for the garbage collector to walk.  Records and spans keep one list
+    per field, with the payload split in two: a key tuple, shared by
+    every row with the same key sequence (``()`` for no payload), and a
+    tuple of the values.  A span's id is not stored: it is the row index
+    plus a base.  :attr:`records`, :attr:`spans`, :meth:`select`,
+    :meth:`issues` and :meth:`open_spans` build the objects when read —
+    read them once, not inside a loop.  An object read back carries a
+    fresh payload dict in the stored key order; changing it, or the dict
+    given to :meth:`append` or :meth:`begin_span`, changes nothing
+    stored.  ``len(tracer)``, :attr:`span_count` and
+    :attr:`open_span_count` are O(1).  Each category's subscribers are
+    resolved once and cached until the next subscribe or unsubscribe; a
+    record object is built only for a category someone subscribed to.
 
     Args:
         enabled: record anything at all.
-        capacity: optional bound on stored *records* (spans are unbounded;
-            heavy sweeps run with tracing disabled).
-        mode: bounded-buffer policy, ``"head"`` (drop newest, the default)
-            or ``"ring"`` (drop oldest); ``"stream"`` retains nothing and
-            only dispatches to subscribers and span hooks.
+        mode: ``"store"`` (the default) keeps every record and span;
+            ``"stream"`` retains nothing and only dispatches to
+            subscribers and span hooks.
     """
 
-    def __init__(self, enabled: bool = True, capacity: Optional[int] = None,
-                 mode: str = "head") -> None:
+    def __init__(self, enabled: bool = True, mode: str = "store") -> None:
         if mode not in TRACER_MODES:
             raise ConfigurationError(
                 f"unknown tracer mode {mode!r}; choose from {TRACER_MODES}")
-        if mode == "stream" and capacity is not None:
-            raise ConfigurationError(
-                "tracer mode 'stream' stores nothing; capacity is meaningless"
-                " — drop the capacity or use 'head'/'ring'")
         self.enabled = enabled
-        self.capacity = capacity
         self.mode = mode
         self._retain = mode != "stream"
         # Record columns in TraceRecord field order, the payload as key
-        # and value tuples.  In ring mode with a capacity each deque
-        # evicts its oldest entry on append-when-full, in O(1) and in
-        # step with the others; _store() counts the eviction.  Otherwise
-        # the deques are unbounded.
-        maxlen = capacity if mode == "ring" else None
-        self._record_columns = tuple(deque(maxlen=maxlen) for _ in range(6))
+        # and value tuples.
+        self._record_columns: Tuple[List[Any], ...] = tuple(
+            [] for _ in range(6))
         (self._times, self._categories, self._sources, self._messages,
          self._keys, self._values) = self._record_columns
         #: key tuple -> itself: one stored tuple per distinct key sequence.
         self._key_tuples: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
-        # Span columns in Span field order after the id: row r holds
-        # span id _span_base + r, because ids are consecutive and clear()
-        # rebases.
+        # Span columns in Span field order after the id, the payload as
+        # key and value tuples: row r holds span id _span_base + r,
+        # because ids are consecutive and clear() rebases.
         self._span_columns: Tuple[List[Any], ...] = tuple(
-            [] for _ in range(7))
+            [] for _ in range(8))
         (self._span_parents, self._span_categories, self._span_sources,
          self._span_starts, self._span_ends, self._span_statuses,
-         self._span_datas) = self._span_columns
+         self._span_keys, self._span_values) = self._span_columns
         self._span_base = 1
         self._next_span_id = 1
         self._open = 0
@@ -251,62 +238,41 @@ class Tracer:
         self._span_hooks: List[Callable[[Span], None]] = \
             list(_DEFAULT_SPAN_HOOKS)
         self._span_begin_hooks: List[Callable[[Span], None]] = []
-        self.dropped = 0
+
+    def _put_payload(self, keys: List[Tuple[str, ...]], values: List[tuple],
+                     data: Dict[str, Any]) -> None:
+        """Append ``data`` to a key column and a value column."""
+        if data:
+            key = tuple(data)
+            keys.append(self._key_tuples.setdefault(key, key))
+            values.append(tuple(data.values()))
+        else:
+            keys.append(())
+            values.append(())
 
     # ------------------------------------------------------------------
     # Records
     # ------------------------------------------------------------------
-    def emit(self, record: TraceRecord) -> None:
-        """Store ``record`` and notify matching subscribers.
-
-        When a ``capacity`` is set the log behaves as a bounded buffer:
-        ``head`` mode drops the *newest* records once full, ``ring`` mode
-        drops the *oldest* — both count drops so nothing is silently lost.
-        ``stream`` mode stores nothing (and counts nothing as dropped):
-        subscribers are the only consumers.
-        """
-        if not self.enabled:
-            return
-        self._store(record.time, record.category, record.source,
-                    record.message, record.data)
-        for callback in self._route(record.category):
-            callback(record)
-
     def append(self, time: float, category: str, source: str, message: str,
                data: Dict[str, Any]) -> None:
-        """:meth:`emit` given as fields; subscribers get ``data`` itself.
+        """Store a record and notify matching subscribers, who get
+        ``data`` itself.
 
-        Unlike :meth:`emit` this does not test :attr:`enabled`:
-        ``Simulator.trace`` tests it first, and ``Simulator.issue``
-        records issues regardless, without turning tracing on for the
-        subscribers they reach.
+        This does not test :attr:`enabled`: ``Simulator.trace`` tests it
+        first, and ``Simulator.issue`` records issues regardless, without
+        turning tracing on for the subscribers they reach.
         """
-        self._store(time, category, source, message, data)
+        if self._retain:
+            self._times.append(time)
+            self._categories.append(category)
+            self._sources.append(source)
+            self._messages.append(message)
+            self._put_payload(self._keys, self._values, data)
         route = self._route(category)
         if route:
             record = TraceRecord(time, category, source, message, data)
             for callback in route:
                 callback(record)
-
-    def _store(self, time: float, category: str, source: str, message: str,
-               data: Dict[str, Any]) -> None:
-        if not self._retain:
-            return
-        if self.capacity is not None and len(self._times) >= self.capacity:
-            self.dropped += 1
-            if self.mode != "ring":
-                return
-        self._times.append(time)
-        self._categories.append(category)
-        self._sources.append(source)
-        self._messages.append(message)
-        if data:
-            keys = tuple(data)
-            self._keys.append(self._key_tuples.setdefault(keys, keys))
-            self._values.append(tuple(data.values()))
-        else:
-            self._keys.append(())
-            self._values.append(())
 
     def _route(self, category: str) -> Tuple[Callable[[TraceRecord], None], ...]:
         """The callbacks subscribed to ``category``, resolved once."""
@@ -341,7 +307,7 @@ class Tracer:
         """The stored records, oldest first, built afresh on every read."""
         return list(map(TraceRecord, self._times, self._categories,
                         self._sources, self._messages,
-                        map(dict, map(zip, self._keys, self._values))))
+                        _payloads(self._keys, self._values)))
 
     def select(self, prefix: str) -> List[TraceRecord]:
         """All stored records whose category sits under ``prefix``."""
@@ -362,22 +328,23 @@ class Tracer:
                    parent_id: Optional[int], data: Dict[str, Any]) -> Span:
         """Open a new span starting at ``time`` under ``parent_id``.
 
-        ``data`` is stored as given, not copied.  In ``stream`` mode the
-        span is handed to begin hooks but not retained; causal links
-        still work because the caller holds the span object until
-        :meth:`end_span`.
+        The returned handle carries ``data`` itself; the store keeps its
+        keys and values.  In ``stream`` mode the span is handed to begin
+        hooks but not retained; causal links still work because the
+        caller holds the span object until :meth:`end_span`.
         """
         span_id = self._next_span_id
         self._next_span_id = span_id + 1
         span = Span(span_id, parent_id, category, source, time, data=data)
         if self._retain:
+            span._tracer = self
             self._span_parents.append(parent_id)
             self._span_categories.append(category)
             self._span_sources.append(source)
             self._span_starts.append(time)
             self._span_ends.append(None)
             self._span_statuses.append("open")
-            self._span_datas.append(data)
+            self._put_payload(self._span_keys, self._span_values, data)
             self._open += 1
         for hook in self._span_begin_hooks:
             hook(span)
@@ -386,16 +353,15 @@ class Tracer:
     def end_span(self, span: Span, time: float, status: str = "ok") -> None:
         """Close ``span`` at ``time`` and notify span hooks.
 
-        The stored row is updated too when ``span`` has one: a span from
-        stream mode, from before :meth:`clear` or from another tracer only
-        updates itself.  A row belongs to the span that carries its
-        ``data`` dict.
+        The stored row is updated too when ``span`` is the handle
+        :meth:`begin_span` returned for it or a copy read back from this
+        tracer: a span from stream mode, from before :meth:`clear`, from
+        another tracer or built by hand only updates itself.
         """
         span.end = time
         span.status = status
         row = span.span_id - self._span_base
-        if 0 <= row < len(self._span_datas) and \
-                self._span_datas[row] is span.data:
+        if span._tracer is self and row >= 0:
             if self._span_ends[row] is None:
                 self._open -= 1
             self._span_ends[row] = time
@@ -431,10 +397,15 @@ class Tracer:
     @property
     def spans(self) -> List[Span]:
         """The stored spans in begin order, built afresh on every read."""
-        return list(map(Span, self._span_id_range(), *self._span_columns))
-
-    def _span_id_range(self) -> range:
-        return range(self._span_base, self._span_base + self.span_count)
+        base = self._span_base
+        spans = list(map(Span, range(base, base + self.span_count),
+                         self._span_parents, self._span_categories,
+                         self._span_sources, self._span_starts,
+                         self._span_ends, self._span_statuses,
+                         _payloads(self._span_keys, self._span_values)))
+        for span in spans:
+            span._tracer = self
+        return spans
 
     @property
     def span_count(self) -> int:
@@ -448,23 +419,17 @@ class Tracer:
 
     def select_spans(self, prefix: str) -> List[Span]:
         """All spans whose category sits under ``prefix``."""
-        hit = _matching(self._span_categories, prefix)
-        return [Span(*row) for row in zip(self._span_id_range(),
-                                          *self._span_columns)
-                if hit[row[2]]]
+        return [span for span in self.spans if span.matches(prefix)]
 
     def open_spans(self) -> List[Span]:
         """Spans begun but never ended (useful for leak hunting)."""
-        return [Span(*row) for row in zip(self._span_id_range(),
-                                          *self._span_columns)
-                if row[5] is None]
+        return [span for span in self.spans if span.end is None]
 
     # ------------------------------------------------------------------
     def clear(self) -> None:
         for column in self._record_columns + self._span_columns:
             column.clear()
         self._key_tuples.clear()
-        self.dropped = 0
         self._open = 0
         self._span_base = self._next_span_id
 
@@ -473,6 +438,12 @@ class Tracer:
 
     def __iter__(self) -> Iterator[TraceRecord]:
         return iter(self.records)
+
+
+def _payloads(keys: Iterable[Tuple[str, ...]],
+              values: Iterable[tuple]) -> Iterator[Dict[str, Any]]:
+    """Fresh payload dicts from a key column and a value column."""
+    return map(dict, map(zip, keys, values))
 
 
 def _matching(categories: Iterable[str], prefix: str) -> Dict[str, bool]:

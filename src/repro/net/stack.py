@@ -34,6 +34,8 @@ class NetworkStack:
         self.interface = interface
         self.address = interface.address
         self._ports: Dict[int, Callable[[Frame], None]] = {}
+        #: port -> its "no listener" trace text, one string per port.
+        self._unbound_texts: Dict[int, str] = {}
         interface.on_receive = self._receive
         self.rx_frames = 0
         self.rx_unbound = 0
@@ -93,8 +95,11 @@ class NetworkStack:
             self.rx_unbound += 1
             self._m_rx_unbound.add()
             if self.sim.tracer.enabled:
-                self.sim.trace("stack.unbound", self.address,
-                               f"no listener on port {frame.port}")
+                text = self._unbound_texts.get(frame.port)
+                if text is None:
+                    text = self._unbound_texts[frame.port] = \
+                        f"no listener on port {frame.port}"
+                self.sim.trace("stack.unbound", self.address, text)
             return
         handler(frame)
 

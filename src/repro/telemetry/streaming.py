@@ -16,15 +16,13 @@ It has two entries into the same fold:
   issues and spans after the fact — what ``repro.cli report --lpc``
   does with the trace the scenario keeps anyway.
 
-Equivalence contract (tier-1 tested, on generated programs too): on an
-unbounded traced run, a replayed aggregator and one attached live give
-the same :meth:`~StreamingAggregator.summary` (key order included), the
-same layer report and the same span histograms.  Bounded
-``head``/``ring`` tracers *drop* records from storage but still
-dispatch them to subscribers, so there the live totals are the more
-truthful of the two.  Past ``max_categories`` span categories, which
-ones fold into ``"__other__"`` follows fold order — end order live,
-begin order replayed — so there the histograms may differ.
+Equivalence contract (tier-1 tested, on generated programs too): on a
+traced run, a replayed aggregator and one attached live give the same
+:meth:`~StreamingAggregator.summary` (key order included), the same
+layer report and the same span histograms.  Past ``max_categories``
+span categories, which ones fold into ``"__other__"`` follows fold
+order — end order live, begin order replayed — so there the histograms
+may differ.
 """
 
 from __future__ import annotations
@@ -232,14 +230,15 @@ class StreamingAggregator:
         metrics snapshot.  A parallel sweep ships this instead of the raw
         trace.  Closes the metrics registry (still-open latency
         measurements become ``abandoned``), so call it when the run is
-        over.
+        over.  ``records_dropped`` is always 0: the tracer drops nothing,
+        and the key stays so pinned summaries keep their bytes.
         """
         sim = self.sim
         return {
             "sim_time": sim.now,
             "events_executed": sim.events_executed,
             "records": self.records_seen,
-            "records_dropped": sim.tracer.dropped,
+            "records_dropped": 0,
             "spans": self.spans_begun,
             "spans_open": self.spans_open,
             "issues_by_layer": dict(sorted(self._issues_by_layer.items())),

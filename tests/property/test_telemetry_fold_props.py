@@ -1,7 +1,7 @@
 """Property test for the one telemetry fold, live and replayed.
 
 Random programs of ``trace`` calls, issues and spans run twice: once on
-an unbounded ``head`` tracer that stores everything and is folded after
+a ``store`` tracer that keeps everything and is folded after
 the run by :meth:`StreamingAggregator.replay`, once on a ``stream``
 tracer that stores nothing and is folded as it happens by
 :meth:`StreamingAggregator.attach`.  Both folds must give the same

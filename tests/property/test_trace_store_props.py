@@ -1,27 +1,24 @@
 """Property test for the tracer's columnar store.
 
-Random programs — records emitted as objects, traced through
-``Simulator.trace`` and raised through ``Simulator.issue``; subscribers
-added and removed at any point; spans begun and ended in any order,
-twice, after ``clear()`` or from no tracer at all; ``clear()`` itself —
-run on a simulator's tracer and on a reference model that keeps records
-and spans as stored objects and tests every subscriber prefix on every
-record.  After every step the stored records and spans, their counts,
-``dropped``, every query, the callers' span handles and the exact
-sequence of subscriber and hook calls must match the model, in every
-buffer mode and capacity, with tracing on and off.
+Random programs — records traced through ``Simulator.trace`` and raised
+through ``Simulator.issue``; subscribers added and removed at any point;
+spans begun and ended in any order, twice, after ``clear()`` or from no
+tracer at all; ``clear()`` itself — run on a simulator's tracer and on a
+reference model that keeps records and spans as stored objects and tests
+every subscriber prefix on every record.  After every step the stored
+records and spans, their counts, every query, the callers' span handles
+and the exact sequence of subscriber and hook calls must match the
+model, in both tracer modes, with tracing on and off.
 """
 
 from __future__ import annotations
-
-from collections import deque
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.kernel.scheduler import Simulator
-from repro.kernel.trace import NULL_SPAN, Span, TraceRecord
+from repro.kernel.trace import NULL_SPAN, TRACER_MODES, Span, TraceRecord
 
 #: Nested and look-alike categories: ``macx.tx`` must not sit under
 #: ``mac``, and the empty category sits only under the root.
@@ -31,16 +28,14 @@ PREFIXES = ("", "mac", "mac.tx", "macx", "ma", "issue", "issue.session")
 TOPICS = ("session", "vnc")
 STATUSES = ("ok", "error")
 
-#: (mode, capacity, enabled); stream mode takes no capacity.
-CONFIGS = ([(mode, capacity, enabled) for mode in ("head", "ring")
-            for capacity in (None, 1, 3) for enabled in (True, False)]
-           + [("stream", None, enabled) for enabled in (True, False)])
+#: (mode, enabled).
+CONFIGS = [(mode, enabled) for mode in TRACER_MODES
+           for enabled in (True, False)]
 
 times = st.sampled_from((0.0, 0.5, 1.0, 2.5, 7.0))
 index = st.integers(min_value=0, max_value=20)
 program = st.lists(
     st.one_of(
-        st.tuples(st.just("emit"), st.sampled_from(CATEGORIES), times),
         st.tuples(st.just("trace"), st.sampled_from(CATEGORIES), times),
         st.tuples(st.just("issue"), st.sampled_from(TOPICS), times),
         st.tuples(st.just("subscribe"), st.sampled_from(PREFIXES),
@@ -68,30 +63,20 @@ class ListTracer:
     """Reference model: records and spans kept as the objects themselves,
     each record tested against every subscriber prefix."""
 
-    def __init__(self, enabled, capacity, mode):
+    def __init__(self, enabled, mode):
         self.enabled = enabled
-        self.capacity = capacity
         self.mode = mode
-        self.records = (deque(maxlen=capacity)
-                        if mode == "ring" and capacity is not None else [])
+        self.records = []
         self.spans = []
-        self.dropped = 0
         self.subscribers = []
         self.span_hooks = []
         self.span_begin_hooks = []
         self.next_span_id = 1
 
-    def emit(self, record, force=False):
+    def append(self, record, force=False):
         if not (self.enabled or force):
             return
-        if self.mode == "stream":
-            pass
-        elif self.capacity is not None and \
-                len(self.records) >= self.capacity:
-            self.dropped += 1
-            if self.mode == "ring":
-                self.records.append(record)
-        else:
+        if self.mode != "stream":
             self.records.append(record)
         for prefix, callback in self.subscribers:
             if _ref_under(record.category, prefix):
@@ -126,7 +111,6 @@ class ListTracer:
     def clear(self):
         self.records.clear()
         self.spans.clear()
-        self.dropped = 0
 
 
 def _record_callback(log, name):
@@ -154,12 +138,11 @@ def _newest(k, items):
 
 
 def _assert_same(tracer, model, handles, model_handles, log, model_log):
-    records = list(model.records)
+    records = model.records
     open_spans = [s for s in model.spans if s.end is None]
     assert tracer.records == records
     assert list(tracer) == records
     assert len(tracer) == len(records)
-    assert tracer.dropped == model.dropped
     assert tracer.issues() == [r for r in records
                                if _ref_under(r.category, "issue")]
     for prefix in PREFIXES:
@@ -176,11 +159,10 @@ def _assert_same(tracer, model, handles, model_handles, log, model_log):
     assert log == model_log
 
 
-def _run(steps, mode, capacity, enabled):
-    sim = Simulator(seed=0, trace=enabled, trace_capacity=capacity,
-                    trace_mode=mode)
+def _run(steps, mode, enabled):
+    sim = Simulator(seed=0, trace=enabled, trace_mode=mode)
     tracer = sim.tracer
-    model = ListTracer(enabled, capacity, mode)
+    model = ListTracer(enabled, mode)
     log, model_log = [], []
     callbacks = [_record_callback(log, n) for n in range(3)]
     model_callbacks = [_record_callback(model_log, n) for n in range(3)]
@@ -189,23 +171,18 @@ def _run(steps, mode, capacity, enabled):
     for i, step in enumerate(steps):
         op = step[0]
         source, message, data = "src", f"m{i}", {"n": i}
-        if op == "emit":
-            _, category, time = step
-            record = TraceRecord(time, category, source, message, data)
-            tracer.emit(record)
-            model.emit(record)
-        elif op == "trace":
+        if op == "trace":
             _, category, time = step
             sim._now = time
             sim.trace(category, source, message, n=i)
-            model.emit(TraceRecord(time, category, source, message,
-                                   dict(data)))
+            model.append(TraceRecord(time, category, source, message,
+                                     dict(data)))
         elif op == "issue":
             _, topic, time = step
             sim._now = time
             sim.issue(topic, source, message, n=i)
-            model.emit(TraceRecord(time, f"issue.{topic}", source, message,
-                                   dict(data)), force=True)
+            model.append(TraceRecord(time, f"issue.{topic}", source, message,
+                                     dict(data)), force=True)
         elif op == "subscribe":
             _, prefix, name = step
             removers.append(tracer.subscribe(prefix, callbacks[name]))
@@ -272,13 +249,12 @@ def _run(steps, mode, capacity, enabled):
     assert sim._span_ctx is None
 
 
-@pytest.mark.parametrize("mode,capacity,enabled", CONFIGS)
+@pytest.mark.parametrize("mode,enabled", CONFIGS)
 @given(program)
 @example([("subscribe", "issue", 0), ("issue", "session", 0.0),
           ("unsubscribe", 0), ("issue", "session", 0.5)])
 @example([("begin", "mac", None, 0.0, True), ("clear",),
           ("begin", "mac.tx", None, 0.5, True), ("end", 0, "ok", 1.0, True)])
 @settings(max_examples=40, deadline=None)
-def test_columnar_store_matches_object_store(mode, capacity, enabled,
-                                             steps):
-    _run(steps, mode, capacity, enabled)
+def test_columnar_store_matches_object_store(mode, enabled, steps):
+    _run(steps, mode, enabled)

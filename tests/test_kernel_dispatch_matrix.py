@@ -5,17 +5,16 @@ The run loop of :mod:`repro.kernel.dispatch` restores span context
 around callbacks; tracing may not change *what* the simulation
 computes — only what it records.  These tests sweep the matrix:
 
-* **trace**: off / ``head`` / ``ring`` / ``stream`` — untraced runs,
-  and every retention policy of the tracer;
+* **trace**: off / ``store`` / ``stream`` — untraced runs, and both
+  modes of the tracer;
 * **metrics**: a periodic MONITOR-priority sampler on or off — the
   monitor events ride the same queue as everything else.
 
 Within each metrics arm, every trace mode is compared against one
 reference outcome (trace off).  The fingerprint deliberately excludes
-retained trace records — ``ring`` keeps a suffix and ``stream`` keeps
-nothing by design — and the ``kernel.*`` metrics, which describe the
-event store rather than the simulation; everything else must match
-exactly.
+retained trace records — ``stream`` keeps nothing by design — and the
+``kernel.*`` metrics, which describe the event store rather than the
+simulation; everything else must match exactly.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from repro.kernel.events import Priority
 from repro.kernel.scheduler import Simulator
 
 #: None = tracing disabled.
-TRACE_MODES = (None, "head", "ring", "stream")
+TRACE_MODES = (None, "store", "stream")
 
 #: Case ids of the metrics arms.  Every case runs the one event store:
 #: timer classes are heap entries, the engine the matrix used to select
@@ -43,10 +42,7 @@ METRICS_IDS = ("metrics-unbatched-backend-python",
 def _sim_kwargs(trace_mode: Optional[str]) -> Dict[str, Any]:
     if trace_mode is None:
         return {"trace": False}
-    kwargs: Dict[str, Any] = {"trace": True, "trace_mode": trace_mode}
-    if trace_mode == "ring":
-        kwargs["trace_capacity"] = 512
-    return kwargs
+    return {"trace": True, "trace_mode": trace_mode}
 
 
 def _metrics_fingerprint(sim: Simulator) -> Dict[str, Any]:
@@ -108,8 +104,7 @@ def projector_reference():
 
 @pytest.mark.parametrize("metrics", (True, False), ids=METRICS_IDS)
 @pytest.mark.parametrize("trace_mode", TRACE_MODES,
-                         ids=("trace-off", "trace-head", "trace-ring",
-                              "trace-stream"))
+                         ids=("trace-off", "trace-store", "trace-stream"))
 def test_projector_room_matrix(projector_reference, trace_mode, metrics):
     got = _projector_outcome(trace_mode, metrics)
     want = projector_reference(metrics)
@@ -163,8 +158,7 @@ def storm_reference():
 
 @pytest.mark.parametrize("metrics", (True, False), ids=METRICS_IDS)
 @pytest.mark.parametrize("trace_mode", TRACE_MODES,
-                         ids=("trace-off", "trace-head", "trace-ring",
-                              "trace-stream"))
+                         ids=("trace-off", "trace-store", "trace-stream"))
 def test_lease_storm_matrix(storm_reference, trace_mode, metrics):
     got = _lease_storm_outcome(trace_mode, metrics)
     want = storm_reference(metrics)

@@ -68,24 +68,25 @@ def test_names_listing():
 # Tracer
 # ---------------------------------------------------------------------------
 
-def _record(time=0.0, category="mac.tx", source="nic", message="m", **data):
-    return TraceRecord(time, category, source, message, data)
+def _append(tracer, time=0.0, category="mac.tx", source="nic", message="m",
+            **data):
+    tracer.append(time, category, source, message, data)
 
 
 def test_tracer_stores_records():
     tracer = Tracer()
-    tracer.emit(_record())
+    _append(tracer)
     assert len(tracer) == 1
 
 
 def test_tracer_disabled_drops_records():
-    tracer = Tracer(enabled=False)
-    tracer.emit(_record())
-    assert len(tracer) == 0
+    sim = Simulator(seed=0, trace=False)
+    sim.trace("mac.tx", "nic", "m")
+    assert len(sim.tracer) == 0
 
 
 def test_category_prefix_matching():
-    record = _record(category="mac.tx")
+    record = TraceRecord(0.0, "mac.tx", "nic", "m")
     assert record.matches("mac")
     assert record.matches("mac.tx")
     assert not record.matches("mac.t")
@@ -94,17 +95,17 @@ def test_category_prefix_matching():
 
 def test_select_by_prefix():
     tracer = Tracer()
-    tracer.emit(_record(category="mac.tx"))
-    tracer.emit(_record(category="mac.rx"))
-    tracer.emit(_record(category="session.acquire"))
+    _append(tracer, category="mac.tx")
+    _append(tracer, category="mac.rx")
+    _append(tracer, category="session.acquire")
     assert len(tracer.select("mac")) == 2
     assert len(tracer.select("session")) == 1
 
 
 def test_issues_helper():
     tracer = Tracer()
-    tracer.emit(_record(category="issue.session"))
-    tracer.emit(_record(category="mac.tx"))
+    _append(tracer, category="issue.session")
+    _append(tracer, category="mac.tx")
     assert len(tracer.issues()) == 1
 
 
@@ -112,8 +113,8 @@ def test_subscription_delivers_matching_records():
     tracer = Tracer()
     got = []
     tracer.subscribe("issue", got.append)
-    tracer.emit(_record(category="issue.vnc"))
-    tracer.emit(_record(category="mac.tx"))
+    _append(tracer, category="issue.vnc")
+    _append(tracer, category="mac.tx")
     assert len(got) == 1 and got[0].category == "issue.vnc"
 
 
@@ -121,36 +122,28 @@ def test_unsubscribe_stops_delivery():
     tracer = Tracer()
     got = []
     unsubscribe = tracer.subscribe("mac", got.append)
-    tracer.emit(_record(category="mac.tx"))
+    _append(tracer, category="mac.tx")
     unsubscribe()
-    tracer.emit(_record(category="mac.tx"))
+    _append(tracer, category="mac.tx")
     assert len(got) == 1
 
 
-def test_capacity_bounds_storage_and_counts_drops():
-    tracer = Tracer(capacity=2)
-    for i in range(5):
-        tracer.emit(_record(message=str(i)))
-    assert len(tracer) == 2
-    assert tracer.dropped == 3
-    # Head of the run is preserved.
-    assert [r.message for r in tracer.records] == ["0", "1"]
-
-
 def test_clear_resets():
-    tracer = Tracer(capacity=1)
-    tracer.emit(_record())
-    tracer.emit(_record())
+    tracer = Tracer()
+    _append(tracer)
+    tracer.begin_span(0.0, "work", "nic", None, {})
     tracer.clear()
-    assert len(tracer) == 0 and tracer.dropped == 0
+    assert len(tracer) == 0
+    assert tracer.records == [] and tracer.spans == []
+    assert tracer.span_count == tracer.open_span_count == 0
 
 
 def test_stored_payload_is_not_shared():
     """The store keeps a record's payload as key and value tuples, so
-    neither the dict given to ``emit`` nor a dict read back shares it."""
+    neither the dict given to ``append`` nor a dict read back shares it."""
     tracer = Tracer()
     data = {"n": 1}
-    tracer.emit(TraceRecord(0.0, "mac.tx", "nic", "m", data))
+    tracer.append(0.0, "mac.tx", "nic", "m", data)
     data["n"] = 2
     data["extra"] = 3
     tracer.records[0].data["n"] = 4
@@ -158,6 +151,22 @@ def test_stored_payload_is_not_shared():
     next(iter(tracer)).data["n"] = 5
     assert [r.data for r in tracer.records] == [{"n": 1}]
     assert tracer.records[0].data is not tracer.records[0].data
+
+
+def test_stored_span_payload_is_not_shared():
+    """A span's payload is stored as key and value tuples too: changing
+    the handle's dict, before or after ``span_end``, or a dict read back,
+    changes nothing stored."""
+    sim = Simulator(seed=0, trace=True)
+    handle = sim.span_begin("mac.tx", "nic", bytes=1500, channel=6)
+    handle.data["bytes"] = 1
+    sim.span_end(handle)
+    handle.data["channel"] = 11
+    handle.data["extra"] = 3
+    sim.tracer.spans[0].data.clear()
+    assert [s.data for s in sim.tracer.spans] == [
+        {"bytes": 1500, "channel": 6}]
+    assert sim.tracer.spans[0].data is not sim.tracer.spans[0].data
 
 
 def test_payload_key_order_survives_the_store():
@@ -193,3 +202,22 @@ def test_stored_record_retains_few_bytes(payload, bound):
         tracemalloc.stop()
     assert len(sim.tracer) == 10_001
     assert retained / 10_000 < bound
+
+
+def test_stored_span_retains_few_bytes():
+    """10,000 ended spans with the four-key payload of ``mac.tx`` keep
+    under 180 bytes each: a payload dict per row took 243 B, key and
+    value tuples 126 B."""
+    sim = Simulator(seed=0, trace=True)
+    payload = {"frame": 7, "dst": "hub", "channel": 6, "rate": "R11"}
+    sim.span_end(sim.span_begin("mac.tx", "nic", **payload))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(10_000):
+            sim.span_end(sim.span_begin("mac.tx", "nic", **payload))
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert sim.tracer.span_count == 10_001
+    assert retained / 10_000 < 180

@@ -28,6 +28,19 @@ def test_span_begin_end_records_interval(sim):
     assert sim.tracer.spans == [span]
 
 
+def test_ending_a_copy_updates_its_row(sim):
+    """A copy read back from ``tracer.spans`` ends its stored row, as the
+    handle would; the handle itself stays open."""
+    handle = sim.span_begin("work", "tester", item=7)
+    (copy,) = sim.tracer.spans
+    sim._now = 1.5
+    sim.span_end(copy, "error")
+    (row,) = sim.tracer.spans
+    assert (row.end, row.status) == (1.5, "error")
+    assert sim.tracer.open_span_count == 0
+    assert (handle.end, handle.status) == (None, "open")
+
+
 def test_span_parenting_follows_ambient_context(sim):
     outer = sim.span_begin("outer", "tester")
     inner = sim.span_begin("inner", "tester")
@@ -156,38 +169,28 @@ def test_process_spans_cover_resumptions(sim):
 
 
 # ---------------------------------------------------------------------------
-# Bounded buffers: head vs ring
+# Tracer modes: store and stream
 # ---------------------------------------------------------------------------
 
-def test_head_mode_drops_newest():
-    sim = Simulator(seed=1, trace_capacity=2, trace_mode="head")
-    for i in range(5):
-        sim.trace("tick", "tester", str(i))
-    assert [r.message for r in sim.tracer.records] == ["0", "1"]
-    assert sim.tracer.dropped == 3
-
-
-def test_ring_mode_drops_oldest():
-    sim = Simulator(seed=1, trace_capacity=2, trace_mode="ring")
-    for i in range(5):
-        sim.trace("tick", "tester", str(i))
-    assert [r.message for r in sim.tracer.records] == ["3", "4"]
-    assert sim.tracer.dropped == 3
-
-
 def test_unknown_trace_mode_rejected():
-    with pytest.raises(ConfigurationError):
-        Tracer(mode="sideways")
+    """Only ``store`` and ``stream`` exist; the retired bounded-buffer
+    policies are unknown modes too."""
+    for mode in ("sideways", "head", "ring"):
+        with pytest.raises(ConfigurationError):
+            Tracer(mode=mode)
+        with pytest.raises(ConfigurationError):
+            Simulator(trace_mode=mode)
 
 
 def test_subscribers_see_dropped_records():
-    """Streaming consumers still observe records the buffer rejected."""
-    sim = Simulator(seed=1, trace_capacity=1, trace_mode="head")
+    """Streaming consumers still observe records stream mode drops."""
+    sim = Simulator(seed=1, trace_mode="stream")
     seen = []
     sim.tracer.subscribe("tick", lambda r: seen.append(r.message))
     for i in range(3):
         sim.trace("tick", "tester", str(i))
     assert seen == ["0", "1", "2"]
+    assert sim.tracer.records == []
 
 
 # ---------------------------------------------------------------------------

@@ -113,6 +113,19 @@ def test_stack_unbound_port_counted(sim):
     assert sb.rx_unbound == 1
 
 
+def test_stack_unbound_text_is_one_string_per_port(sim):
+    """Every unbound frame on one port traces the same text object, so a
+    stored trace keeps one copy of it per port."""
+    sa, _sb = _stack_pair(sim)
+    for port in (42, 42, 7):
+        sa.send("b", None, 10, port=port)
+    sim.run()
+    first, second, other = [r.message for r in sim.tracer.select("stack")]
+    assert first == second == "no listener on port 42"
+    assert first is second
+    assert other == "no listener on port 7"
+
+
 def test_stack_double_bind_rejected(sim):
     sa, _sb = _stack_pair(sim)
     sa.bind(1, lambda f: None)

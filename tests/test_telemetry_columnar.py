@@ -15,7 +15,6 @@ import json
 
 import pytest
 
-from repro.kernel.errors import ConfigurationError
 from repro.kernel.scheduler import Simulator
 from repro.telemetry.columnar import (ColumnarWriter, read_columnar,
                                       read_telemetry, write_run)
@@ -288,23 +287,6 @@ def test_stream_mode_memory_stays_flat_over_unplaceable_issues():
         tracemalloc.stop()
     assert aggregator.unclassified == 10_001
     assert after - before < 64 * 1024
-
-
-def test_stream_mode_with_capacity_is_configuration_error():
-    with pytest.raises(ConfigurationError):
-        Simulator(trace_capacity=100, trace_mode="stream")
-
-
-def test_streaming_counts_records_bounded_tracers_drop():
-    """head/ring tracers drop records from *storage* but still dispatch
-    them — the streaming totals are the more truthful of the two."""
-    sim = Simulator(seed=7, trace_capacity=3, trace_mode="head")
-    aggregator = StreamingAggregator().attach(sim)
-    for n in range(10):
-        sim.trace("tick", "t", str(n))
-    assert len(sim.tracer.records) == 3
-    assert sim.tracer.dropped == 7
-    assert aggregator.records_seen == 10
 
 
 def test_streaming_histograms_match_replay():
