@@ -10,7 +10,7 @@
 #                 BENCHMARK.json): five real workloads, timed end to end
 #                 and split by LPC layer, each output checked against
 #                 bench/reference.json.  Within-run floors (telemetry,
-#                 checks, cache, shard) are plain asserts in
+#                 cache, shard) are plain asserts in
 #                 benchmarks/test_bench_<name>.py, run by pytest.
 
 PYTHON ?= python

@@ -17,8 +17,7 @@ Public surface:
 from .baseline import (Suppression, apply_baseline, load_baseline,
                        write_baseline)
 from .callgraph import (DEFAULT_FORK_ENTRY_POINTS, ModuleSummary,
-                        build_graph, module_sccs, reachable_from,
-                        summarize_module)
+                        build_graph, reachable_from, summarize_module)
 from .determinism import check_determinism, check_source
 from .findings import ERROR, RULES, WARNING, Finding, Rule
 from .flow import FLOW_RULES, run_flow
@@ -32,7 +31,7 @@ __all__ = [
     "LAYER_MAP", "ModuleImports", "check_layers", "extract_imports",
     "import_graph",
     "DEFAULT_FORK_ENTRY_POINTS", "ModuleSummary", "build_graph",
-    "module_sccs", "reachable_from", "summarize_module",
+    "reachable_from", "summarize_module",
     "FLOW_RULES", "run_flow",
     "Suppression", "load_baseline", "apply_baseline", "write_baseline",
     "CheckReport", "discover_files", "run_checks",

@@ -14,8 +14,6 @@ same per-file ASTs the determinism pass already parses:
   attribute-resolved calls into imported repro modules).
 * :func:`reachable_from` — reachability from the fork/worker entry
   points, with a deterministic witness entry per reached module.
-* :func:`module_sccs` — strongly-connected components of the graph; the
-  incremental runner re-analyzes a changed module's whole SCC region.
 
 Like the determinism linter, the analysis is **syntactic and
 conservative on dynamics**: ``importlib`` loading, ``exec``, and
@@ -27,7 +25,7 @@ contract is "the idioms we actually write are caught", not "all Python".
 from __future__ import annotations
 
 import ast
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 #: Module-scope entry points whose transitive module closure runs inside
@@ -137,27 +135,6 @@ class ModuleSummary:
     imports: List[str] = field(default_factory=list)
     state: Dict[str, StateVar] = field(default_factory=dict)
     functions: List[FunctionFacts] = field(default_factory=list)
-
-    def to_dict(self) -> Dict[str, object]:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "ModuleSummary":
-        summary = cls(path=str(data["path"]), module=str(data["module"]),
-                      imports=[str(i) for i in data.get("imports", ())])
-        for name, var in dict(data.get("state", {})).items():
-            summary.state[str(name)] = StateVar(**var)
-        for facts in data.get("functions", ()):
-            fn = FunctionFacts(qualname=str(facts["qualname"]),
-                               line=int(facts["line"]))
-            fn.mutations = [tuple(m) for m in facts.get("mutations", ())]
-            fn.reads = [tuple(r) for r in facts.get("reads", ())]
-            fn.rng_captures = [tuple(c)
-                               for c in facts.get("rng_captures", ())]
-            fn.resource_captures = [
-                tuple(c) for c in facts.get("resource_captures", ())]
-            summary.functions.append(fn)
-        return summary
 
 
 def module_name(rel_parts: Sequence[str]) -> str:
@@ -611,7 +588,7 @@ def reachable_from(graph: Dict[str, List[str]],
 
     The witness is the first entry (in the given order) whose closure
     contains the module — deterministic, so finding messages are stable
-    across runs and ``--jobs`` values.
+    across runs and pool sizes.
     """
     entries = entry_modules(entry_points, set(graph))
     reached: Dict[str, str] = {}
@@ -624,57 +601,3 @@ def reachable_from(graph: Dict[str, List[str]],
             reached[current] = spec
             stack.extend(sorted(graph.get(current, ()), reverse=True))
     return reached
-
-
-def module_sccs(graph: Dict[str, List[str]]) -> Dict[str, int]:
-    """Strongly-connected component id per module (iterative Tarjan).
-
-    Ids are assigned in a deterministic order (sorted roots), so two
-    runs over the same tree agree on the partition and the incremental
-    runner's "re-analyze the changed module's SCC region" is stable.
-    """
-    index: Dict[str, int] = {}
-    lowlink: Dict[str, int] = {}
-    on_stack: Set[str] = set()
-    stack: List[str] = []
-    scc_of: Dict[str, int] = {}
-    counter = {"index": 0, "scc": 0}
-
-    for root in sorted(graph):
-        if root in index:
-            continue
-        work: List[Tuple[str, int]] = [(root, 0)]
-        while work:
-            node, edge_i = work[-1]
-            if edge_i == 0:
-                index[node] = lowlink[node] = counter["index"]
-                counter["index"] += 1
-                stack.append(node)
-                on_stack.add(node)
-            advanced = False
-            targets = graph.get(node, ())
-            while edge_i < len(targets):
-                target = targets[edge_i]
-                edge_i += 1
-                if target not in index:
-                    work[-1] = (node, edge_i)
-                    work.append((target, 0))
-                    advanced = True
-                    break
-                if target in on_stack:
-                    lowlink[node] = min(lowlink[node], index[target])
-            if advanced:
-                continue
-            work.pop()
-            if lowlink[node] == index[node]:
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    scc_of[member] = counter["scc"]
-                    if member == node:
-                        break
-                counter["scc"] += 1
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-    return scc_of

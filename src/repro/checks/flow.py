@@ -9,7 +9,7 @@ Each rule is a standalone function in :data:`FLOW_RULES` so the runner
 can time them individually (``check --format json`` reports per-rule
 milliseconds).  All four produce findings in summary-iteration order and
 are sorted downstream with everything else, so output stays
-byte-identical across ``--jobs`` values and cold/incremental runs.
+byte-identical across serial and parallel runs.
 """
 
 from __future__ import annotations

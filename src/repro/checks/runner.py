@@ -5,48 +5,32 @@ summary) fans out over a fork-based process pool — the same strategy as
 the parallel sweep runner — and the cross-file passes (layer check over
 the aggregated import edges, fork-safety flow rules over the module call
 graph) run afterwards.  Findings are sorted ``(path, line, col, code)``
-so serial and parallel runs produce byte-identical reports.
-
-Incremental mode (``incremental_cache=...``) keys on per-file SHA-256
-source digests: a warm run re-parses only files whose digest changed,
-plus every file in the changed modules' strongly-connected call-graph
-region (a changed module can alter what its SCC peers reach).  The
-cross-file passes always rerun over the full summary set — they are
-cheap relative to parsing — so warm findings equal a cold run exactly.
+so serial and parallel runs produce byte-identical reports.  Every run
+parses every file.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
 import json
 import multiprocessing
+import os
 import pathlib
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .baseline import Suppression, apply_baseline, load_baseline
 from .callgraph import (
     DEFAULT_FORK_ENTRY_POINTS,
     ModuleSummary,
-    build_graph,
-    module_sccs,
     summarize_module,
 )
 from .determinism import check_determinism
 from .findings import RULES, Finding
 from .flow import run_flow
-from .layers import (
-    ImportEdge,
-    ModuleImports,
-    check_layers,
-    extract_imports,
-    import_graph,
-)
-
-CACHE_VERSION = 1
+from .layers import ModuleImports, check_layers, extract_imports, import_graph
 
 
 @dataclass
@@ -57,10 +41,6 @@ class CheckReport:
     suppressed: List[Finding] = field(default_factory=list)
     files: int = 0
     graph: Dict[str, List[str]] = field(default_factory=dict)
-    # Files re-parsed this run (all of them on a cold run; the changed
-    # SCC region on a warm incremental run) and the cache-hit count.
-    analyzed: List[str] = field(default_factory=list)
-    cached: int = 0
     # Host-time instrumentation (perf_counter seconds): phase totals
     # under "phases", per-flow-rule splits under "rules".  Reported only
     # in to_json() — the text format carries no timings, so its output
@@ -82,8 +62,6 @@ class CheckReport:
         return json.dumps({
             "version": 1,
             "files": self.files,
-            "analyzed": len(self.analyzed),
-            "cached": self.cached,
             "findings": [f.to_dict() for f in self.findings],
             "suppressed": [f.to_dict() for f in self.suppressed],
             "import_graph": self.graph,
@@ -129,47 +107,13 @@ def _display_path(path: pathlib.Path, base: Optional[pathlib.Path]) -> str:
     return path.as_posix()
 
 
-def source_digest(path: pathlib.Path) -> str:
-    """SHA-256 of a file's bytes — the incremental-mode cache key."""
-    try:
-        return hashlib.sha256(path.read_bytes()).hexdigest()
-    except OSError:
-        return ""
-
-
 @dataclass
 class FileResult:
     """Everything one file contributes to the pass (picklable)."""
 
-    display: str
-    digest: str
     findings: List[Finding] = field(default_factory=list)
     module: Optional[ModuleImports] = None
     summary: Optional[ModuleSummary] = None
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "display": self.display,
-            "digest": self.digest,
-            "findings": [f.to_dict() for f in self.findings],
-            "module": asdict(self.module) if self.module else None,
-            "summary": self.summary.to_dict() if self.summary else None,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "FileResult":
-        result = cls(display=str(data["display"]),
-                     digest=str(data["digest"]))
-        result.findings = [Finding(**f) for f in data.get("findings", ())]
-        module = data.get("module")
-        if module:
-            result.module = ModuleImports(
-                path=str(module["path"]), package=str(module["package"]),
-                edges=[ImportEdge(**edge) for edge in module["edges"]])
-        summary = data.get("summary")
-        if summary:
-            result.summary = ModuleSummary.from_dict(summary)
-        return result
 
 
 def analyze_file(path_base: Tuple[str, Optional[str]]) -> FileResult:
@@ -177,7 +121,7 @@ def analyze_file(path_base: Tuple[str, Optional[str]]) -> FileResult:
     path = pathlib.Path(path_base[0])
     base = pathlib.Path(path_base[1]) if path_base[1] else None
     display = _display_path(path, base)
-    result = FileResult(display=display, digest=source_digest(path))
+    result = FileResult()
     try:
         source = path.read_text()
         tree = ast.parse(source, filename=str(path))
@@ -203,115 +147,49 @@ def analyze_file(path_base: Tuple[str, Optional[str]]) -> FileResult:
     return result
 
 
-def _load_cache(cache_path: pathlib.Path,
-                base: pathlib.Path) -> Dict[str, FileResult]:
-    """Previous per-file results, or empty on any mismatch/corruption."""
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the
+    platform has one, else the machine's count."""
     try:
-        data = json.loads(cache_path.read_text())
-    except (OSError, ValueError):
-        return {}
-    if (not isinstance(data, dict)
-            or data.get("version") != CACHE_VERSION
-            or data.get("base") != str(base.resolve())):
-        return {}
-    cached: Dict[str, FileResult] = {}
-    try:
-        for display, entry in dict(data.get("files", {})).items():
-            cached[str(display)] = FileResult.from_dict(entry)
-    except (KeyError, TypeError, ValueError):
-        return {}
-    return cached
-
-
-def _write_cache(cache_path: pathlib.Path, base: pathlib.Path,
-                 results: Sequence[FileResult]) -> None:
-    payload = {
-        "version": CACHE_VERSION,
-        "base": str(base.resolve()),
-        "files": {result.display: result.to_dict() for result in results},
-    }
-    cache_path.parent.mkdir(parents=True, exist_ok=True)
-    cache_path.write_text(json.dumps(payload))
-
-
-def _stale_region(files: Sequence[Tuple[pathlib.Path, str, str]],
-                  cache: Dict[str, FileResult]) -> List[str]:
-    """Display paths needing re-analysis: changed files + SCC region.
-
-    The region is computed on the *previous* run's call graph: a changed
-    module may alter what its strongly-connected peers reach, so every
-    cached module sharing an SCC with a changed module is re-analyzed
-    too.  Files unknown to the cache (new) are always stale.
-    """
-    changed: List[str] = []
-    for _path, display, digest in files:
-        prior = cache.get(display)
-        if prior is None or not digest or prior.digest != digest:
-            changed.append(display)
-    summaries = {entry.summary.module: entry.summary
-                 for entry in cache.values() if entry.summary is not None}
-    module_of = {entry.display: entry.summary.module
-                 for entry in cache.values() if entry.summary is not None}
-    scc_of = module_sccs(build_graph(summaries))
-    dirty_sccs = {scc_of[module_of[display]] for display in changed
-                  if display in module_of and module_of[display] in scc_of}
-    stale = set(changed)
-    for display, module in module_of.items():
-        if scc_of.get(module) in dirty_sccs:
-            stale.add(display)
-    current = {display for _path, display, _digest in files}
-    return sorted(stale & current)
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def run_checks(paths: Sequence[pathlib.Path],
                base: Optional[pathlib.Path] = None,
                baseline: Optional[pathlib.Path] = None,
-               jobs: int = 1,
+               jobs: Optional[int] = None,
                layer_map: Optional[Dict[str, int]] = None,
                entry_points: Sequence[str] = DEFAULT_FORK_ENTRY_POINTS,
-               incremental_cache: Optional[pathlib.Path] = None,
                ) -> CheckReport:
     """The full static pass: determinism + layers + flow + baseline.
 
     ``base`` anchors finding paths (default: the current directory), so
     the baseline file stays valid wherever the runner is invoked from.
-    ``jobs > 1`` forks a process pool for the per-file phase when the
-    platform supports fork; results are identical to the serial path.
-    ``incremental_cache`` names a JSON cache file: when it exists and
-    matches ``base``, only changed files (plus their call-graph SCC
-    region) are re-parsed, and it is rewritten with this run's results.
+    The per-file phase forks a pool of ``jobs`` processes (default: one
+    per usable cpu) when that is more than one and the platform supports
+    fork; results are identical to the serial path.
     """
     base = base if base is not None else pathlib.Path.cwd()
+    jobs = _usable_cpus() if jobs is None else jobs
     timings: Dict[str, Dict[str, float]] = {"phases": {}, "rules": {}}
 
     start = time.perf_counter()
-    files = [(p, _display_path(p, base), source_digest(p))
-             for p in discover_files(paths)]
-
-    cache: Dict[str, FileResult] = {}
-    if incremental_cache is not None:
-        cache = _load_cache(incremental_cache, base)
-    if cache:
-        stale = set(_stale_region(files, cache))
-    else:
-        stale = {display for _path, display, _digest in files}
-    work = [(str(path), str(base))
-            for path, display, _digest in files if display in stale]
+    files = discover_files(paths)
+    work = [(str(path), str(base)) for path in files]
     timings["phases"]["discover"] = time.perf_counter() - start
 
     start = time.perf_counter()
-    fresh: List[FileResult]
+    results: List[FileResult]
     if (jobs > 1 and len(work) > 1
             and "fork" in multiprocessing.get_all_start_methods()):
         context = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(max_workers=jobs,
                                  mp_context=context) as pool:
-            fresh = list(pool.map(analyze_file, work, chunksize=8))
+            results = list(pool.map(analyze_file, work, chunksize=8))
     else:
-        fresh = [analyze_file(item) for item in work]
-    fresh_by_display = {result.display: result for result in fresh}
-    results = [fresh_by_display.get(display) or cache[display]
-               for _path, display, _digest in files]
+        results = [analyze_file(item) for item in work]
     timings["phases"]["analyze"] = time.perf_counter() - start
 
     findings: List[Finding] = []
@@ -346,11 +224,6 @@ def run_checks(paths: Sequence[pathlib.Path],
     kept.sort()
     timings["phases"]["baseline"] = time.perf_counter() - start
 
-    if incremental_cache is not None:
-        _write_cache(incremental_cache, base, results)
-
     return CheckReport(findings=kept, suppressed=suppressed,
                        files=len(files), graph=import_graph(modules),
-                       analyzed=sorted(r.display for r in fresh),
-                       cached=len(files) - len(fresh),
                        timings=timings)

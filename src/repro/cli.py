@@ -256,22 +256,12 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--baseline", default="checks_baseline.json",
                        help="JSON suppression file (applied when it "
                             "exists; entries need a justification)")
-    check.add_argument("--jobs", type=int, default=4,
-                       help="parallel analysis processes (1 = serial)")
     check.add_argument("--list-rules", action="store_true",
                        help="print the rule catalogue and exit")
     check.add_argument("--write-baseline", metavar="FILE", default=None,
                        help="write a suppression template covering the "
                             "current findings (justifications left empty "
                             "for the operator to fill in)")
-    check.add_argument("--incremental", action="store_true",
-                       help="reuse per-file results keyed on source "
-                            "digests; only changed files (plus their "
-                            "call-graph SCC region) are re-analysed")
-    check.add_argument("--incremental-cache",
-                       default=".repro_checks_cache.json",
-                       help="cache file for --incremental (default: "
-                            ".repro_checks_cache.json)")
     check.set_defaults(func=_cmd_check)
 
     return parser
@@ -338,11 +328,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         print(f"error: no such path: {', '.join(map(str, missing))}",
               file=sys.stderr)
         return 2
-    baseline = pathlib.Path(args.baseline)
-    cache = (pathlib.Path(args.incremental_cache)
-             if args.incremental else None)
-    report = run_checks(paths, baseline=baseline, jobs=args.jobs,
-                        incremental_cache=cache)
+    report = run_checks(paths, baseline=pathlib.Path(args.baseline))
 
     if args.write_baseline is not None:
         out = pathlib.Path(args.write_baseline)

@@ -234,14 +234,9 @@ def cache_key(experiment_id: str, run_one_name: str,
 # ---------------------------------------------------------------------------
 
 class CacheStats:
-    """Monotone counters describing one :class:`RunCache`'s lifetime.
-
-    Built from the metrics layer's :class:`~repro.metrics.counters.Counter`
-    so a cache can be wired into a
-    :class:`~repro.metrics.registry.MetricsRegistry` via
-    :meth:`RunCache.register_metrics` and show up in snapshots alongside
-    every other instrument.
-    """
+    """Monotone counters describing one :class:`RunCache`'s lifetime,
+    built from the metrics layer's
+    :class:`~repro.metrics.counters.Counter`."""
 
     FIELDS = ("hits", "misses", "stores", "corrupt", "uncacheable")
 
@@ -396,12 +391,6 @@ class RunCache:
             entries += 1
         return {"directory": str(self.directory),
                 "entries": entries, "bytes": size}
-
-    def register_metrics(self, registry: Any) -> Callable[[], None]:
-        """Expose this cache's counters as a registry probe
-        (``experiments.cache``); returns the unregister function."""
-        return registry.register_probe("experiments.cache",
-                                       self.stats.snapshot)
 
 
 def _json_equal(replayed: Any, original: Any) -> bool:

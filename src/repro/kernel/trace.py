@@ -191,13 +191,14 @@ class Tracer:
     tuple of the values.  A span's id is not stored: it is the row index
     plus a base.  :attr:`records`, :attr:`spans`, :meth:`select`,
     :meth:`issues` and :meth:`open_spans` build the objects when read —
-    read them once, not inside a loop.  An object read back carries a
-    fresh payload dict in the stored key order; changing it, or the dict
-    given to :meth:`append` or :meth:`begin_span`, changes nothing
-    stored.  ``len(tracer)``, :attr:`span_count` and
-    :attr:`open_span_count` are O(1).  Each category's subscribers are
-    resolved once and cached until the next subscribe or unsubscribe; a
-    record object is built only for a category someone subscribed to.
+    read them once, not inside a loop; :meth:`span_intervals` builds
+    none.  An object read back carries a fresh payload dict in the
+    stored key order; changing it, or the dict given to :meth:`append`
+    or :meth:`begin_span`, changes nothing stored.  ``len(tracer)``,
+    :attr:`span_count` and :attr:`open_span_count` are O(1).  Each
+    category's subscribers are resolved once and cached until the next
+    subscribe or unsubscribe; a record object is built only for a
+    category someone subscribed to.
 
     Args:
         enabled: record anything at all.
@@ -406,6 +407,11 @@ class Tracer:
         for span in spans:
             span._tracer = self
         return spans
+
+    def span_intervals(self) -> Iterator[Tuple[str, float, Optional[float]]]:
+        """Each stored span's category, start and end (None while open),
+        in begin order, without building a :class:`Span`."""
+        return zip(self._span_categories, self._span_starts, self._span_ends)
 
     @property
     def span_count(self) -> int:

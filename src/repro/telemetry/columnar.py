@@ -39,6 +39,7 @@ from typing import Any, Dict, List, Tuple, Union
 
 import numpy as np
 
+from ..kernel.errors import ConfigurationError
 from ..kernel.scheduler import Simulator
 from ..kernel.trace import Span, TraceRecord
 from .jsonl import JsonlWriter, _dumps, read_jsonl
@@ -330,8 +331,14 @@ def write_run(path: pathlib.Path, sim: Simulator, prefix: str = "",
     simulator's ``telemetry.export.<format>.*`` counters after the
     snapshot line is written — the file never contains them, but a
     re-export of the same sim then would, so accounting is opt-in to
-    keep repeated exports byte-identical by default.
+    keep repeated exports byte-identical by default.  Raises
+    :class:`ConfigurationError` for a tracer in ``stream`` mode, which
+    stored nothing to export, before the file is opened.
     """
+    if sim.tracer.mode == "stream":
+        raise ConfigurationError(
+            "cannot export a tracer in 'stream' mode: it stores no "
+            "records or spans; write them live with open_writer()")
     counts = {"records": 0, "spans": 0, "metrics": 0}
     registry = sim.metrics if account else None
     with open_writer(path, metrics=registry) as writer:

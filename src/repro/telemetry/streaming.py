@@ -14,7 +14,8 @@ It has two entries into the same fold:
   use so only the folded aggregate crosses the fork pipe;
 * :meth:`StreamingAggregator.replay` folds a finished run's stored
   issues and spans after the fact — what ``repro.cli report --lpc``
-  does with the trace the scenario keeps anyway.
+  does with the trace the scenario keeps anyway.  A ``stream``-mode run
+  stored nothing, so replaying one raises.
 
 Equivalence contract (tier-1 tested, on generated programs too): on a
 traced run, a replayed aggregator and one attached live give the same
@@ -33,6 +34,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..core.concerns import ConcernClassifier
 from ..core.layers import Column, Layer
+from ..kernel.errors import ConfigurationError
 from ..kernel.scheduler import Simulator
 from ..kernel.trace import Span, TraceRecord
 
@@ -49,10 +51,10 @@ DEFAULT_MAX_CATEGORIES = 64
 OVERFLOW_CATEGORY = "__other__"
 
 
-def _new_histogram(edges: Tuple[float, ...]) -> Dict[str, Any]:
+def _new_histogram() -> Dict[str, Any]:
     # "sum" holds exact partial sums until read out (see _add_exact).
     return {"count": 0, "sum": [], "min": None, "max": None,
-            "buckets": [0] * (len(edges) + 1)}
+            "buckets": [0] * (len(DEFAULT_SPAN_EDGES) + 1)}
 
 
 def _add_exact(partials: List[float], value: float) -> None:
@@ -80,7 +82,6 @@ class StreamingAggregator:
     Args:
         user_sources: component names whose issues land in the *user*
             column; every other source is a device.
-        edges: span-duration bucket edges (log-spaced by default).
         max_categories: distinct span categories before new ones fold
             into ``"__other__"``.
 
@@ -89,11 +90,9 @@ class StreamingAggregator:
     """
 
     def __init__(self, user_sources: Iterable[str] = (),
-                 edges: Tuple[float, ...] = DEFAULT_SPAN_EDGES,
                  max_categories: int = DEFAULT_MAX_CATEGORIES) -> None:
         self._classifier = ConcernClassifier()
         self._users = frozenset(user_sources)
-        self._edges = tuple(edges)
         self._max_categories = max_categories
         self.records_seen = 0
         self.issues_seen = 0
@@ -124,17 +123,23 @@ class StreamingAggregator:
 
         Totals come from the tracer's O(1) counts; only the stored
         issues and the ended spans go through the fold, so no record
-        object is built for a record that is not an issue.
+        object is built for a record that is not an issue, and no span
+        object at all.  Raises :class:`ConfigurationError` for a tracer
+        in ``stream`` mode, which stored nothing to fold.
         """
-        self._sim = sim
         tracer = sim.tracer
+        if tracer.mode == "stream":
+            raise ConfigurationError(
+                "cannot replay a tracer in 'stream' mode: it stores no "
+                "records or spans; attach() the aggregator before the run")
+        self._sim = sim
         self.records_seen += len(tracer)
         for record in tracer.issues():
             self._fold_issue(record)
         self.spans_begun += tracer.span_count
-        for span in tracer.spans:
-            if span.end is not None:
-                self.on_span_end(span)
+        for category, start, end in tracer.span_intervals():
+            if end is not None:
+                self._fold_span(category, start, end)
         return self
 
     def detach(self) -> None:
@@ -177,24 +182,26 @@ class StreamingAggregator:
         self.spans_begun += 1
 
     def on_span_end(self, span: Span) -> None:
+        self._fold_span(span.category, span.start, span.end)
+
+    def _fold_span(self, category: str, start: float, end: float) -> None:
         self.spans_ended += 1
-        category = span.category
         hist = self._histograms.get(category)
         if hist is None:
             if len(self._histograms) >= self._max_categories:
                 category = OVERFLOW_CATEGORY
                 hist = self._histograms.get(category)
             if hist is None:
-                hist = self._histograms[category] = \
-                    _new_histogram(self._edges)
-        duration = span.end - span.start
+                hist = self._histograms[category] = _new_histogram()
+        duration = end - start
         hist["count"] += 1
         _add_exact(hist["sum"], duration)
         hist["min"] = (duration if hist["min"] is None
                        else min(hist["min"], duration))
         hist["max"] = (duration if hist["max"] is None
                        else max(hist["max"], duration))
-        hist["buckets"][bisect.bisect_right(self._edges, duration)] += 1
+        hist["buckets"][bisect.bisect_right(DEFAULT_SPAN_EDGES,
+                                            duration)] += 1
 
     # ------------------------------------------------------------------
     # Read-out

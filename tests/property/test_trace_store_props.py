@@ -151,6 +151,8 @@ def _assert_same(tracer, model, handles, model_handles, log, model_log):
         assert tracer.select_spans(prefix) == [
             s for s in model.spans if _ref_under(s.category, prefix)]
     assert tracer.spans == model.spans
+    assert list(tracer.span_intervals()) == [
+        (s.category, s.start, s.end) for s in tracer.spans]
     assert tracer.span_count == len(model.spans)
     assert tracer.open_spans() == open_spans
     assert tracer.open_span_count == len(open_spans)

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import ast
 
-from repro.checks import (ModuleSummary, build_graph, module_sccs,
-                          reachable_from, summarize_module)
+from repro.checks import (ModuleSummary, build_graph, reachable_from,
+                          summarize_module)
 from repro.checks.callgraph import (KIND_MUTABLE, KIND_OTHER, KIND_RESOURCE,
                                     KIND_RNG, entry_modules, module_name)
 
@@ -194,24 +194,3 @@ def test_entry_modules_ignores_absent_modules():
     entries = entry_modules(
         ["repro.kernel.absent:_worker_main", "repro.cli:main"], set(graph))
     assert entries == {"repro.cli": "repro.cli:main"}
-
-
-def test_sccs_group_the_lazy_cycle():
-    _mods, graph = _graph_fixture()
-    scc = module_sccs(graph)
-    assert scc["repro.services.alpha"] == scc["repro.kernel.beta"]
-    assert scc["repro.cli"] != scc["repro.services.alpha"]
-    assert scc["repro.env.delta"] != scc["repro.services.alpha"]
-
-
-def test_summary_dict_roundtrip():
-    summary = _summary(
-        "import threading\n"
-        "CACHE = {}\n"
-        "LOCK = threading.Lock()\n"
-        "def put(k, v):\n"
-        "    CACHE[k] = v\n"
-        "def look(k):\n"
-        "    return CACHE.get(k)\n")
-    clone = ModuleSummary.from_dict(summary.to_dict())
-    assert clone == summary

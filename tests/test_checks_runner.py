@@ -8,7 +8,7 @@ import pathlib
 import pytest
 
 from repro.checks import (Suppression, apply_baseline, check_source,
-                          load_baseline, run_checks, write_baseline)
+                          load_baseline, run_checks, runner, write_baseline)
 from repro.cli import main
 from repro.kernel.errors import ConfigurationError
 
@@ -73,7 +73,7 @@ def test_json_report_is_machine_readable(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Parallel byte-identity and incremental mode
+# Parallel byte-identity
 # ---------------------------------------------------------------------------
 def _flow_tree(tmp_path: pathlib.Path) -> pathlib.Path:
     """A tree with flow findings and a lazy-import call-graph cycle."""
@@ -108,87 +108,34 @@ def test_jobs_byte_identity_with_flow_rules(tmp_path):
     assert {"LPC301", "LPC302", "LPC101", "LPC203"} <= codes
 
 
-def test_incremental_warm_run_reanalyzes_nothing(tmp_path):
+def test_pool_size_follows_usable_cpus(tmp_path, monkeypatch):
     root = _flow_tree(tmp_path)
-    cache = tmp_path / "cache.json"
-    cold = run_checks([root], base=root, incremental_cache=cache)
-    assert len(cold.analyzed) == 4 and cold.cached == 0
-    warm = run_checks([root], base=root, incremental_cache=cache)
-    assert warm.analyzed == [] and warm.cached == 4
-    assert warm.format_text() == cold.format_text()
+    sizes = []
+    real = runner.ProcessPoolExecutor
 
+    def recording(max_workers, **kwargs):
+        sizes.append(max_workers)
+        return real(max_workers=max_workers, **kwargs)
 
-def test_incremental_edit_reanalyzes_only_the_scc_region(tmp_path):
-    root = _flow_tree(tmp_path)
-    cache = tmp_path / "cache.json"
-    run_checks([root], base=root, incremental_cache=cache)
-    # Edit beta: its SCC (the alpha<->beta lazy cycle) is re-analyzed,
-    # the untouched cli.py and env/delta.py are served from cache.
-    beta = root / "repro" / "kernel" / "beta.py"
-    beta.write_text(beta.read_text() + "\n\ndef extra():\n    return 1\n")
-    warm = run_checks([root], base=root, incremental_cache=cache)
-    assert set(warm.analyzed) == {"repro/kernel/beta.py",
-                                  "repro/services/alpha.py"}
-    cold = run_checks([root], base=root)
-    assert warm.format_text() == cold.format_text()
-
-
-def test_incremental_edit_findings_match_cold_run(tmp_path):
-    root = _flow_tree(tmp_path)
-    cache = tmp_path / "cache.json"
-    run_checks([root], base=root, incremental_cache=cache)
-    # Introduce a new flow hazard in alpha and a determinism hazard in
-    # delta; the warm run must surface both exactly like a cold run.
-    alpha = root / "repro" / "services" / "alpha.py"
-    alpha.write_text(alpha.read_text()
-                     + "import itertools\n"
-                       "_seq = itertools.count(1)\n"
-                       "def mint():\n"
-                       "    return next(_seq)\n")
-    delta = root / "repro" / "env" / "delta.py"
-    delta.write_text(delta.read_text()
-                     + "\n\ndef stamp2():\n    return time.time()\n")
-    warm = run_checks([root], base=root, incremental_cache=cache)
-    cold = run_checks([root], base=root)
-    assert warm.format_text() == cold.format_text()
-    assert any(f.code == "LPC301" and "_seq" in f.message
-               for f in warm.findings)
-
-
-def test_incremental_cache_mismatch_falls_back_to_cold(tmp_path):
-    root = _flow_tree(tmp_path)
-    cache = tmp_path / "cache.json"
-    cache.write_text("{not json")
-    report = run_checks([root], base=root, incremental_cache=cache)
-    assert len(report.analyzed) == 4          # full cold run
-    # ...and the corrupt file was replaced with a valid cache.
-    warm = run_checks([root], base=root, incremental_cache=cache)
-    assert warm.analyzed == []
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", recording)
+    texts = set()
+    for cpus in (1, 3):
+        monkeypatch.setattr(runner, "_usable_cpus", lambda: cpus)
+        texts.add(run_checks([root], base=root).format_text())
+    assert sizes == [3]          # one usable cpu runs serially
+    assert len(texts) == 1
 
 
 def test_json_report_carries_timings_and_cache_counters(tmp_path):
+    """The JSON report times every phase and flow rule, and counts no
+    cache hits: every run parses every file."""
     root = _flow_tree(tmp_path)
-    cache = tmp_path / "cache.json"
-    run_checks([root], base=root, incremental_cache=cache)
-    payload = json.loads(run_checks([root], base=root,
-                                    incremental_cache=cache).to_json())
-    assert payload["analyzed"] == 0 and payload["cached"] == 4
+    payload = json.loads(run_checks([root], base=root).to_json())
+    assert "analyzed" not in payload and "cached" not in payload
     assert set(payload["timings"]["rules"]) == {
         "LPC301", "LPC302", "LPC303", "LPC304"}
     for phase in ("discover", "analyze", "layers", "flow", "baseline"):
         assert payload["timings"]["phases"][phase] >= 0
-
-
-def test_cli_check_incremental_flag(tmp_path, capsys, monkeypatch):
-    root = _flow_tree(tmp_path)
-    monkeypatch.chdir(root)
-    args = ["check", "repro", "--incremental",
-            "--incremental-cache", "cache.json", "--jobs", "1"]
-    assert main(args) == 1
-    first = capsys.readouterr().out
-    assert (root / "cache.json").exists()
-    assert main(args) == 1
-    assert capsys.readouterr().out == first
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +235,7 @@ def test_cli_check_exit_codes(tmp_path, capsys, monkeypatch):
 def test_cli_check_json_format(tmp_path, capsys, monkeypatch):
     root = _write_tree(tmp_path)
     monkeypatch.chdir(root)
-    assert main(["check", "repro", "--format", "json", "--jobs", "1"]) == 1
+    assert main(["check", "repro", "--format", "json"]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert [f["code"] for f in payload["findings"]] == ["LPC101", "LPC201"]
 
@@ -319,6 +266,15 @@ def test_cli_check_write_baseline(tmp_path, capsys, monkeypatch):
     assert main(["check", "repro", "--write-baseline", "draft.json"]) == 0
     assert (root / "draft.json").exists()
     assert "fill in justifications" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag", ["--jobs=1", "--incremental",
+                                  "--incremental-cache=cache.json"])
+def test_cli_check_takes_no_run_mode_flags(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_cli_check_missing_path_errors(capsys):

@@ -286,19 +286,6 @@ def test_clear_and_disk_stats(tmp_path):
     assert cache.disk_stats()["entries"] == 0
 
 
-def test_register_metrics_probe(tmp_path):
-    from repro.kernel.scheduler import Simulator
-
-    sim = Simulator(seed=1, trace=False)
-    cache = RunCache(tmp_path)
-    unregister = cache.register_metrics(sim.metrics)
-    cache.get("0" * 64)
-    probe = sim.metrics.snapshot()["probes"]["experiments.cache"]
-    assert probe["misses"] == 1
-    unregister()
-    assert "experiments.cache" not in sim.metrics.snapshot()["probes"]
-
-
 # ---------------------------------------------------------------------------
 # Policy resolution
 # ---------------------------------------------------------------------------

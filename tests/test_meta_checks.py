@@ -20,7 +20,7 @@ BASELINE = REPO_ROOT / "checks_baseline.json"
 
 def _report():
     return run_checks([REPO_ROOT / "src"], base=REPO_ROOT,
-                      baseline=BASELINE, jobs=2)
+                      baseline=BASELINE)
 
 
 def test_src_has_zero_unsuppressed_findings():

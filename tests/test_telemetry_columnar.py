@@ -15,6 +15,7 @@ import json
 
 import pytest
 
+from repro.kernel.errors import ConfigurationError
 from repro.kernel.scheduler import Simulator
 from repro.telemetry.columnar import (ColumnarWriter, read_columnar,
                                       read_telemetry, write_run)
@@ -147,6 +148,23 @@ def test_read_telemetry_dispatches_by_suffix(sim, tmp_path):
     write_run(tmp_path / "run.npz", sim)
     assert (read_telemetry(tmp_path / "run.npz")
             == read_telemetry(tmp_path / "run.jsonl"))
+
+
+def _stream_run() -> Simulator:
+    """A stream-mode run with two records, one an issue, and one span."""
+    sim = Simulator(seed=7, trace_mode="stream")
+    sim.trace("mac.tx", "adapter", "frame out")
+    sim.issue("radio", "adapter", "multipath fade")
+    with sim.span("transport.send", "laptop"):
+        pass
+    return sim
+
+
+@pytest.mark.parametrize("name", ["run.npz", "run.jsonl"])
+def test_write_run_refuses_a_stream_mode_trace(tmp_path, name):
+    with pytest.raises(ConfigurationError, match="'stream' mode"):
+        write_run(tmp_path / name, _stream_run())
+    assert not (tmp_path / name).exists()
 
 
 def test_write_run_picks_the_format_by_suffix(sim, tmp_path):
@@ -287,6 +305,13 @@ def test_stream_mode_memory_stays_flat_over_unplaceable_issues():
         tracemalloc.stop()
     assert aggregator.unclassified == 10_001
     assert after - before < 64 * 1024
+
+
+def test_replay_refuses_a_stream_mode_trace():
+    aggregator = StreamingAggregator(user_sources=USERS)
+    with pytest.raises(ConfigurationError, match="'stream' mode"):
+        aggregator.replay(_stream_run())
+    assert aggregator.records_seen == aggregator.spans_begun == 0
 
 
 def test_streaming_histograms_match_replay():
