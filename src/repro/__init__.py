@@ -25,45 +25,29 @@ Quickstart::
     print(room.projector.frames_displayed)
 """
 
-from .core import (
-    Column,
-    Layer,
-    LPCInstrument,
-    LPCModel,
-    figure1,
-    figure2,
-    figure3,
-    figure4,
-    figure5,
-    smart_projector_model,
-)
-from .experiments import (
-    ExperimentResult,
-    list_experiments,
-    presentation_workflow,
-    projector_room,
-    run_experiment,
-)
-from .kernel import Simulator
+from .kernel.lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Column",
-    "ExperimentResult",
-    "LPCInstrument",
-    "LPCModel",
-    "Layer",
-    "Simulator",
-    "figure1",
-    "figure2",
-    "figure3",
-    "figure4",
-    "figure5",
-    "list_experiments",
-    "presentation_workflow",
-    "projector_room",
-    "run_experiment",
-    "smart_projector_model",
-    "__version__",
-]
+#: Public name -> the submodule defining it, imported on first use.
+_EXPORTS = {
+    "Column": "core",
+    "LPCInstrument": "core",
+    "LPCModel": "core",
+    "Layer": "core",
+    "figure1": "core",
+    "figure2": "core",
+    "figure3": "core",
+    "figure4": "core",
+    "figure5": "core",
+    "smart_projector_model": "core",
+    "ExperimentResult": "experiments",
+    "list_experiments": "experiments",
+    "presentation_workflow": "experiments",
+    "projector_room": "experiments",
+    "run_experiment": "experiments",
+    "Simulator": "kernel",
+}
+
+__all__ = sorted([*_EXPORTS, "__version__"])
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -14,25 +14,37 @@ Public surface:
 * :data:`repro.checks.layers.LAYER_MAP` — the executable architecture.
 """
 
-from .baseline import (Suppression, apply_baseline, load_baseline,
-                       write_baseline)
-from .callgraph import (DEFAULT_FORK_ENTRY_POINTS, ModuleSummary,
-                        build_graph, reachable_from, summarize_module)
-from .determinism import check_determinism, check_source
-from .findings import ERROR, RULES, WARNING, Finding, Rule
-from .flow import FLOW_RULES, run_flow
-from .layers import (LAYER_MAP, ModuleImports, check_layers,
-                     extract_imports, import_graph)
-from .runner import CheckReport, discover_files, run_checks
+from ..kernel.lazy import lazy_exports
 
-__all__ = [
-    "ERROR", "WARNING", "Finding", "Rule", "RULES",
-    "check_determinism", "check_source",
-    "LAYER_MAP", "ModuleImports", "check_layers", "extract_imports",
-    "import_graph",
-    "DEFAULT_FORK_ENTRY_POINTS", "ModuleSummary", "build_graph",
-    "reachable_from", "summarize_module",
-    "FLOW_RULES", "run_flow",
-    "Suppression", "load_baseline", "apply_baseline", "write_baseline",
-    "CheckReport", "discover_files", "run_checks",
-]
+#: Public name -> the submodule defining it, imported on first use.
+_EXPORTS = {
+    "Suppression": "baseline",
+    "apply_baseline": "baseline",
+    "load_baseline": "baseline",
+    "write_baseline": "baseline",
+    "DEFAULT_FORK_ENTRY_POINTS": "callgraph",
+    "ModuleSummary": "callgraph",
+    "build_graph": "callgraph",
+    "reachable_from": "callgraph",
+    "summarize_module": "callgraph",
+    "check_determinism": "determinism",
+    "check_source": "determinism",
+    "ERROR": "findings",
+    "Finding": "findings",
+    "RULES": "findings",
+    "Rule": "findings",
+    "WARNING": "findings",
+    "FLOW_RULES": "flow",
+    "run_flow": "flow",
+    "LAYER_MAP": "layers",
+    "ModuleImports": "layers",
+    "check_layers": "layers",
+    "extract_imports": "layers",
+    "import_graph": "layers",
+    "CheckReport": "runner",
+    "discover_files": "runner",
+    "run_checks": "runner",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -23,6 +23,9 @@ Subcommands:
 ``--trace-out FILE``: trace records (and completed spans) stream to the
 file while the command runs — a packed struct-of-arrays when ``FILE``
 ends in ``.npz``, one JSON object per line otherwise.
+
+Each handler imports the modules its subcommand runs, so ``check``
+loads no simulator and ``run`` no static pass.
 """
 
 from __future__ import annotations
@@ -34,13 +37,12 @@ import pathlib
 import sys
 from typing import Iterator, List, Optional
 
-from .core.analysis import compare_with_paper
-from .core.figures import ALL_FIGURES, render_all
-from .experiments import get_experiment, list_experiments, run_experiment
 from .kernel.errors import ExperimentError, ReproError
 
 
 def _cmd_figures(args: argparse.Namespace) -> int:
+    from .core.figures import ALL_FIGURES, render_all
+
     if args.number is None:
         print(render_all())
         return 0
@@ -54,6 +56,8 @@ def _cmd_figures(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiments(_args: argparse.Namespace) -> int:
+    from .experiments.harness import list_experiments
+
     for experiment_id in list_experiments():
         print(experiment_id)
     return 0
@@ -134,6 +138,8 @@ def _cache_policy(args: argparse.Namespace) -> Iterator[None]:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from .experiments.harness import get_experiment, run_experiment
+
     try:
         params = inspect.signature(
             get_experiment(args.experiment_id)).parameters
@@ -166,6 +172,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
+    from .core.analysis import compare_with_paper
     from .experiments.e9_analysis import _scripted_week
 
     with _trace_export(args):
@@ -313,7 +320,9 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    from .checks import RULES, run_checks, write_baseline
+    from .checks.baseline import write_baseline
+    from .checks.findings import RULES
+    from .checks.runner import run_checks
 
     if args.list_rules:
         for code, rule in sorted(RULES.items()):

@@ -8,108 +8,59 @@ coverage analysis against the paper's own inventory (:mod:`.analysis`,
 :mod:`.paper`), and figure regeneration (:mod:`.figures`).
 """
 
-from .analysis import (
-    CoverageItem,
-    CoverageReport,
-    analyze_model,
-    compare_with_paper,
-)
-from .checklist import (
-    Checklist,
-    ChecklistItem,
-    GENERIC_QUESTIONS,
-    build_checklist,
-)
-from .concerns import KEYWORD_LAYERS, TOPIC_LAYERS, Concern, ConcernClassifier
-from .constraints import (
-    ConstraintResult,
-    check_abstract_consistency,
-    check_acoustic_environment,
-    check_intentional_harmony,
-    check_physical_compatibility,
-    check_radio_environment,
-    check_resource_match,
-)
-from .entities import Facet, ModelEntity, smart_projector_entities
-from .figures import (
-    ALL_FIGURES,
-    figure1,
-    figure2,
-    figure3,
-    figure4,
-    figure5,
-    render_all,
-)
-from .instrument import LPCInstrument
-from .live import model_from_room
-from .layers import (
-    Column,
-    DEVICE_SIDE,
-    Layer,
-    RELATIONS,
-    RESOURCE_BOXES,
-    USER_SIDE,
-    USER_TIMESCALES,
-    device_abstraction_rank,
-    layers_bottom_up,
-    layers_top_down,
-    user_temporal_rank,
-)
-from .model import LPCModel, smart_projector_model
-from .paper import (
-    layer_counts,
-    paper_inventory,
-    paper_inventory_by_layer,
-    user_column_items,
-)
+from ..kernel.lazy import lazy_exports
 
-__all__ = [
-    "ALL_FIGURES",
-    "Checklist",
-    "ChecklistItem",
-    "Column",
-    "Concern",
-    "ConcernClassifier",
-    "ConstraintResult",
-    "CoverageItem",
-    "CoverageReport",
-    "DEVICE_SIDE",
-    "Facet",
-    "KEYWORD_LAYERS",
-    "LPCInstrument",
-    "LPCModel",
-    "Layer",
-    "ModelEntity",
-    "RELATIONS",
-    "RESOURCE_BOXES",
-    "TOPIC_LAYERS",
-    "USER_SIDE",
-    "USER_TIMESCALES",
-    "GENERIC_QUESTIONS",
-    "analyze_model",
-    "build_checklist",
-    "check_abstract_consistency",
-    "check_acoustic_environment",
-    "check_intentional_harmony",
-    "check_physical_compatibility",
-    "check_radio_environment",
-    "check_resource_match",
-    "compare_with_paper",
-    "device_abstraction_rank",
-    "figure1",
-    "figure2",
-    "figure3",
-    "figure4",
-    "figure5",
-    "layer_counts",
-    "layers_bottom_up",
-    "layers_top_down",
-    "model_from_room",
-    "paper_inventory",
-    "paper_inventory_by_layer",
-    "render_all",
-    "smart_projector_entities",
-    "smart_projector_model",
-    "user_column_items",
-    "user_temporal_rank",
-]
+#: Public name -> the submodule defining it, imported on first use.
+_EXPORTS = {
+    "CoverageItem": "analysis",
+    "CoverageReport": "analysis",
+    "analyze_model": "analysis",
+    "compare_with_paper": "analysis",
+    "Checklist": "checklist",
+    "ChecklistItem": "checklist",
+    "GENERIC_QUESTIONS": "checklist",
+    "build_checklist": "checklist",
+    "Concern": "concerns",
+    "ConcernClassifier": "concerns",
+    "KEYWORD_LAYERS": "concerns",
+    "TOPIC_LAYERS": "concerns",
+    "ConstraintResult": "constraints",
+    "check_abstract_consistency": "constraints",
+    "check_acoustic_environment": "constraints",
+    "check_intentional_harmony": "constraints",
+    "check_physical_compatibility": "constraints",
+    "check_radio_environment": "constraints",
+    "check_resource_match": "constraints",
+    "Facet": "entities",
+    "ModelEntity": "entities",
+    "smart_projector_entities": "entities",
+    "ALL_FIGURES": "figures",
+    "figure1": "figures",
+    "figure2": "figures",
+    "figure3": "figures",
+    "figure4": "figures",
+    "figure5": "figures",
+    "render_all": "figures",
+    "LPCInstrument": "instrument",
+    "Column": "layers",
+    "DEVICE_SIDE": "layers",
+    "Layer": "layers",
+    "RELATIONS": "layers",
+    "RESOURCE_BOXES": "layers",
+    "USER_SIDE": "layers",
+    "USER_TIMESCALES": "layers",
+    "device_abstraction_rank": "layers",
+    "layers_bottom_up": "layers",
+    "layers_top_down": "layers",
+    "user_temporal_rank": "layers",
+    "model_from_room": "live",
+    "LPCModel": "model",
+    "smart_projector_model": "model",
+    "layer_counts": "paper",
+    "paper_inventory": "paper",
+    "paper_inventory_by_layer": "paper",
+    "user_column_items": "paper",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

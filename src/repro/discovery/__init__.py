@@ -6,73 +6,43 @@ implementation: multicast registrar discovery, leased registrations,
 template lookup, mobile-code proxies, and remote events.
 """
 
-from .client import (
-    RENEW_FRACTION,
-    ServiceDiscoveryClient,
-    ServiceRegistration,
-    Subscription,
-)
-from .events import ADDED, EXPIRED, REMOVED, EventMailbox, RemoteEvent
-from .leases import Lease, LeaseTable
-from .protocol import (
-    ANNOUNCE_GROUP,
-    AnnouncingRegistry,
-    DiscoveryAgent,
-    DiscoveryRequest,
-    REQUEST_GROUP,
-    RegistryLocator,
-)
-from .records import (
-    MATCH_ALL,
-    ServiceItem,
-    ServiceProxy,
-    ServiceTemplate,
-    new_service_id,
-)
-from .registry import (
-    EVENT_PORT,
-    REGISTRY_PORT,
-    CancelRequest,
-    LookupRequest,
-    LookupService,
-    NotifyRequest,
-    RegisterRequest,
-    RenewRequest,
-    Reply,
-    new_request_id,
-)
+from ..kernel.lazy import lazy_exports
 
-__all__ = [
-    "ADDED",
-    "ANNOUNCE_GROUP",
-    "AnnouncingRegistry",
-    "CancelRequest",
-    "DiscoveryAgent",
-    "DiscoveryRequest",
-    "EVENT_PORT",
-    "EXPIRED",
-    "EventMailbox",
-    "Lease",
-    "LeaseTable",
-    "LookupRequest",
-    "LookupService",
-    "MATCH_ALL",
-    "NotifyRequest",
-    "REGISTRY_PORT",
-    "REMOVED",
-    "RENEW_FRACTION",
-    "REQUEST_GROUP",
-    "RegisterRequest",
-    "RegistryLocator",
-    "RemoteEvent",
-    "RenewRequest",
-    "Reply",
-    "ServiceDiscoveryClient",
-    "ServiceItem",
-    "ServiceProxy",
-    "ServiceRegistration",
-    "ServiceTemplate",
-    "Subscription",
-    "new_request_id",
-    "new_service_id",
-]
+#: Public name -> the submodule defining it, imported on first use.
+_EXPORTS = {
+    "RENEW_FRACTION": "client",
+    "ServiceDiscoveryClient": "client",
+    "ServiceRegistration": "client",
+    "Subscription": "client",
+    "ADDED": "events",
+    "EXPIRED": "events",
+    "EventMailbox": "events",
+    "REMOVED": "events",
+    "RemoteEvent": "events",
+    "Lease": "leases",
+    "LeaseTable": "leases",
+    "ANNOUNCE_GROUP": "protocol",
+    "AnnouncingRegistry": "protocol",
+    "DiscoveryAgent": "protocol",
+    "DiscoveryRequest": "protocol",
+    "REQUEST_GROUP": "protocol",
+    "RegistryLocator": "protocol",
+    "MATCH_ALL": "records",
+    "ServiceItem": "records",
+    "ServiceProxy": "records",
+    "ServiceTemplate": "records",
+    "new_service_id": "records",
+    "CancelRequest": "registry",
+    "EVENT_PORT": "registry",
+    "LookupRequest": "registry",
+    "LookupService": "registry",
+    "NotifyRequest": "registry",
+    "REGISTRY_PORT": "registry",
+    "RegisterRequest": "registry",
+    "RenewRequest": "registry",
+    "Reply": "registry",
+    "new_request_id": "registry",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

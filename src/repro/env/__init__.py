@@ -7,68 +7,41 @@ physical layer (:mod:`repro.phys`) must cope with it rather than engineer
 it away.
 """
 
-from .linkcache import LinkCache
-from .mobility import LinearMobility, Mobility, RandomWaypoint, StaticMobility
-from .noise import (
-    TYPICAL_LEVELS_DB,
-    AcousticField,
-    NoiseSource,
-    combine_levels_db,
-)
-from .radio import (
-    NOISE_FLOOR_DBM,
-    NOISE_FLOOR_MW,
-    RATE_BY_NAME,
-    RATES,
-    SHADOWING_CLAMP_SIGMAS,
-    PropagationModel,
-    RateMode,
-    best_rate,
-    dbm_to_mw,
-    mw_to_dbm,
-    sinr_from_mw,
-)
-from .spatialindex import SpatialGrid
-from .spectrum import (
-    CHANNELS,
-    NON_OVERLAPPING,
-    ORTHOGONAL_SEPARATION,
-    center_frequency_mhz,
-    least_congested,
-    overlap_factor,
-    validate_channel,
-)
-from .world import Placement, World
+from ..kernel.lazy import lazy_exports
 
-__all__ = [
-    "AcousticField",
-    "CHANNELS",
-    "LinearMobility",
-    "LinkCache",
-    "Mobility",
-    "NOISE_FLOOR_DBM",
-    "NOISE_FLOOR_MW",
-    "NON_OVERLAPPING",
-    "NoiseSource",
-    "ORTHOGONAL_SEPARATION",
-    "Placement",
-    "PropagationModel",
-    "RATES",
-    "RATE_BY_NAME",
-    "RandomWaypoint",
-    "RateMode",
-    "SHADOWING_CLAMP_SIGMAS",
-    "SpatialGrid",
-    "StaticMobility",
-    "TYPICAL_LEVELS_DB",
-    "World",
-    "best_rate",
-    "center_frequency_mhz",
-    "combine_levels_db",
-    "dbm_to_mw",
-    "least_congested",
-    "mw_to_dbm",
-    "overlap_factor",
-    "sinr_from_mw",
-    "validate_channel",
-]
+#: Public name -> the submodule defining it, imported on first use.
+_EXPORTS = {
+    "LinkCache": "linkcache",
+    "LinearMobility": "mobility",
+    "Mobility": "mobility",
+    "RandomWaypoint": "mobility",
+    "StaticMobility": "mobility",
+    "AcousticField": "noise",
+    "NoiseSource": "noise",
+    "TYPICAL_LEVELS_DB": "noise",
+    "combine_levels_db": "noise",
+    "NOISE_FLOOR_DBM": "radio",
+    "NOISE_FLOOR_MW": "radio",
+    "PropagationModel": "radio",
+    "RATES": "radio",
+    "RATE_BY_NAME": "radio",
+    "RateMode": "radio",
+    "SHADOWING_CLAMP_SIGMAS": "radio",
+    "best_rate": "radio",
+    "dbm_to_mw": "radio",
+    "mw_to_dbm": "radio",
+    "sinr_from_mw": "radio",
+    "SpatialGrid": "spatialindex",
+    "CHANNELS": "spectrum",
+    "NON_OVERLAPPING": "spectrum",
+    "ORTHOGONAL_SEPARATION": "spectrum",
+    "center_frequency_mhz": "spectrum",
+    "least_congested": "spectrum",
+    "overlap_factor": "spectrum",
+    "validate_channel": "spectrum",
+    "Placement": "world",
+    "World": "world",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -14,6 +14,7 @@ process.  Three classic models are provided:
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Sequence
 
 import numpy as np
@@ -29,8 +30,9 @@ class Mobility:
 
     def __init__(self, sim: Simulator, world: World, name: str,
                  update_interval: float = 0.5) -> None:
-        if update_interval <= 0:
-            raise ConfigurationError("update_interval must be positive")
+        # Each test is written so that NaN, which compares false, fails.
+        if not 0 < update_interval < math.inf:
+            raise ConfigurationError("update_interval must be positive and finite")
         self.sim = sim
         self.world = world
         self.name = name
@@ -69,8 +71,8 @@ class LinearMobility(Mobility):
                  target: Sequence[float], speed: float = 1.4,
                  update_interval: float = 0.5) -> None:
         super().__init__(sim, world, name, update_interval)
-        if speed <= 0:
-            raise ConfigurationError("speed must be positive")
+        if not 0 < speed < math.inf:
+            raise ConfigurationError("speed must be positive and finite")
         self.target = np.asarray(target, dtype=np.float64)
         self.speed = float(speed)
         self.arrived = False
@@ -103,10 +105,10 @@ class RandomWaypoint(Mobility):
                  speed_min: float = 0.5, speed_max: float = 2.0,
                  pause: float = 2.0, update_interval: float = 0.5) -> None:
         super().__init__(sim, world, name, update_interval)
-        if not (0 < speed_min <= speed_max):
-            raise ConfigurationError("need 0 < speed_min <= speed_max")
-        if pause < 0:
-            raise ConfigurationError("pause must be non-negative")
+        if not 0 < speed_min <= speed_max < math.inf:
+            raise ConfigurationError("need 0 < speed_min <= speed_max < inf")
+        if not 0 <= pause < math.inf:
+            raise ConfigurationError("pause must be non-negative and finite")
         self.speed_min = speed_min
         self.speed_max = speed_max
         self.pause = pause

@@ -12,6 +12,7 @@ position array.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
@@ -58,8 +59,10 @@ class World:
     _INITIAL_CAPACITY: int = 8
 
     def __init__(self, width: float = 100.0, height: float = 100.0) -> None:
-        if width <= 0 or height <= 0:
-            raise ConfigurationError(f"world extent must be positive, got {width}x{height}")
+        # Written so that NaN fails: it compares false with everything.
+        if not (0.0 < width < math.inf and 0.0 < height < math.inf):
+            raise ConfigurationError(
+                f"world extent must be positive and finite, got {width}x{height}")
         self.width = float(width)
         self.height = float(height)
         # Positions live in a preallocated buffer with amortised doubling:
@@ -156,6 +159,10 @@ class World:
     def _clip(self, pos: np.ndarray) -> np.ndarray:
         if pos.shape != (2,):
             raise ConfigurationError(f"position must be (x, y), got {pos!r}")
+        # A NaN coordinate would survive the clip, and every distance to
+        # it would read as the 0.1 m floor, co-locating it with everyone.
+        if not np.isfinite(pos).all():
+            raise ConfigurationError(f"position must be finite, got {pos!r}")
         return np.clip(pos, [0.0, 0.0], [self.width, self.height])
 
     # ------------------------------------------------------------------

@@ -291,12 +291,14 @@ class RunCache:
         """
         path = self._entry_path(key)
         try:
-            body = path.read_text()
+            body = path.read_bytes()
         except OSError:
             self.stats.misses.add()
             return None
         try:
-            entry = json.loads(body)
+            # Decoded here: UnicodeDecodeError is a ValueError, so bytes
+            # that are not UTF-8 make a corrupt entry, not a crash.
+            entry = json.loads(body.decode())
             if (not isinstance(entry, dict)
                     or entry.get("schema") != CACHE_SCHEMA_VERSION
                     or not isinstance(entry.get("row"), dict)):

@@ -1,10 +1,14 @@
 """Experiment harness: results, tables, and the experiment registry.
 
-Every reproduction target (E1–E10, F1–F5) is a function returning an
+Every reproduction target (E1–E11, F1–F5) is a function returning an
 :class:`ExperimentResult`; the benchmarks regenerate the paper's
 tables/series by printing these, and EXPERIMENTS.md records the measured
 shapes.  Results are plain rows so they can be asserted on in tests and
 pretty-printed without extra dependencies.
+
+Importing this module registers every experiment: it imports the
+experiment modules at its end, so :func:`list_experiments` is complete
+as soon as the registry exists and no experiment loads on first lookup.
 """
 
 from __future__ import annotations
@@ -113,3 +117,27 @@ def list_experiments() -> List[str]:
 
 def run_experiment(experiment_id: str, **kwargs: Any) -> ExperimentResult:
     return get_experiment(experiment_id)(**kwargs)
+
+
+# ---------------------------------------------------------------------------
+# Registration: importing an experiment module runs its @experiment
+# decorators.  The imports come last because each module imports
+# ``experiment`` and ``ExperimentResult`` from here; a new experiment module
+# goes on this list.
+# ---------------------------------------------------------------------------
+
+from . import (
+    cellgrid,  # noqa: F401
+    e1_vnc,  # noqa: F401
+    e2_interference,  # noqa: F401
+    e2_scale,  # noqa: F401
+    e3_ranging,  # noqa: F401
+    e4_discovery,  # noqa: F401
+    e5_burden,  # noqa: F401
+    e6_faculties,  # noqa: F401
+    e7_harmony,  # noqa: F401
+    e8_voice,  # noqa: F401
+    e9_analysis,  # noqa: F401
+    e10_energy,  # noqa: F401
+    figures,  # noqa: F401
+)

@@ -36,11 +36,13 @@ import pickle
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from ..kernel.errors import ExperimentError
 from .cache import cache_key, resolve_cache, run_one_identity, source_digest
-from .harness import ExperimentResult
+
+if TYPE_CHECKING:
+    from .harness import ExperimentResult
 
 
 def grid(**axes: Sequence[Any]) -> List[Dict[str, Any]]:
@@ -166,6 +168,9 @@ def sweep(experiment_id: str, title: str,
     ``computed`` / ``cached`` task counts, and a per-sweep ``cache``
     stats delta when caching was on.
     """
+    # harness imports the experiment modules, which import this module.
+    from .harness import ExperimentResult
+
     if not isinstance(workers, int) or isinstance(workers, bool):
         raise ExperimentError(f"workers must be an int, not {workers!r}")
     if workers < 0:
@@ -284,6 +289,7 @@ def averaged_over_seeds(result: ExperimentResult,
     so layer/issue reporting keeps working on seed-averaged results.
     """
     from ..telemetry.summary import aggregate_telemetry
+    from .harness import ExperimentResult
 
     per_row_telemetry = (list(result.telemetry)
                          if len(result.telemetry) == len(result.rows)

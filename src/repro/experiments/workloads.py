@@ -10,19 +10,21 @@ demonstrate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
-from ..discovery.client import ServiceDiscoveryClient
-from ..discovery.protocol import AnnouncingRegistry, RegistryLocator
-from ..discovery.registry import LookupService, REGISTRY_PORT
 from ..env.radio import PropagationModel, RateMode
 from ..env.world import World
 from ..kernel.scheduler import Simulator
 from ..net.addresses import BROADCAST
 from ..net.frames import Frame
-from ..phys.devices import AromaAdapter, Device, DigitalProjector, Laptop
 from ..phys.mac import CsmaMac, WirelessMedium
-from ..services.projector import SmartProjector, SmartProjectorClient
+
+if TYPE_CHECKING:
+    from ..discovery.client import ServiceDiscoveryClient
+    from ..discovery.protocol import AnnouncingRegistry
+    from ..discovery.registry import LookupService
+    from ..phys.devices import AromaAdapter, Device, DigitalProjector, Laptop
+    from ..services.projector import SmartProjector, SmartProjectorClient
 
 
 @dataclass
@@ -68,6 +70,14 @@ def projector_room(seed: int = 0, *, trace: bool = True,
     ``trace_mode`` passes straight through to :class:`Simulator` so the
     dispatch-matrix oracle can run the same room under every trace mode.
     """
+    # Imported here so that a run needing only the broadcast room below
+    # loads no discovery, service or appliance module.
+    from ..discovery.client import ServiceDiscoveryClient
+    from ..discovery.protocol import AnnouncingRegistry, RegistryLocator
+    from ..discovery.registry import REGISTRY_PORT, LookupService
+    from ..phys.devices import AromaAdapter, Device, DigitalProjector, Laptop
+    from ..services.projector import SmartProjector, SmartProjectorClient
+
     sim = Simulator(seed=seed, trace=trace, trace_mode=trace_mode)
     world = World(width, height)
     medium = WirelessMedium(sim, world, culling=culling)
@@ -129,6 +139,7 @@ def interferer_field(room: Room, pairs: int, *,
     non-overlapping plan (the mitigation).
     """
     from ..env.spectrum import NON_OVERLAPPING
+    from ..phys.devices import Device
 
     sim = room.sim
     rng = sim.rng(seed_stream)

@@ -5,57 +5,39 @@ environment, MAC, transport, discovery middleware, services, and the
 simulated users all run as events on one :class:`Simulator`.
 """
 
-from .errors import (
-    AddressError,
-    ConfigurationError,
-    ConstraintViolation,
-    DiscoveryError,
-    ExperimentError,
-    LeaseError,
-    ModelError,
-    NetworkError,
-    ProcessError,
-    ReproError,
-    ScheduleError,
-    ServiceError,
-    SessionError,
-    SimulationError,
-    SimulationFinished,
-    TransportError,
-)
-from .events import Event, Priority
-from .process import Process, Signal, spawn
-from .random import RandomStreams
-from .scheduler import PeriodicTask, Simulator
-from .trace import NULL_SPAN, Span, TraceRecord, Tracer
+from .lazy import lazy_exports
 
-__all__ = [
-    "AddressError",
-    "ConfigurationError",
-    "ConstraintViolation",
-    "DiscoveryError",
-    "Event",
-    "ExperimentError",
-    "LeaseError",
-    "ModelError",
-    "NULL_SPAN",
-    "NetworkError",
-    "PeriodicTask",
-    "Priority",
-    "Process",
-    "ProcessError",
-    "RandomStreams",
-    "ReproError",
-    "ScheduleError",
-    "ServiceError",
-    "SessionError",
-    "Signal",
-    "SimulationError",
-    "SimulationFinished",
-    "Simulator",
-    "Span",
-    "TraceRecord",
-    "Tracer",
-    "TransportError",
-    "spawn",
-]
+#: Public name -> the submodule defining it, imported on first use.
+_EXPORTS = {
+    "AddressError": "errors",
+    "ConfigurationError": "errors",
+    "ConstraintViolation": "errors",
+    "DiscoveryError": "errors",
+    "ExperimentError": "errors",
+    "LeaseError": "errors",
+    "ModelError": "errors",
+    "NetworkError": "errors",
+    "ProcessError": "errors",
+    "ReproError": "errors",
+    "ScheduleError": "errors",
+    "ServiceError": "errors",
+    "SessionError": "errors",
+    "SimulationError": "errors",
+    "SimulationFinished": "errors",
+    "TransportError": "errors",
+    "Event": "events",
+    "Priority": "events",
+    "Process": "process",
+    "Signal": "process",
+    "spawn": "process",
+    "RandomStreams": "random",
+    "PeriodicTask": "scheduler",
+    "Simulator": "scheduler",
+    "NULL_SPAN": "trace",
+    "Span": "trace",
+    "TraceRecord": "trace",
+    "Tracer": "trace",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -1,28 +1,22 @@
 """Measurement: counters, gauges, time series, latency, summary stats."""
 
-from .counters import Counter, CounterSet, Gauge
-from .recorder import LatencyRecorder
-from .registry import MetricsRegistry
-from .series import TimeSeries, periodic_sampler
-from .stats import (
-    Summary,
-    confidence_halfwidth,
-    jains_fairness,
-    ratio,
-    summarize,
-)
+from ..kernel.lazy import lazy_exports
 
-__all__ = [
-    "Counter",
-    "CounterSet",
-    "Gauge",
-    "LatencyRecorder",
-    "MetricsRegistry",
-    "Summary",
-    "TimeSeries",
-    "confidence_halfwidth",
-    "jains_fairness",
-    "periodic_sampler",
-    "ratio",
-    "summarize",
-]
+#: Public name -> the submodule defining it, imported on first use.
+_EXPORTS = {
+    "Counter": "counters",
+    "CounterSet": "counters",
+    "Gauge": "counters",
+    "LatencyRecorder": "recorder",
+    "MetricsRegistry": "registry",
+    "TimeSeries": "series",
+    "periodic_sampler": "series",
+    "Summary": "stats",
+    "confidence_halfwidth": "stats",
+    "jains_fairness": "stats",
+    "ratio": "stats",
+    "summarize": "stats",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

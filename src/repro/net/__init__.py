@@ -6,33 +6,30 @@ physical layer (:mod:`repro.phys`) and the wired links of the traditional
 network the Aroma project connects to.
 """
 
-from .addresses import BROADCAST, AddressAllocator, is_broadcast, validate_address
-from .bridge import Bridge
-from .frames import HEADER_BYTES, MTU_BYTES, Frame
-from .link import WiredLink, WiredPort
-from .multicast import MULTICAST_PORT, GroupDatagram, MulticastService
-from .queueing import DropTailQueue, TokenBucket
-from .stack import NetworkStack
-from .transport import Ack, ReliableEndpoint, Segment
+from ..kernel.lazy import lazy_exports
 
-__all__ = [
-    "Ack",
-    "AddressAllocator",
-    "BROADCAST",
-    "Bridge",
-    "DropTailQueue",
-    "Frame",
-    "GroupDatagram",
-    "HEADER_BYTES",
-    "MTU_BYTES",
-    "MULTICAST_PORT",
-    "MulticastService",
-    "NetworkStack",
-    "ReliableEndpoint",
-    "Segment",
-    "TokenBucket",
-    "WiredLink",
-    "WiredPort",
-    "is_broadcast",
-    "validate_address",
-]
+#: Public name -> the submodule defining it, imported on first use.
+_EXPORTS = {
+    "AddressAllocator": "addresses",
+    "BROADCAST": "addresses",
+    "is_broadcast": "addresses",
+    "validate_address": "addresses",
+    "Bridge": "bridge",
+    "Frame": "frames",
+    "HEADER_BYTES": "frames",
+    "MTU_BYTES": "frames",
+    "WiredLink": "link",
+    "WiredPort": "link",
+    "GroupDatagram": "multicast",
+    "MULTICAST_PORT": "multicast",
+    "MulticastService": "multicast",
+    "DropTailQueue": "queueing",
+    "TokenBucket": "queueing",
+    "NetworkStack": "stack",
+    "Ack": "transport",
+    "ReliableEndpoint": "transport",
+    "Segment": "transport",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -8,74 +8,42 @@ relation (entities "must be compatible with" one another) in
 :mod:`repro.phys.ergonomics`.
 """
 
-from .devices import (
-    AromaAdapter,
-    Device,
-    DigitalProjector,
-    Laptop,
-    PDA,
-    laptop_form,
-    pda_form,
-    projector_form,
-)
-from .ergonomics import (
-    BASE_CONTROL_MM,
-    BASE_GLYPH_MM,
-    CompatibilityReport,
-    FormFactor,
-    Mismatch,
-    check_compatibility,
-    tether_constraint,
-)
-from .human import (
-    PhysicalProfile,
-    PhysicalUser,
-    SpeechRecognizer,
-    SpeechSignal,
-)
-from .mac import (
-    ACK_S,
-    DIFS_S,
-    PREAMBLE_S,
-    SIFS_S,
-    SLOT_S,
-    CsmaMac,
-    Transmission,
-    WirelessMedium,
-)
-from .nic import WirelessNIC
-from .power import DEFAULT_DRAW_W, Battery, EnergyMeter
+from ..kernel.lazy import lazy_exports
 
-__all__ = [
-    "ACK_S",
-    "AromaAdapter",
-    "BASE_CONTROL_MM",
-    "BASE_GLYPH_MM",
-    "Battery",
-    "CompatibilityReport",
-    "CsmaMac",
-    "DEFAULT_DRAW_W",
-    "DIFS_S",
-    "Device",
-    "DigitalProjector",
-    "EnergyMeter",
-    "FormFactor",
-    "Laptop",
-    "Mismatch",
-    "PDA",
-    "PREAMBLE_S",
-    "PhysicalProfile",
-    "PhysicalUser",
-    "SIFS_S",
-    "SLOT_S",
-    "SpeechRecognizer",
-    "SpeechSignal",
-    "Transmission",
-    "WirelessMedium",
-    "WirelessNIC",
-    "check_compatibility",
-    "laptop_form",
-    "pda_form",
-    "projector_form",
-    "tether_constraint",
-]
+#: Public name -> the submodule defining it, imported on first use.
+_EXPORTS = {
+    "AromaAdapter": "devices",
+    "Device": "devices",
+    "DigitalProjector": "devices",
+    "Laptop": "devices",
+    "PDA": "devices",
+    "laptop_form": "devices",
+    "pda_form": "devices",
+    "projector_form": "devices",
+    "BASE_CONTROL_MM": "ergonomics",
+    "BASE_GLYPH_MM": "ergonomics",
+    "CompatibilityReport": "ergonomics",
+    "FormFactor": "ergonomics",
+    "Mismatch": "ergonomics",
+    "check_compatibility": "ergonomics",
+    "tether_constraint": "ergonomics",
+    "PhysicalProfile": "human",
+    "PhysicalUser": "human",
+    "SpeechRecognizer": "human",
+    "SpeechSignal": "human",
+    "ACK_S": "mac",
+    "CsmaMac": "mac",
+    "DIFS_S": "mac",
+    "PREAMBLE_S": "mac",
+    "SIFS_S": "mac",
+    "SLOT_S": "mac",
+    "Transmission": "mac",
+    "WirelessMedium": "mac",
+    "WirelessNIC": "nic",
+    "Battery": "power",
+    "DEFAULT_DRAW_W": "power",
+    "EnergyMeter": "power",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -6,55 +6,37 @@ The layer's defining relation — faculties *must not be frustrated by* the
 platform — is the :func:`repro.resource.matching.match` engine.
 """
 
-from .execution import ExecutionEngine, Task
-from .faculties import (
-    TRAINABLE,
-    FacultyProfile,
-    casual_user,
-    international_visitor,
-    researcher,
-    train,
-)
-from .matching import Frustration, FrustrationReport, match, population_usability
-from .platform import (
-    ExecutionSpec,
-    MemorySpec,
-    NetSpec,
-    PlatformProfile,
-    StorageSpec,
-    UISpec,
-    adapter_platform,
-    laptop_platform,
-    pda_platform,
-    soc_platform,
-)
-from .storage import OrganizationDenied, StorageFull, StorageVolume, StoredObject
+from ..kernel.lazy import lazy_exports
 
-__all__ = [
-    "ExecutionEngine",
-    "ExecutionSpec",
-    "FacultyProfile",
-    "Frustration",
-    "FrustrationReport",
-    "MemorySpec",
-    "NetSpec",
-    "OrganizationDenied",
-    "PlatformProfile",
-    "StorageFull",
-    "StorageSpec",
-    "StorageVolume",
-    "StoredObject",
-    "TRAINABLE",
-    "Task",
-    "UISpec",
-    "adapter_platform",
-    "casual_user",
-    "international_visitor",
-    "laptop_platform",
-    "match",
-    "pda_platform",
-    "population_usability",
-    "researcher",
-    "soc_platform",
-    "train",
-]
+#: Public name -> the submodule defining it, imported on first use.
+_EXPORTS = {
+    "ExecutionEngine": "execution",
+    "Task": "execution",
+    "FacultyProfile": "faculties",
+    "TRAINABLE": "faculties",
+    "casual_user": "faculties",
+    "international_visitor": "faculties",
+    "researcher": "faculties",
+    "train": "faculties",
+    "Frustration": "matching",
+    "FrustrationReport": "matching",
+    "match": "matching",
+    "population_usability": "matching",
+    "ExecutionSpec": "platform",
+    "MemorySpec": "platform",
+    "NetSpec": "platform",
+    "PlatformProfile": "platform",
+    "StorageSpec": "platform",
+    "UISpec": "platform",
+    "adapter_platform": "platform",
+    "laptop_platform": "platform",
+    "pda_platform": "platform",
+    "soc_platform": "platform",
+    "OrganizationDenied": "storage",
+    "StorageFull": "storage",
+    "StorageVolume": "storage",
+    "StoredObject": "storage",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -5,58 +5,42 @@ Smart Projector host and client, content workloads, and the automated
 diagnostics the paper lists as required future work.
 """
 
-from .auth import AuthResult, VoiceprintAuthenticator
-from .base import RpcCall, RpcClient, RpcResult, RpcService
-from .content import (
-    Animation,
-    ContentGenerator,
-    MixedContent,
-    SlideShow,
-    TypingContent,
-)
-from .errorsvc import DiagnosticsAgent, Fault, FaultInjector, human_repair_model
-from .framebuffer import BYTES_PER_PIXEL, Framebuffer, TileUpdate
-from .projector import (
-    CONTROL_PORT,
-    CONTROL_TYPE,
-    PROJECTION_PORT,
-    PROJECTION_TYPE,
-    SmartProjector,
-    SmartProjectorClient,
-)
-from .sessions import Session, SessionManager
-from .vnc import VNC_PORT, UpdateReply, UpdateRequest, VNCServer, VNCViewer
+from ..kernel.lazy import lazy_exports
 
-__all__ = [
-    "Animation",
-    "AuthResult",
-    "VoiceprintAuthenticator",
-    "BYTES_PER_PIXEL",
-    "CONTROL_PORT",
-    "CONTROL_TYPE",
-    "ContentGenerator",
-    "DiagnosticsAgent",
-    "Fault",
-    "FaultInjector",
-    "Framebuffer",
-    "MixedContent",
-    "PROJECTION_PORT",
-    "PROJECTION_TYPE",
-    "RpcCall",
-    "RpcClient",
-    "RpcResult",
-    "RpcService",
-    "Session",
-    "SessionManager",
-    "SlideShow",
-    "SmartProjector",
-    "SmartProjectorClient",
-    "TileUpdate",
-    "TypingContent",
-    "UpdateReply",
-    "UpdateRequest",
-    "VNC_PORT",
-    "VNCServer",
-    "VNCViewer",
-    "human_repair_model",
-]
+#: Public name -> the submodule defining it, imported on first use.
+_EXPORTS = {
+    "AuthResult": "auth",
+    "VoiceprintAuthenticator": "auth",
+    "RpcCall": "base",
+    "RpcClient": "base",
+    "RpcResult": "base",
+    "RpcService": "base",
+    "Animation": "content",
+    "ContentGenerator": "content",
+    "MixedContent": "content",
+    "SlideShow": "content",
+    "TypingContent": "content",
+    "DiagnosticsAgent": "errorsvc",
+    "Fault": "errorsvc",
+    "FaultInjector": "errorsvc",
+    "human_repair_model": "errorsvc",
+    "BYTES_PER_PIXEL": "framebuffer",
+    "Framebuffer": "framebuffer",
+    "TileUpdate": "framebuffer",
+    "CONTROL_PORT": "projector",
+    "CONTROL_TYPE": "projector",
+    "PROJECTION_PORT": "projector",
+    "PROJECTION_TYPE": "projector",
+    "SmartProjector": "projector",
+    "SmartProjectorClient": "projector",
+    "Session": "sessions",
+    "SessionManager": "sessions",
+    "UpdateReply": "vnc",
+    "UpdateRequest": "vnc",
+    "VNCServer": "vnc",
+    "VNCViewer": "vnc",
+    "VNC_PORT": "vnc",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

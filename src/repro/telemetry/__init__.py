@@ -14,35 +14,24 @@ boundary, :mod:`repro.telemetry.summary` combines such summaries, and
 paper's classification story calls for.
 """
 
-from .columnar import (
-    ColumnarWriter,
-    open_writer,
-    read_columnar,
-    read_telemetry,
-    write_run,
-)
-from .jsonl import (
-    JsonlWriter,
-    read_jsonl,
-    span_ancestry_categories,
-    span_lines,
-)
-from .report import layer_report, layer_report_data
-from .streaming import StreamingAggregator
-from .summary import aggregate_telemetry
+from ..kernel.lazy import lazy_exports
 
-__all__ = [
-    "ColumnarWriter",
-    "JsonlWriter",
-    "StreamingAggregator",
-    "aggregate_telemetry",
-    "layer_report",
-    "layer_report_data",
-    "open_writer",
-    "read_columnar",
-    "read_jsonl",
-    "read_telemetry",
-    "span_ancestry_categories",
-    "span_lines",
-    "write_run",
-]
+#: Public name -> the submodule defining it, imported on first use.
+_EXPORTS = {
+    "ColumnarWriter": "columnar",
+    "open_writer": "columnar",
+    "read_columnar": "columnar",
+    "read_telemetry": "columnar",
+    "write_run": "columnar",
+    "JsonlWriter": "jsonl",
+    "read_jsonl": "jsonl",
+    "span_ancestry_categories": "jsonl",
+    "span_lines": "jsonl",
+    "layer_report": "report",
+    "layer_report_data": "report",
+    "StreamingAggregator": "streaming",
+    "aggregate_telemetry": "summary",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

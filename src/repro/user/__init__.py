@@ -5,50 +5,34 @@ every layer; this package provides the user-side artifacts the device-side
 packages are checked against.
 """
 
-from .behavior import AttemptResult, Procedure, Step, UserAgent
-from .goals import (
-    DesignPurpose,
-    Goal,
-    HarmonyReport,
-    adoption_probability,
-    commercial_product_purpose,
-    harmony,
-    presentation_goal,
-    research_goal,
-    research_prototype_purpose,
-)
-from .mental import (
-    MentalModel,
-    Surprise,
-    completion_probability,
-    concept_capacity,
-    step_success_probability,
-)
-from .physiology import sample_bodies, sample_physical_profile
-from .population import casual_population, lab_population, public_population
+from ..kernel.lazy import lazy_exports
 
-__all__ = [
-    "AttemptResult",
-    "DesignPurpose",
-    "Goal",
-    "HarmonyReport",
-    "MentalModel",
-    "Procedure",
-    "Step",
-    "Surprise",
-    "UserAgent",
-    "adoption_probability",
-    "casual_population",
-    "commercial_product_purpose",
-    "completion_probability",
-    "concept_capacity",
-    "harmony",
-    "lab_population",
-    "presentation_goal",
-    "public_population",
-    "research_goal",
-    "research_prototype_purpose",
-    "sample_bodies",
-    "sample_physical_profile",
-    "step_success_probability",
-]
+#: Public name -> the submodule defining it, imported on first use.
+_EXPORTS = {
+    "AttemptResult": "behavior",
+    "Procedure": "behavior",
+    "Step": "behavior",
+    "UserAgent": "behavior",
+    "DesignPurpose": "goals",
+    "Goal": "goals",
+    "HarmonyReport": "goals",
+    "adoption_probability": "goals",
+    "commercial_product_purpose": "goals",
+    "harmony": "goals",
+    "presentation_goal": "goals",
+    "research_goal": "goals",
+    "research_prototype_purpose": "goals",
+    "MentalModel": "mental",
+    "Surprise": "mental",
+    "completion_probability": "mental",
+    "concept_capacity": "mental",
+    "step_success_probability": "mental",
+    "sample_bodies": "physiology",
+    "sample_physical_profile": "physiology",
+    "casual_population": "population",
+    "lab_population": "population",
+    "public_population": "population",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

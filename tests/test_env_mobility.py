@@ -109,3 +109,23 @@ def test_bad_update_interval(sim, world):
     world.place("w", (0, 0))
     with pytest.raises(ConfigurationError):
         StaticMobility(sim, world, "w", update_interval=0.0)
+
+
+@pytest.mark.parametrize("model, kwargs", [
+    (LinearMobility, {"speed": float("nan")}),
+    (LinearMobility, {"speed": float("inf")}),
+    (LinearMobility, {"update_interval": float("nan")}),
+    (RandomWaypoint, {"update_interval": float("nan")}),
+    (RandomWaypoint, {"speed_min": float("nan")}),
+    (RandomWaypoint, {"speed_max": float("nan")}),
+    (RandomWaypoint, {"speed_max": float("inf")}),
+    (RandomWaypoint, {"pause": float("nan")}),
+    (RandomWaypoint, {"pause": float("inf")}),
+])
+def test_non_finite_parameters_rejected(sim, world, model, kwargs):
+    """NaN passed the old ``<= 0`` and ``< 0`` tests."""
+    world.place("w", (0, 0))
+    if model is LinearMobility:
+        kwargs = dict(kwargs, target=(1, 1))
+    with pytest.raises(ConfigurationError):
+        model(sim, world, "w", **kwargs)

@@ -45,9 +45,31 @@ def test_invalid_extent_rejected():
         World(10, -1)
 
 
+@pytest.mark.parametrize("extent", [(float("nan"), 5), (5, float("nan")),
+                                    (float("inf"), 5), (5, float("inf"))])
+def test_non_finite_extent_rejected(extent):
+    with pytest.raises(ConfigurationError):
+        World(*extent)
+
+
 def test_bad_position_shape_rejected(world):
     with pytest.raises(ConfigurationError):
         world.place("a", (1, 2, 3))
+
+
+@pytest.mark.parametrize("xy", [(float("nan"), 5), (5, float("nan")),
+                                (float("inf"), 5), (5, -float("inf"))])
+def test_non_finite_position_rejected(world, xy):
+    """A NaN coordinate once passed the clip, and every distance to it
+    read as the 0.1 m floor: the station heard every broadcast."""
+    world.place("b", (10, 10))
+    epoch = world.epoch
+    with pytest.raises(ConfigurationError):
+        world.place("a", xy)
+    with pytest.raises(ConfigurationError):
+        world.move("b", xy)
+    assert "a" not in world and world.epoch == epoch
+    assert np.array_equal(world.position_of("b"), [10, 10])
 
 
 def test_distance_between_placements(world):

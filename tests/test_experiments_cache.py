@@ -220,12 +220,17 @@ def test_miss_on_absent_key(tmp_path):
     '{"schema": 999, "row": {}}',         # version skew
     '{"schema": %d, "row": [1, 2]}' % CACHE_SCHEMA_VERSION,  # wrong shape
     '[1, 2, 3]',                          # not an object
+    b'{"schema": \xff\xfe',                # not UTF-8
 ])
 def test_corrupted_entries_are_misses_never_crashes(tmp_path, corruption):
     cache = RunCache(tmp_path)
     key = cache_key("X", "m:f", {"k": 1}, 0, src_digest="s")
     assert cache.put(key, {"v": 1})
-    cache._entry_path(key).write_text(corruption)
+    path = cache._entry_path(key)
+    if isinstance(corruption, bytes):
+        path.write_bytes(corruption)
+    else:
+        path.write_text(corruption)
     assert cache.get(key) is None
     stats = cache.stats.snapshot()
     assert stats["corrupt"] == 1 and stats["misses"] == 1

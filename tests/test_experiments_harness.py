@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-import repro.experiments  # noqa: F401 - registers everything
 from repro.experiments.harness import (
     ExperimentResult,
     experiment,
