@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro.core.figures import figure1, figure2, figure3, figure4, figure5
-from repro.core.layers import Layer, RELATIONS
+from repro.core.layers import RELATIONS, Layer
 from repro.experiments import run_experiment
 
 

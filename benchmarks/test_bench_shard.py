@@ -16,8 +16,13 @@ import os
 import time
 from typing import Any, Dict
 
-from repro.experiments.cellgrid import (cell_layout, cell_room, cell_rooms,
-                                        deliveries_by_room, e11_sharded_cells)
+from repro.experiments.cellgrid import (
+    cell_layout,
+    cell_room,
+    cell_rooms,
+    deliveries_by_room,
+    e11_sharded_cells,
+)
 from repro.experiments.harness import ExperimentResult
 from repro.telemetry.summary import merge_summaries
 

@@ -5,8 +5,9 @@ deterministic synthetic workload through both writers and records
 bytes-on-disk and writer-only wall time alongside the paper tables in
 ``results.txt``.  It also holds the streaming fold to the stored-trace
 fold: a run folded live in ``stream`` mode must summarise byte-identically
-to the same run stored and replayed, while storing nothing and peaking at
-a fraction of the stored run's memory.
+to the same run stored and folded afterwards by the tests' oracle
+(``tests/fold_oracle.py``), while storing nothing and peaking at a
+fraction of the stored run's memory.
 
 Every floor is a ratio taken within one run, so it holds at any event
 count; 200k events keeps the bench CI-sized.
@@ -20,6 +21,8 @@ import tempfile
 import time
 import tracemalloc
 from typing import Any, Callable, Dict
+
+from tests.fold_oracle import ReplayedAggregator
 
 from repro.experiments.harness import ExperimentResult
 from repro.kernel.scheduler import Simulator
@@ -157,7 +160,7 @@ def bench_telemetry() -> Dict[str, Any]:
 
     stored_sim, _ = _chain(SUMMARY_EVENTS, "store", False)
     stream_sim, aggregator = _chain(SUMMARY_EVENTS, "stream", True)
-    replayed = StreamingAggregator(
+    replayed = ReplayedAggregator(
         user_sources=("bench-user",)).replay(stored_sim).summary()
 
     stored_peak = _peak_memory(lambda: _chain(MEMORY_EVENTS, "store", False))

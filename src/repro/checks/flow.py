@@ -24,7 +24,7 @@ from .callgraph import (
     build_graph,
     reachable_from,
 )
-from .findings import Finding, RULES
+from .findings import RULES, Finding
 
 
 def _finding(code: str, path: str, line: int, message: str) -> Finding:

@@ -8,8 +8,8 @@ Subcommands:
 * ``demo [--seed S] [--horizon T]`` — run the instrumented Smart Projector
   scenario and print the layered LPC report plus paper coverage.
 * ``report --lpc`` — run the scripted-week scenario and print the
-  per-LPC-layer telemetry report (issue grid plus metrics), folded from
-  the trace the scenario stores.  ``--format json`` emits the same grid
+  per-LPC-layer telemetry report (issue grid plus metrics), folded live
+  while the scenario runs.  ``--format json`` emits the same grid
   machine-readably.
 * ``cache`` — inspect (``stats``) or empty (``clear``) the
   content-addressed run cache behind incremental sweeps; honours
@@ -22,7 +22,9 @@ Subcommands:
 ``run`` and ``demo`` accept ``--trace CATEGORY_PREFIX`` and
 ``--trace-out FILE``: trace records (and completed spans) stream to the
 file while the command runs — a packed struct-of-arrays when ``FILE``
-ends in ``.npz``, one JSON object per line otherwise.
+ends in ``.npz``, one JSON object per line otherwise.  ``demo`` and
+``report --lpc`` reject a ``--horizon`` that is not a finite number
+above 0 before they build anything.
 
 Each handler imports the modules its subcommand runs, so ``check``
 loads no simulator and ``run`` no static pass.
@@ -33,6 +35,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import inspect
+import math
 import pathlib
 import sys
 from typing import Iterator, List, Optional
@@ -171,7 +174,19 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+def _bad_horizon(horizon: float) -> bool:
+    """Print a one-line error and return True unless ``horizon`` is a
+    finite number above 0."""
+    if math.isfinite(horizon) and horizon > 0:
+        return False
+    print(f"error: --horizon must be a finite number > 0, got {horizon:g}",
+          file=sys.stderr)
+    return True
+
+
 def _cmd_demo(args: argparse.Namespace) -> int:
+    if _bad_horizon(args.horizon):
+        return 2
     from .core.analysis import compare_with_paper
     from .experiments.e9_analysis import _scripted_week
 
@@ -276,6 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     if args.lpc:
+        if _bad_horizon(args.horizon):
+            return 2
         import json
 
         from .experiments.e9_analysis import _scripted_week
@@ -284,11 +301,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
         title = (f"LPC run report — scripted week (seed={args.seed}, "
                  f"horizon={args.horizon:g}s)")
-        room, _model, _instrument = _scripted_week(seed=args.seed,
-                                                   horizon=args.horizon)
         aggregator = StreamingAggregator(
-            user_sources={"presenter", "casual-1", "visitor-1"},
-        ).replay(room.sim)
+            user_sources={"presenter", "casual-1", "visitor-1"})
+        _scripted_week(seed=args.seed, horizon=args.horizon,
+                       aggregator=aggregator)
         if args.fmt == "json":
             data = layer_report_data(aggregator, title=title)
             print(json.dumps(data, sort_keys=True, indent=2))

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-from .layers import Layer, RELATIONS
+from .layers import RELATIONS, Layer
 from .model import LPCModel
 
 #: Generic review questions per layer, distilled from the paper's text.

@@ -30,7 +30,7 @@ from ..resource.matching import match
 from ..resource.platform import PlatformProfile
 from ..user.goals import DesignPurpose, Goal, harmony
 from ..user.mental import MentalModel
-from .layers import Layer, RELATIONS
+from .layers import RELATIONS, Layer
 
 
 @dataclass

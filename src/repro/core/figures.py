@@ -15,11 +15,11 @@ from .layers import (
     ABSTRACT_DEVICE_PARTS,
     ABSTRACT_USER_PARTS,
     DEVICE_SIDE,
-    Layer,
     RELATIONS,
     RESOURCE_BOXES,
     USER_SIDE,
     USER_TIMESCALES,
+    Layer,
     layers_top_down,
 )
 

@@ -17,11 +17,11 @@ from .concerns import Concern, ConcernClassifier
 from .constraints import ConstraintResult
 from .entities import ModelEntity, smart_projector_entities
 from .layers import (
-    Column,
     DEVICE_SIDE,
-    Layer,
     RELATIONS,
     USER_SIDE,
+    Column,
+    Layer,
     layers_top_down,
 )
 

@@ -30,7 +30,7 @@ Design points (documented in ``docs/performance.md``):
 
 from __future__ import annotations
 
-from typing import Dict, List, TYPE_CHECKING, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 import numpy as np
 

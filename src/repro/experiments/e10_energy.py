@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from ..phys.devices import Device
-from ..phys.power import Battery, DEFAULT_DRAW_W
+from ..phys.power import DEFAULT_DRAW_W, Battery
 from .harness import ExperimentResult, experiment
 from .workloads import projector_room
 

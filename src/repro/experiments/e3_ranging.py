@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from ..env.mobility import RandomWaypoint
-from ..env.radio import RATES, RATE_BY_NAME, PropagationModel
+from ..env.radio import RATE_BY_NAME, RATES, PropagationModel
 from .harness import ExperimentResult, experiment
 from .workloads import projector_room
 

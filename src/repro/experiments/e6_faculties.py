@@ -19,7 +19,6 @@ Two tables:
 
 from __future__ import annotations
 
-
 import numpy as np
 
 from ..kernel.scheduler import Simulator

@@ -16,15 +16,17 @@ user column removed, most of the inventory becomes invisible.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING, Optional
 
 from ..core.analysis import compare_with_paper
 from ..core.instrument import LPCInstrument
 from ..core.model import smart_projector_model
-from ..env.noise import AcousticField, NoiseSource, TYPICAL_LEVELS_DB
+from ..env.noise import TYPICAL_LEVELS_DB, AcousticField, NoiseSource
 from ..kernel.errors import SessionError
+from ..kernel.trace import default_hooks_installed
+from ..phys.devices import laptop_form
 from ..phys.ergonomics import tether_constraint
 from ..phys.human import PhysicalUser, SpeechRecognizer
-from ..phys.devices import laptop_form
 from ..resource.faculties import casual_user, international_visitor
 from ..resource.matching import match
 from ..services.content import Animation
@@ -40,17 +42,32 @@ from ..user.physiology import sample_physical_profile
 from .harness import ExperimentResult, experiment
 from .workloads import presentation_workflow, projector_room
 
+if TYPE_CHECKING:
+    from ..telemetry.streaming import StreamingAggregator
+
 #: frustration topic -> issue topic used when re-emitting match() findings.
 _FRUSTRATION_TOPICS = {"language": "language", "ui": "faculty",
                        "admin": "admin", "storage": "storage",
                        "execution": "execution"}
 
 
-def _scripted_week(seed: int = 42, horizon: float = 240.0):
-    """Build and run the incident script; returns (room, model, instrument)."""
-    room = projector_room(seed=seed, trace=True, session_lease_s=20.0,
-                          registration_lease_s=30.0)
+def _scripted_week(seed: int = 42, horizon: float = 240.0,
+                   aggregator: Optional[StreamingAggregator] = None):
+    """Build and run the incident script; returns (room, model, instrument).
+
+    The week runs untraced: the instrument reads only ``issue.*``
+    records, which the simulator records with tracing off.  Tracing
+    turns on, in ``stream`` mode, only for a listener: ``aggregator``,
+    attached as soon as the room is built, or the process-default hooks
+    of a trace export (``--trace``/``--trace-out``).
+    """
+    listening = aggregator is not None or default_hooks_installed()
+    room = projector_room(seed=seed, trace=listening,
+                          trace_mode="stream" if listening else "store",
+                          session_lease_s=20.0, registration_lease_s=30.0)
     sim = room.sim
+    if aggregator is not None:
+        aggregator.attach(sim)
     model = smart_projector_model()
     instrument = LPCInstrument(sim, model,
                                user_sources={"presenter", "casual-1",

@@ -8,7 +8,7 @@ figure alongside every table.
 from __future__ import annotations
 
 from ..core.figures import ALL_FIGURES
-from ..core.layers import Layer, RELATIONS
+from ..core.layers import RELATIONS, Layer
 from .harness import ExperimentResult, experiment
 
 

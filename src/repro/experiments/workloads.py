@@ -67,8 +67,9 @@ def projector_room(seed: int = 0, *, trace: bool = True,
     as it discovers the lookup service (a few hundred milliseconds in).
     ``culling=False`` makes the medium scan every station exhaustively —
     outcome-identical, used to validate the spatial-grid fast path.
-    ``trace_mode`` passes straight through to :class:`Simulator` so the
-    dispatch-matrix oracle can run the same room under every trace mode.
+    ``trace_mode`` passes straight through to :class:`Simulator`: E9's
+    scripted week streams when someone listens, and the dispatch-matrix
+    oracle runs the same room under every trace mode.
     """
     # Imported here so that a run needing only the broadcast room below
     # loads no discovery, service or appliance module.

@@ -29,8 +29,7 @@ payloads alike are kept as a shared key tuple and a tuple of values.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
-                    Tuple)
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .errors import ConfigurationError
 
@@ -181,6 +180,12 @@ def add_default_span_hook(callback: Callable[[Span], None],
     return remove
 
 
+def default_hooks_installed() -> bool:
+    """True while a process-default subscriber or span hook is installed,
+    so a Tracer built now would feed someone."""
+    return bool(_DEFAULT_SUBSCRIBERS or _DEFAULT_SPAN_HOOKS)
+
+
 class Tracer:
     """Collects trace records and spans; dispatches to live subscribers.
 
@@ -191,11 +196,13 @@ class Tracer:
     tuple of the values.  A span's id is not stored: it is the row index
     plus a base.  :attr:`records`, :attr:`spans`, :meth:`select`,
     :meth:`issues` and :meth:`open_spans` build the objects when read —
-    read them once, not inside a loop; :meth:`span_intervals` builds
-    none.  An object read back carries a fresh payload dict in the
-    stored key order; changing it, or the dict given to :meth:`append`
-    or :meth:`begin_span`, changes nothing stored.  ``len(tracer)``,
-    :attr:`span_count` and :attr:`open_span_count` are O(1).  Each
+    read them once, not inside a loop.  An object read back carries a
+    fresh payload dict in the stored key order; changing it, or the dict
+    given to :meth:`append` or :meth:`begin_span`, changes nothing
+    stored.  ``len(tracer)``, :attr:`span_count` and
+    :attr:`open_span_count` count what is stored; :attr:`records_appended`
+    and :attr:`spans_begun` count everything since the tracer was built,
+    in either mode and across :meth:`clear`.  All five are O(1).  Each
     category's subscribers are resolved once and cached until the next
     subscribe or unsubscribe; a record object is built only for a
     category someone subscribed to.
@@ -233,12 +240,12 @@ class Tracer:
         self._span_base = 1
         self._next_span_id = 1
         self._open = 0
+        self._appended = 0
         self._subscribers: List[tuple] = list(_DEFAULT_SUBSCRIBERS)
         #: category -> the callbacks whose prefix covers it.
         self._routes: Dict[str, Tuple[Callable[[TraceRecord], None], ...]] = {}
         self._span_hooks: List[Callable[[Span], None]] = \
             list(_DEFAULT_SPAN_HOOKS)
-        self._span_begin_hooks: List[Callable[[Span], None]] = []
 
     def _put_payload(self, keys: List[Tuple[str, ...]], values: List[tuple],
                      data: Dict[str, Any]) -> None:
@@ -263,6 +270,7 @@ class Tracer:
         first, and ``Simulator.issue`` records issues regardless, without
         turning tracing on for the subscribers they reach.
         """
+        self._appended += 1
         if self._retain:
             self._times.append(time)
             self._categories.append(category)
@@ -330,9 +338,9 @@ class Tracer:
         """Open a new span starting at ``time`` under ``parent_id``.
 
         The returned handle carries ``data`` itself; the store keeps its
-        keys and values.  In ``stream`` mode the span is handed to begin
-        hooks but not retained; causal links still work because the
-        caller holds the span object until :meth:`end_span`.
+        keys and values.  In ``stream`` mode the span is not retained;
+        causal links still work because the caller holds the span object
+        until :meth:`end_span`.
         """
         span_id = self._next_span_id
         self._next_span_id = span_id + 1
@@ -347,8 +355,6 @@ class Tracer:
             self._span_statuses.append("open")
             self._put_payload(self._span_keys, self._span_values, data)
             self._open += 1
-        for hook in self._span_begin_hooks:
-            hook(span)
         return span
 
     def end_span(self, span: Span, time: float, status: str = "ok") -> None:
@@ -382,19 +388,6 @@ class Tracer:
 
         return remove
 
-    def add_span_begin_hook(self, callback: Callable[[Span], None],
-                            ) -> Callable[[], None]:
-        """Call ``callback(span)`` whenever a span begins; returns a remover."""
-        self._span_begin_hooks.append(callback)
-
-        def remove() -> None:
-            try:
-                self._span_begin_hooks.remove(callback)
-            except ValueError:
-                pass
-
-        return remove
-
     @property
     def spans(self) -> List[Span]:
         """The stored spans in begin order, built afresh on every read."""
@@ -408,15 +401,20 @@ class Tracer:
             span._tracer = self
         return spans
 
-    def span_intervals(self) -> Iterator[Tuple[str, float, Optional[float]]]:
-        """Each stored span's category, start and end (None while open),
-        in begin order, without building a :class:`Span`."""
-        return zip(self._span_categories, self._span_starts, self._span_ends)
-
     @property
     def span_count(self) -> int:
         """Number of stored spans."""
         return len(self._span_parents)
+
+    @property
+    def records_appended(self) -> int:
+        """Records appended since the tracer was built, stored or not."""
+        return self._appended
+
+    @property
+    def spans_begun(self) -> int:
+        """Spans begun since the tracer was built, stored or not."""
+        return self._next_span_id - 1
 
     @property
     def open_span_count(self) -> int:

@@ -25,8 +25,7 @@ import math
 from collections import deque
 from math import log10 as _math_log10
 from types import MappingProxyType
-from typing import (Callable, Dict, FrozenSet, Iterator, List, Mapping,
-                    Optional, Sequence, Tuple)
+from typing import Callable, Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 

@@ -15,7 +15,6 @@ Plus :class:`TypingContent` (small frequent updates) and
 
 from __future__ import annotations
 
-
 from ..kernel.errors import ConfigurationError
 from ..kernel.scheduler import Simulator
 from .framebuffer import Framebuffer

@@ -7,9 +7,8 @@ snapshots to disk in a stable line format,
 dictionary-encoded struct-of-arrays ``.npz`` for million-event runs and
 picks either format by file suffix (:func:`write_run`,
 :func:`read_telemetry`), :mod:`repro.telemetry.streaming` folds a run's
-trace — live or replayed from storage — into bounded-memory aggregates
-and the small picklable summary parallel sweeps ship across the fork
-boundary, :mod:`repro.telemetry.summary` combines such summaries, and
+trace as it happens into bounded-memory aggregates and the small
+picklable summary parallel sweeps ship across the fork boundary, :mod:`repro.telemetry.summary` combines such summaries, and
 :mod:`repro.telemetry.report` renders the per-LPC-layer run report the
 paper's classification story calls for.
 """

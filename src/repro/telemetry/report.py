@@ -3,14 +3,11 @@
 The paper positions the LPC model as a tool for "properly classifying
 issues raised during discussion"; :func:`layer_report` does exactly that
 for a run: every ``issue.*`` record, classified by the
-:class:`~repro.telemetry.streaming.StreamingAggregator` that folded the
+:class:`~repro.telemetry.streaming.StreamingAggregator` attached to the
 run, is tallied into the five-layer, two-column grid of Figure 1,
 followed by the health signals the metrics registry collected.  The
-aggregator may have watched the run live (:meth:`~repro.telemetry
-.streaming.StreamingAggregator.attach`, the only option when the tracer
-ran in ``stream`` mode and stored nothing) or replayed its stored trace
-afterwards (:meth:`~repro.telemetry.streaming.StreamingAggregator
-.replay`); the report is the same.
+aggregator folds as the run goes, so the report is the same whether the
+tracer stored the run or, in ``stream`` mode, stored nothing.
 
 Output is deterministic: same seed, same report, byte for byte — counts
 come from the trace, ordering from the model's own layer enumeration and

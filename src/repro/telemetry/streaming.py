@@ -1,4 +1,4 @@
-"""The one fold of a run's telemetry, live or from a stored trace.
+"""The one fold of a run's telemetry, taken live.
 
 :class:`StreamingAggregator` reduces a run's trace to fixed-size state:
 LPC issue counts per layer/column (via
@@ -6,31 +6,26 @@ LPC issue counts per layer/column (via
 and per-category span-duration histograms over fixed log-spaced
 buckets.  Memory is O(layers + categories), never O(events).
 
-It has two entries into the same fold:
+:meth:`StreamingAggregator.attach` subscribes to a simulator's tracer
+before the run and folds each issue and each ended span *as it
+happens*; the record and span totals are the tracer's own counts,
+taken at attach and at read-out.  It works in either tracer mode, and
+in ``stream`` mode, which stores nothing, it is the only record of the
+run: sweeps use it so only the folded aggregate crosses the fork pipe,
+and ``repro.cli report --lpc`` attaches one to the scripted week.
 
-* :meth:`StreamingAggregator.attach` subscribes to a simulator's tracer
-  and folds every record and span *as it happens* — the only option in
-  the tracer's ``stream`` mode, which stores nothing, and what sweeps
-  use so only the folded aggregate crosses the fork pipe;
-* :meth:`StreamingAggregator.replay` folds a finished run's stored
-  issues and spans after the fact — what ``repro.cli report --lpc``
-  does with the trace the scenario keeps anyway.  A ``stream``-mode run
-  stored nothing, so replaying one raises.
-
-Equivalence contract (tier-1 tested, on generated programs too): on a
-traced run, a replayed aggregator and one attached live give the same
-:meth:`~StreamingAggregator.summary` (key order included), the same
-layer report and the same span histograms.  Past ``max_categories``
-span categories, which ones fold into ``"__other__"`` follows fold
-order — end order live, begin order replayed — so there the histograms
-may differ.
+The tests hold this fold to an oracle that folds the same run's stored
+trace after the fact: the same summary (key order included), the same
+layer report and the same span histograms, on generated programs too.
+Past ``max_categories`` span categories, which ones fold into
+``"__other__"`` follows fold order, so there the histograms may differ.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..core.concerns import ConcernClassifier
 from ..core.layers import Column, Layer
@@ -62,7 +57,8 @@ def _add_exact(partials: List[float], value: float) -> None:
     non-overlapping floats (Shewchuk's algorithm, the one behind
     ``math.fsum``).  ``math.fsum(partials)`` then rounds once, so a
     histogram's sum does not depend on the order its spans were folded
-    in: live folds see spans in end order, replay in begin order."""
+    in: a live fold sees spans in end order, a fold of the stored trace
+    in begin order."""
     i = 0
     for partial in partials:
         if abs(value) < abs(partial):
@@ -85,8 +81,7 @@ class StreamingAggregator:
         max_categories: distinct span categories before new ones fold
             into ``"__other__"``.
 
-    Feed it once, through :meth:`attach` before the run or
-    :meth:`replay` after it; both return the aggregator.
+    Feed it once, through :meth:`attach` before the run.
     """
 
     def __init__(self, user_sources: Iterable[str] = (),
@@ -94,9 +89,7 @@ class StreamingAggregator:
         self._classifier = ConcernClassifier()
         self._users = frozenset(user_sources)
         self._max_categories = max_categories
-        self.records_seen = 0
         self.issues_seen = 0
-        self.spans_begun = 0
         self.spans_ended = 0
         self.unclassified = 0
         self._grid: Dict[Tuple[Layer, Column], int] = {}
@@ -104,58 +97,35 @@ class StreamingAggregator:
         self._issues_by_column: Dict[str, int] = {}
         self._histograms: Dict[str, Dict[str, Any]] = {}
         self._sim: Optional[Simulator] = None
-        self._removers: List[Callable[[], None]] = []
+        #: The tracer's (records appended, spans begun) at attach.
+        self._origin = (0, 0)
 
     # ------------------------------------------------------------------
     # Wiring
     # ------------------------------------------------------------------
     def attach(self, sim: Simulator) -> "StreamingAggregator":
-        """Subscribe to ``sim``'s tracer and remember it for summaries."""
-        self._sim = sim
-        tracer = sim.tracer
-        self._removers.append(tracer.subscribe("", self.on_record))
-        self._removers.append(tracer.add_span_begin_hook(self.on_span_begin))
-        self._removers.append(tracer.add_span_hook(self.on_span_end))
-        return self
+        """Fold ``sim``'s issues and ended spans from now on.
 
-    def replay(self, sim: Simulator) -> "StreamingAggregator":
-        """Fold ``sim``'s stored trace, as :meth:`attach` would have live.
-
-        Totals come from the tracer's O(1) counts; only the stored
-        issues and the ended spans go through the fold, so no record
-        object is built for a record that is not an issue, and no span
-        object at all.  Raises :class:`ConfigurationError` for a tracer
-        in ``stream`` mode, which stored nothing to fold.
+        Subscribes to ``issue`` records and to span ends only, so no
+        record object is built for a record that is not an issue; the
+        record and span totals are the tracer's counts since now.
+        Raises :class:`ConfigurationError` if the aggregator was fed
+        before: a second feed would count every issue and span twice.
         """
-        tracer = sim.tracer
-        if tracer.mode == "stream":
+        if self._sim is not None:
             raise ConfigurationError(
-                "cannot replay a tracer in 'stream' mode: it stores no "
-                "records or spans; attach() the aggregator before the run")
+                "this StreamingAggregator is already fed; build one per "
+                "run")
         self._sim = sim
-        self.records_seen += len(tracer)
-        for record in tracer.issues():
-            self._fold_issue(record)
-        self.spans_begun += tracer.span_count
-        for category, start, end in tracer.span_intervals():
-            if end is not None:
-                self._fold_span(category, start, end)
+        tracer = sim.tracer
+        self._origin = (tracer.records_appended, tracer.spans_begun)
+        tracer.subscribe("issue", self._fold_issue)
+        tracer.add_span_hook(self.on_span_end)
         return self
 
-    def detach(self) -> None:
-        """Undo every subscription this aggregator installed."""
-        for remover in self._removers:
-            remover()
-        self._removers.clear()
-
     # ------------------------------------------------------------------
-    # Fold callbacks (also usable directly as tracer hooks)
+    # Fold callbacks
     # ------------------------------------------------------------------
-    def on_record(self, record: TraceRecord) -> None:
-        self.records_seen += 1
-        if record.matches("issue"):
-            self._fold_issue(record)
-
     def _fold_issue(self, record: TraceRecord) -> None:
         self.issues_seen += 1
         try:
@@ -177,9 +147,6 @@ class StreamingAggregator:
         column_name = "user" if column == Column.USER else "device"
         self._issues_by_column[column_name] = \
             self._issues_by_column.get(column_name, 0) + 1
-
-    def on_span_begin(self, span: Span) -> None:
-        self.spans_begun += 1
 
     def on_span_end(self, span: Span) -> None:
         self._fold_span(span.category, span.start, span.end)
@@ -208,12 +175,29 @@ class StreamingAggregator:
     # ------------------------------------------------------------------
     @property
     def sim(self) -> Simulator:
-        """The attached or replayed simulator (raises if neither)."""
+        """The attached simulator (raises if none)."""
         if self._sim is None:
             raise ValueError(
-                "StreamingAggregator has no simulator — attach() or "
-                "replay() one")
+                "StreamingAggregator has no simulator — attach() one")
         return self._sim
+
+    def _totals(self) -> Tuple[int, int]:
+        """Records appended and spans begun since attach."""
+        if self._sim is None:
+            return 0, 0
+        tracer = self._sim.tracer
+        return (tracer.records_appended - self._origin[0],
+                tracer.spans_begun - self._origin[1])
+
+    @property
+    def records_seen(self) -> int:
+        """Records the tracer took since attach."""
+        return self._totals()[0]
+
+    @property
+    def spans_begun(self) -> int:
+        """Spans begun since attach."""
+        return self._totals()[1]
 
     @property
     def spans_open(self) -> int:

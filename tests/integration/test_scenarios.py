@@ -34,8 +34,8 @@ def test_forgetful_presenter_then_second_user_full_path():
     room.sim.run(until=10.0)
     assert room.smart.projection_sessions.holder == "laptop"
 
-    from repro.phys.devices import Laptop
     from repro.discovery.client import ServiceDiscoveryClient
+    from repro.phys.devices import Laptop
     from repro.services.projector import SmartProjectorClient
 
     second = Laptop(room.sim, room.world, "laptop2", (9, 9), room.medium)

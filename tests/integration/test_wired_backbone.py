@@ -9,7 +9,7 @@ import pytest
 from repro.discovery.client import ServiceDiscoveryClient
 from repro.discovery.protocol import AnnouncingRegistry, RegistryLocator
 from repro.discovery.records import ServiceTemplate
-from repro.discovery.registry import LookupService, REGISTRY_PORT
+from repro.discovery.registry import REGISTRY_PORT, LookupService
 from repro.env.world import World
 from repro.kernel.scheduler import Simulator
 from repro.net.bridge import Bridge

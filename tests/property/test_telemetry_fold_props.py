@@ -1,9 +1,9 @@
-"""Property test for the one telemetry fold, live and replayed.
+"""Property test for the one telemetry fold, live against its oracle.
 
 Random programs of ``trace`` calls, issues and spans run twice: once on
-a ``store`` tracer that keeps everything and is folded after
-the run by :meth:`StreamingAggregator.replay`, once on a ``stream``
-tracer that stores nothing and is folded as it happens by
+a ``store`` tracer that keeps everything and is folded after the run by
+the oracle, :class:`tests.fold_oracle.ReplayedAggregator`, once on a
+``stream`` tracer that stores nothing and is folded as it happens by
 :meth:`StreamingAggregator.attach`.  Both folds must give the same
 summary (byte for byte, key order included), the same layer report in
 both forms, and the same span histograms.
@@ -22,6 +22,7 @@ import json
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from tests.fold_oracle import ReplayedAggregator
 
 from repro.kernel.scheduler import Simulator
 from repro.telemetry.report import layer_report, layer_report_data
@@ -86,7 +87,7 @@ def _execute(sim, steps):
 def _folds(steps):
     stored = Simulator(seed=5)
     _execute(stored, steps)
-    replayed = StreamingAggregator(user_sources=USERS).replay(stored)
+    replayed = ReplayedAggregator(user_sources=USERS).replay(stored)
     streamed = Simulator(seed=5, trace_mode="stream")
     live = StreamingAggregator(user_sources=USERS).attach(streamed)
     _execute(streamed, steps)

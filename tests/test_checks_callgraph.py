@@ -4,10 +4,15 @@ from __future__ import annotations
 
 import ast
 
-from repro.checks import (ModuleSummary, build_graph, reachable_from,
-                          summarize_module)
-from repro.checks.callgraph import (KIND_MUTABLE, KIND_OTHER, KIND_RESOURCE,
-                                    KIND_RNG, entry_modules, module_name)
+from repro.checks import ModuleSummary, build_graph, reachable_from, summarize_module
+from repro.checks.callgraph import (
+    KIND_MUTABLE,
+    KIND_OTHER,
+    KIND_RESOURCE,
+    KIND_RNG,
+    entry_modules,
+    module_name,
+)
 
 
 def _summary(source: str, rel=("services", "mod.py")) -> ModuleSummary:

@@ -7,8 +7,7 @@ import pathlib
 
 import pytest
 
-from repro.checks import (LAYER_MAP, check_layers, extract_imports,
-                          import_graph, run_checks)
+from repro.checks import LAYER_MAP, check_layers, extract_imports, import_graph, run_checks
 
 
 def module(rel: str, source: str):

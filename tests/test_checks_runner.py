@@ -7,8 +7,15 @@ import pathlib
 
 import pytest
 
-from repro.checks import (Suppression, apply_baseline, check_source,
-                          load_baseline, run_checks, runner, write_baseline)
+from repro.checks import (
+    Suppression,
+    apply_baseline,
+    check_source,
+    load_baseline,
+    run_checks,
+    runner,
+    write_baseline,
+)
 from repro.cli import main
 from repro.kernel.errors import ConfigurationError
 

@@ -9,7 +9,7 @@ from repro.core.checklist import (
     GENERIC_QUESTIONS,
     build_checklist,
 )
-from repro.core.layers import Layer, RELATIONS
+from repro.core.layers import RELATIONS, Layer
 from repro.core.model import LPCModel, smart_projector_model
 
 
@@ -160,8 +160,7 @@ def test_cli_cache_policy_sets_and_restores_env(monkeypatch):
     import os
 
     from repro.cli import _cache_policy
-    from repro.experiments.cache import (CACHE_OFF_ENV, CACHE_ON_ENV,
-                                         RunCache, resolve_cache)
+    from repro.experiments.cache import CACHE_OFF_ENV, CACHE_ON_ENV, RunCache, resolve_cache
 
     monkeypatch.delenv(CACHE_ON_ENV, raising=False)
     monkeypatch.delenv(CACHE_OFF_ENV, raising=False)
@@ -203,6 +202,23 @@ def test_cli_report_lpc_deterministic(capsys):
     assert "device artifact" in first and "user artifact" in first
     for layer in Layer:
         assert layer.title in first
+
+
+@pytest.mark.parametrize("horizon", ["-5", "0", "nan", "inf"])
+def test_cli_rejects_a_horizon_that_is_not_finite_and_positive(
+        horizon, capsys, monkeypatch):
+    """``demo`` and ``report --lpc`` exit 2 with one line on stderr and
+    build no room."""
+    weeks = []
+    monkeypatch.setattr("repro.experiments.e9_analysis._scripted_week",
+                        lambda *args, **kwargs: weeks.append(kwargs))
+    for command in (["demo"], ["report", "--lpc"]):
+        assert main(command + ["--horizon", horizon]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "--horizon must be a finite number > 0" in captured.err
+    assert weeks == []
 
 
 # ---------------------------------------------------------------------------

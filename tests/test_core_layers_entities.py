@@ -8,13 +8,13 @@ from repro.core.entities import ModelEntity, smart_projector_entities
 from repro.core.layers import (
     ABSTRACT_DEVICE_PARTS,
     ABSTRACT_USER_PARTS,
-    Column,
     DEVICE_SIDE,
-    Layer,
     RELATIONS,
     RESOURCE_BOXES,
     USER_SIDE,
     USER_TIMESCALES,
+    Column,
+    Layer,
     device_abstraction_rank,
     layers_bottom_up,
     layers_top_down,

@@ -9,7 +9,7 @@ from repro.core.analysis import compare_with_paper
 from repro.core.concerns import Concern
 from repro.core.figures import ALL_FIGURES, figure1, figure2, figure3, figure4, figure5, render_all
 from repro.core.instrument import LPCInstrument
-from repro.core.layers import Column, Layer, RELATIONS
+from repro.core.layers import RELATIONS, Column, Layer
 from repro.core.model import LPCModel, smart_projector_model
 from repro.core.paper import (
     layer_counts,

@@ -14,7 +14,7 @@ from repro.discovery.records import (
     ServiceTemplate,
     new_service_id,
 )
-from repro.discovery.registry import LookupService, REGISTRY_PORT
+from repro.discovery.registry import REGISTRY_PORT, LookupService
 from repro.kernel.errors import DiscoveryError
 from repro.phys.devices import Device
 

@@ -9,8 +9,8 @@ import pytest
 
 from repro.env.radio import (
     NOISE_FLOOR_DBM,
-    RATES,
     RATE_BY_NAME,
+    RATES,
     PropagationModel,
     best_rate,
     dbm_to_mw,

@@ -24,8 +24,7 @@ import pytest
 import repro
 import repro.experiments.sweeps as sweeps_mod
 from repro.experiments import cellgrid
-from repro.experiments.cellgrid import (cell_layout, cell_room, cell_rooms,
-                                        deliveries_by_room)
+from repro.experiments.cellgrid import cell_layout, cell_room, cell_rooms, deliveries_by_room
 from repro.experiments.harness import run_experiment
 from repro.kernel.errors import ConfigurationError
 from repro.telemetry.summary import merge_summaries

@@ -2,9 +2,10 @@
 energy)."""
 
 from __future__ import annotations
-import pytest
 
 import math
+
+import pytest
 
 from repro.experiments import run_experiment
 

@@ -35,8 +35,7 @@ import re
 from repro.discovery.leases import LeaseTable
 from repro.env.mobility import RandomWaypoint
 from repro.experiments.cellgrid import cell_layout, cell_rooms
-from repro.experiments.workloads import (broadcast_room, interferer_field,
-                                         projector_room)
+from repro.experiments.workloads import broadcast_room, interferer_field, projector_room
 from repro.kernel.scheduler import Simulator
 
 #: Process-global id artifacts scrubbed from trace messages before

@@ -9,7 +9,7 @@ import pytest
 
 from repro.kernel.random import RandomStreams
 from repro.kernel.scheduler import Simulator
-from repro.kernel.trace import TraceRecord, Tracer
+from repro.kernel.trace import Tracer, TraceRecord
 
 
 # ---------------------------------------------------------------------------

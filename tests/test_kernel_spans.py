@@ -7,9 +7,14 @@ import pytest
 from repro.kernel.errors import ConfigurationError
 from repro.kernel.process import spawn
 from repro.kernel.scheduler import Simulator
-from repro.kernel.trace import (NULL_SPAN, Tracer, add_default_span_hook,
-                                add_default_subscriber, span_ancestry,
-                                span_children)
+from repro.kernel.trace import (
+    NULL_SPAN,
+    Tracer,
+    add_default_span_hook,
+    add_default_subscriber,
+    span_ancestry,
+    span_children,
+)
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,11 @@ import pytest
 
 from repro.kernel.errors import ConfigurationError
 from repro.phys.devices import (
+    PDA,
     AromaAdapter,
     Device,
     DigitalProjector,
     Laptop,
-    PDA,
     laptop_form,
     pda_form,
 )

@@ -9,13 +9,13 @@ import math
 import pytest
 
 from repro.env.radio import RATE_BY_NAME
+from repro.env.spectrum import overlap_factor
 from repro.env.world import World
 from repro.kernel.errors import ConfigurationError
 from repro.net.addresses import BROADCAST
 from repro.net.frames import Frame
-from repro.env.spectrum import overlap_factor
 from repro.phys import mac as phys_mac
-from repro.phys.mac import ACK_S, CsmaMac, PREAMBLE_S, WirelessMedium
+from repro.phys.mac import ACK_S, PREAMBLE_S, CsmaMac, WirelessMedium
 
 
 def _station(sim, world, medium, name, xy, **kwargs):

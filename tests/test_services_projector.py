@@ -29,8 +29,8 @@ def test_second_user_cannot_hijack(sim):
     presentation_workflow(room)
     room.sim.run(until=10.0)
     # A squatter calls stop with a fabricated token via raw RPC.
-    from repro.services.base import RpcClient
     from repro.phys.devices import Device
+    from repro.services.base import RpcClient
 
     intruder = Device(room.sim, room.world, "intruder", (18, 12),
                       medium=room.medium)
@@ -46,8 +46,8 @@ def test_acquire_busy_projector_fails(sim):
     room = projector_room(seed=13)
     presentation_workflow(room)
     room.sim.run(until=10.0)
-    from repro.services.base import RpcClient
     from repro.phys.devices import Device
+    from repro.services.base import RpcClient
 
     second = Device(room.sim, room.world, "second", (18, 12),
                     medium=room.medium)
@@ -94,8 +94,8 @@ def test_status_methods(sim):
     room = projector_room(seed=17)
     presentation_workflow(room)
     room.sim.run(until=10.0)
-    from repro.services.base import RpcClient
     from repro.phys.devices import Device
+    from repro.services.base import RpcClient
 
     observer = Device(room.sim, room.world, "observer", (18, 12),
                       medium=room.medium)

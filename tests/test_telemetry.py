@@ -10,8 +10,7 @@ from repro.phys.mac import WirelessMedium
 from repro.phys.nic import WirelessNIC
 from repro.services.sessions import SessionManager
 from repro.telemetry.columnar import write_run
-from repro.telemetry.jsonl import (read_jsonl, span_ancestry_categories,
-                                   span_lines)
+from repro.telemetry.jsonl import read_jsonl, span_ancestry_categories, span_lines
 from repro.telemetry.report import layer_report
 from repro.telemetry.streaming import StreamingAggregator
 
@@ -119,11 +118,12 @@ def test_transport_failure_closes_span_as_failed(sim, tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_telemetry_summary_counts_and_classifies(sim):
+    aggregator = StreamingAggregator(user_sources={"alice"}).attach(sim)
     sim.trace("mac.tx", "a", "out")
     sim.issue("radio", "a", "multipath fade")
     sim.issue("goal", "alice", "projection expectation unmet")
     sim.metrics.counter("mac.drops").add()
-    summary = StreamingAggregator(user_sources={"alice"}).replay(sim).summary()
+    summary = aggregator.summary()
     assert summary["records"] == 3  # issues are records too
     assert summary["issues_by_layer"]["environment"] == 1
     assert summary["issues_by_layer"]["intentional"] == 1
@@ -155,11 +155,11 @@ def test_sweep_ships_telemetry_serial_and_parallel():
 # ---------------------------------------------------------------------------
 
 def test_layer_report_places_issues_in_both_columns(sim):
+    aggregator = StreamingAggregator(user_sources={"alice"}).attach(sim)
     sim.issue("radio", "adapter", "interference burst")
     sim.issue("goal", "alice", "meeting started late")
     sim.metrics.counter("mac.drops").add(4)
-    report = layer_report(
-        StreamingAggregator(user_sources={"alice"}).replay(sim))
+    report = layer_report(aggregator)
     assert "LPC run report" in report
     lines = report.splitlines()
     env_row = next(line for line in lines if line.startswith("Environment"))
@@ -172,7 +172,7 @@ def test_layer_report_places_issues_in_both_columns(sim):
 
 
 def test_layer_report_is_deterministic(sim):
+    first, second = (StreamingAggregator(user_sources={"u"}).attach(sim)
+                     for _ in range(2))
     sim.issue("radio", "a", "fade")
-    first = layer_report(StreamingAggregator(user_sources={"u"}).replay(sim))
-    second = layer_report(StreamingAggregator(user_sources={"u"}).replay(sim))
-    assert first == second
+    assert layer_report(first) == layer_report(second)

@@ -3,9 +3,9 @@
 The contract under test: the columnar ``.npz`` export carries the same
 logical lines as the JSONL export (and is byte-deterministic), the file
 suffix picks the format, and a :class:`StreamingAggregator` folding the
-run live gives the same summary and layer report as one replaying the
-stored trace afterwards — including when the live tracer runs in
-``stream`` mode and stores nothing at all.
+run live gives the same summary and layer report as the oracle that
+folds the stored trace afterwards (``tests/fold_oracle.py``) — including
+when the live tracer runs in ``stream`` mode and stores nothing at all.
 """
 
 from __future__ import annotations
@@ -17,12 +17,12 @@ import pytest
 
 from repro.kernel.errors import ConfigurationError
 from repro.kernel.scheduler import Simulator
-from repro.telemetry.columnar import (ColumnarWriter, read_columnar,
-                                      read_telemetry, write_run)
+from repro.telemetry.columnar import ColumnarWriter, read_columnar, read_telemetry, write_run
 from repro.telemetry.jsonl import read_jsonl
 from repro.telemetry.report import layer_report, layer_report_data
 from repro.telemetry.streaming import OVERFLOW_CATEGORY, StreamingAggregator
 from repro.telemetry.summary import aggregate_telemetry
+from tests.fold_oracle import ReplayedAggregator
 
 USERS = {"alice"}
 
@@ -236,7 +236,7 @@ def test_export_counters_recorded_at_close(sim, tmp_path):
 # ---------------------------------------------------------------------------
 
 def _replay(sim):
-    return StreamingAggregator(user_sources=USERS).replay(sim)
+    return ReplayedAggregator(user_sources=USERS).replay(sim)
 
 
 def _twin_runs():
@@ -308,7 +308,7 @@ def test_stream_mode_memory_stays_flat_over_unplaceable_issues():
 
 
 def test_replay_refuses_a_stream_mode_trace():
-    aggregator = StreamingAggregator(user_sources=USERS)
+    aggregator = ReplayedAggregator(user_sources=USERS)
     with pytest.raises(ConfigurationError, match="'stream' mode"):
         aggregator.replay(_stream_run())
     assert aggregator.records_seen == aggregator.spans_begun == 0
@@ -316,13 +316,44 @@ def test_replay_refuses_a_stream_mode_trace():
 
 def test_streaming_histograms_match_replay():
     aggregator, streamed, _replayed = _twin_runs()
-    replay = StreamingAggregator().replay(streamed).span_histograms()
+    replay = ReplayedAggregator().replay(streamed).span_histograms()
     assert aggregator.span_histograms() == replay
     hist = aggregator.span_histograms()["transport.send"]
     assert hist["count"] == sum(hist["buckets"]) == 2
     assert hist["min"] <= hist["max"]
     # The open session.hold span is not folded by either path.
     assert "session.hold" not in aggregator.span_histograms()
+
+
+def test_an_aggregator_takes_one_feed():
+    """A second attach raises instead of subscribing again, which would
+    count every issue and span twice."""
+    sim = Simulator(seed=7)
+    aggregator = StreamingAggregator(user_sources=USERS).attach(sim)
+    for other in (sim, Simulator(seed=7, trace_mode="stream")):
+        with pytest.raises(ConfigurationError, match="already fed"):
+            aggregator.attach(other)
+    _workload(sim)
+    assert aggregator.issues_seen == 3
+    assert (json.dumps(layer_report_data(aggregator))
+            == json.dumps(layer_report_data(_replay(sim))))
+
+
+def test_live_totals_count_from_attach():
+    """Records and spans are the tracer's counts since attach, in stream
+    mode too, where nothing is stored: nothing from before counts."""
+    sim = Simulator(seed=7, trace_mode="stream")
+    sim.trace("mac.tx", "adapter", "before")
+    sim.span_end(sim.span_begin("transport.send", "laptop"))
+    aggregator = StreamingAggregator().attach(sim)
+    sim.trace("mac.tx", "adapter", "during")
+    sim.issue("radio", "adapter", "multipath fade")
+    with sim.span("transport.send", "laptop"):
+        pass
+    sim.span_begin("session.hold", "alice")
+    assert (aggregator.records_seen, aggregator.issues_seen) == (2, 1)
+    assert (aggregator.spans_begun, aggregator.spans_ended) == (2, 1)
+    assert aggregator.spans_open == 1
 
 
 def test_streaming_histogram_category_cap_overflows():
