@@ -53,7 +53,7 @@ def main() -> None:
     for name, position in APPLIANCES:
         appliance = Device(sim, world, name, position, medium=medium)
         discovery = ServiceDiscoveryClient(sim, appliance)
-        item = ServiceItem(new_service_id(), name,
+        item = ServiceItem(new_service_id(sim), name,
                            ServiceProxy(name, 30, name), {"room": "lab-221"})
         discovery.discover(
             lambda loc, d=discovery, it=item: d.register(it, 20.0))

@@ -10,18 +10,20 @@ every given field must match, absent fields are wildcards.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional
 
 from ..kernel.errors import ConfigurationError
+from ..kernel.scheduler import Simulator
 
-_service_seq = itertools.count(1)
 
+def new_service_id(sim: Simulator, prefix: str = "svc") -> str:
+    """Mint a service id unique within ``sim``.
 
-def new_service_id(prefix: str = "svc") -> str:
-    """Mint a unique service id (deterministic across identical runs)."""
-    return f"{prefix}-{next(_service_seq):04d}"
+    The counter lives in ``sim``, so a run mints the same ids whatever
+    ran earlier in the process.
+    """
+    return f"{prefix}-{sim.next_seq('discovery.service_seq'):04d}"
 
 
 @dataclass(frozen=True)

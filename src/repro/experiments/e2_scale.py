@@ -48,7 +48,7 @@ def run(service_counts: Sequence[int] = (4, 16, 64, 256),
         for i in range(count):
             host_index = i % len(hosts)
             item = ServiceItem(
-                new_service_id(), f"appliance-{i}",
+                new_service_id(sim), f"appliance-{i}",
                 ServiceProxy(hosts[host_index].name, 60 + i, "app",
                              code_bytes=proxy_bytes))
             clients[host_index].discover(

@@ -243,7 +243,7 @@ def run_proxy_download(code_sizes: Sequence[int] = (1024, 8192, 32768, 65536),
             room = projector_room(seed=seed, trace=False, register=False,
                                   fixed_rate=RATE_BY_NAME[rate_name])
             sim = room.sim
-            item = ServiceItem(new_service_id(), "fat-service",
+            item = ServiceItem(new_service_id(sim), "fat-service",
                                ServiceProxy("adapter", 44, "fat",
                                             code_bytes=code_bytes))
             room.adapter_discovery.discover(

@@ -18,6 +18,7 @@ the same doubles, fetched a block at a time.
 
 from __future__ import annotations
 
+import operator
 from itertools import chain
 from typing import Dict, Iterator
 
@@ -35,7 +36,12 @@ class RandomStreams:
     """A factory of independent, named ``numpy.random.Generator`` streams."""
 
     def __init__(self, seed: int = 0) -> None:
-        self._seed = int(seed)
+        # ``operator.index`` refuses a float (TypeError) where ``int``
+        # would round 1.5 down to 1 and run another seed's experiment.
+        self._seed = operator.index(seed)
+        if isinstance(seed, bool) or self._seed < 0:
+            raise ConfigurationError(
+                f"seed must be a non-negative integer, not {seed!r}")
         self._root = np.random.SeedSequence(self._seed)
         self._streams: Dict[str, np.random.Generator] = {}
         self._uniforms: Dict[str, Iterator[float]] = {}

@@ -456,30 +456,3 @@ def _matching(categories: Iterable[str], prefix: str) -> Dict[str, bool]:
     return {category: _under(category, prefix)
             for category in dict.fromkeys(categories)}
 
-
-def span_children(spans: List[Span]) -> Dict[Optional[int], List[Span]]:
-    """Index ``spans`` by parent: the causal tree as an adjacency map.
-
-    Roots sit under the ``None`` key.  Children keep span-id order, which
-    is begin order — deterministic for seeded runs.
-    """
-    tree: Dict[Optional[int], List[Span]] = {}
-    for span in spans:
-        tree.setdefault(span.parent_id, []).append(span)
-    for children in tree.values():
-        children.sort(key=lambda s: s.span_id)
-    return tree
-
-
-def span_ancestry(spans: List[Span], leaf: Span) -> List[Span]:
-    """The chain from ``leaf`` up to its root, leaf first."""
-    by_id = {s.span_id: s for s in spans}
-    chain = [leaf]
-    seen = {leaf.span_id}
-    while chain[-1].parent_id is not None:
-        parent = by_id.get(chain[-1].parent_id)
-        if parent is None or parent.span_id in seen:
-            break
-        chain.append(parent)
-        seen.add(parent.span_id)
-    return chain

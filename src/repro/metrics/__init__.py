@@ -1,4 +1,4 @@
-"""Measurement: counters, gauges, time series, latency, summary stats."""
+"""Measurement: counters, gauges, latency, summary stats."""
 
 from ..kernel.lazy import lazy_exports
 
@@ -9,8 +9,6 @@ _EXPORTS = {
     "Gauge": "counters",
     "LatencyRecorder": "recorder",
     "MetricsRegistry": "registry",
-    "TimeSeries": "series",
-    "periodic_sampler": "series",
     "Summary": "stats",
     "confidence_halfwidth": "stats",
     "jains_fairness": "stats",

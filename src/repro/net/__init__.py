@@ -1,30 +1,22 @@
-"""Networking substrate: frames, links, transport, multicast, bridging.
+"""Networking substrate: addresses, frames, the stack, transport, multicast.
 
 Everything here is the "Net" box of the paper's resource layer — the
 networking capability applications count on — built on the wireless
-physical layer (:mod:`repro.phys`) and the wired links of the traditional
-network the Aroma project connects to.
+physical layer (:mod:`repro.phys`).
 """
 
 from ..kernel.lazy import lazy_exports
 
 #: Public name -> the submodule defining it, imported on first use.
 _EXPORTS = {
-    "AddressAllocator": "addresses",
     "BROADCAST": "addresses",
-    "is_broadcast": "addresses",
     "validate_address": "addresses",
-    "Bridge": "bridge",
     "Frame": "frames",
     "HEADER_BYTES": "frames",
     "MTU_BYTES": "frames",
-    "WiredLink": "link",
-    "WiredPort": "link",
     "GroupDatagram": "multicast",
     "MULTICAST_PORT": "multicast",
     "MulticastService": "multicast",
-    "DropTailQueue": "queueing",
-    "TokenBucket": "queueing",
     "NetworkStack": "stack",
     "Ack": "transport",
     "ReliableEndpoint": "transport",

@@ -8,7 +8,6 @@ segment, which the discovery protocol's multicast announcements ride on.
 from __future__ import annotations
 
 import re
-from typing import Iterable
 
 from ..kernel.errors import AddressError
 
@@ -25,34 +24,3 @@ def validate_address(address: str) -> str:
     if not isinstance(address, str) or not _ADDRESS_RE.match(address):
         raise AddressError(f"malformed address {address!r}")
     return address
-
-
-def is_broadcast(address: str) -> bool:
-    return address == BROADCAST
-
-
-class AddressAllocator:
-    """Hands out unique addresses with a common prefix (``pda-1``, ``pda-2``...)."""
-
-    def __init__(self) -> None:
-        self._counters: dict = {}
-        self._issued: set = set()
-
-    def allocate(self, prefix: str) -> str:
-        validate_address(prefix)
-        count = self._counters.get(prefix, 0) + 1
-        self._counters[prefix] = count
-        address = f"{prefix}-{count}"
-        self._issued.add(address)
-        return address
-
-    def reserve(self, address: str) -> str:
-        """Claim a specific address; fails if already issued."""
-        validate_address(address)
-        if address in self._issued:
-            raise AddressError(f"address {address!r} already issued")
-        self._issued.add(address)
-        return address
-
-    def issued(self) -> Iterable[str]:
-        return sorted(self._issued)

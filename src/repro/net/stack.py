@@ -1,7 +1,7 @@
 """Per-node network stack: port demultiplexing over any interface.
 
-A :class:`NetworkStack` sits on one interface (wireless NIC or wired port —
-anything with ``address``, ``send_frame`` and an ``on_receive`` slot) and
+A :class:`NetworkStack` sits on one interface (a wireless NIC, or anything
+with ``address``, ``send_frame`` and an ``on_receive`` slot) and
 demultiplexes inbound frames to bound ports.  It is the resource-layer
 "Net" box of the paper's Figure 3: the networking capability applications
 can count on being available.
@@ -86,7 +86,7 @@ class NetworkStack:
     # ------------------------------------------------------------------
     def _receive(self, frame: Frame) -> None:
         if frame.dst != self.address and frame.dst != BROADCAST:
-            return  # not for us (promiscuous delivery from a bridge)
+            return  # not for us: an interface may carry others' frames
         if frame.src == self.address:
             return  # our own broadcast echoed back
         self.rx_frames += 1

@@ -176,11 +176,11 @@ class WirelessMedium:
     """The shared 2.4 GHz medium for one deployment.
 
     With ``culling=True`` (the default) every per-frame scan — broadcast
-    delivery, promiscuous overhearing, carrier sense — iterates only the
-    sender's **audible set**: the stations whose cached link budget can
-    put received power above the weakest relevant threshold (the lower of
-    carrier-sense and base-rate decode sensitivity, credited with a
-    conservative fast-fading margin when fading is on).  Audible sets are
+    delivery, carrier sense — iterates only the sender's **audible set**:
+    the stations whose cached link budget can put received power above
+    the weakest relevant threshold (the lower of carrier-sense and
+    base-rate decode sensitivity, credited with a conservative
+    fast-fading margin when fading is on).  Audible sets are
     found through a :class:`~repro.env.spatialindex.SpatialGrid` radius
     query and cached per (sender, topology epoch, config epoch) in a
     :class:`ReceiveTable`, so the cost of a transmission tracks physical
@@ -230,14 +230,9 @@ class WirelessMedium:
         #: terms provably below any receiver's noise resolution — the
         #: contract sharded configs rely on for oracle byte-identity.
         self.interference_radius_m = interference_radius_m
-        #: bumped on attach / channel retune / promiscuous toggle; keys the
-        #: promiscuous tuple and the receive tables.
+        #: bumped on attach / channel retune; keys the receive tables.
         self._config_epoch = 0
         self._attach_order: Dict[str, int] = {}
-        #: the promiscuous stations in attach order, and the config epoch
-        #: they were collected at.
-        self._promisc: Tuple["CsmaMac", ...] = ()
-        self._promisc_epoch = -1
         #: sender address -> its receive table (culling mode only).
         self._tables: Dict[str, ReceiveTable] = {}
         #: ``_movers`` results for the current topology epoch, by the
@@ -308,23 +303,13 @@ class WirelessMedium:
         self.notify_config_change()
 
     def notify_config_change(self) -> None:
-        """Invalidate the promiscuous tuple and the receive tables
-        (attach, retune, promiscuous toggle).  Cheap: one integer bump;
-        both rebuild lazily on next use."""
+        """Invalidate the receive tables (attach, retune).  Cheap: one
+        integer bump; they rebuild lazily on next use."""
         self._config_epoch += 1
 
     def stations(self) -> List[str]:
         """Attached addresses, sorted."""
         return sorted(self._macs)
-
-    def _promiscuous_macs(self) -> Tuple["CsmaMac", ...]:
-        """The promiscuous stations in attach order, collected once per
-        config epoch: every unicast frame reads them."""
-        if self._promisc_epoch != self._config_epoch:
-            self._promisc = tuple(mac for mac in self._macs.values()
-                                  if mac._promiscuous)
-            self._promisc_epoch = self._config_epoch
-        return self._promisc
 
     # ------------------------------------------------------------------
     # Audibility culling
@@ -646,23 +631,6 @@ class WirelessMedium:
                 delivered_to_dst = self._decode(tx, dst)
                 if delivered_to_dst:
                     dst._deliver(frame, tx.rate)
-            # Promiscuous stations (bridges/access points) overhear
-            # unicast frames destined elsewhere, so they can forward them
-            # toward the wired network.  An off-segment destination (dst
-            # is None) that a bridge picks up counts as delivered — the
-            # bridge's genie-ACK, like a real AP acking on behalf of the
-            # distribution system.  The cached promiscuous partition keeps
-            # this loop off the full station dict.
-            for mac in self._promiscuous_macs():
-                if (mac is not sender
-                        and mac is not dst
-                        and mac._channel == channel
-                        and mac.address != frame.dst
-                        and self._audible_to(sender, mac)
-                        and self._decode(tx, mac)):
-                    mac._deliver(frame, tx.rate)
-                    if dst is None:
-                        delivered_to_dst = True
         tx.sender._tx_done(tx, delivered_to_dst)
         if tx.span is not None:
             # Ended after _tx_done so the ACK-turnaround event (and any
@@ -823,9 +791,6 @@ class CsmaMac:
         self.retry_limit = retry_limit
         self.fer_target = fer_target
         self.receiving_disabled = False
-        # bridge/AP mode: overhear unicast frames destined elsewhere
-        # (property: toggling invalidates the medium's promiscuous cache).
-        self.promiscuous = False
         self.on_receive: Optional[Callable[[Frame], None]] = None
 
         self._queue: deque = deque()
@@ -867,21 +832,6 @@ class CsmaMac:
         if getattr(self, "_channel", None) == channel:
             return
         self._channel = channel
-        medium = getattr(self, "medium", None)
-        if medium is not None:
-            medium.notify_config_change()
-
-    @property
-    def promiscuous(self) -> bool:
-        """Bridge/AP mode: overhear unicast frames destined elsewhere."""
-        return self._promiscuous
-
-    @promiscuous.setter
-    def promiscuous(self, value: bool) -> None:
-        value = bool(value)
-        if getattr(self, "_promiscuous", None) == value:
-            return
-        self._promiscuous = value
         medium = getattr(self, "medium", None)
         if medium is not None:
             medium.notify_config_change()

@@ -1,7 +1,7 @@
 """The resource layer: "What can we count on being available?"
 
 Device side: the five boxes of Figure 3 (Mem, Sto, Exe, UI, Net) as
-descriptors plus runnable execution/storage models.  User side: faculties.
+descriptors.  User side: faculties.
 The layer's defining relation — faculties *must not be frustrated by* the
 platform — is the :func:`repro.resource.matching.match` engine.
 """
@@ -10,8 +10,6 @@ from ..kernel.lazy import lazy_exports
 
 #: Public name -> the submodule defining it, imported on first use.
 _EXPORTS = {
-    "ExecutionEngine": "execution",
-    "Task": "execution",
     "FacultyProfile": "faculties",
     "TRAINABLE": "faculties",
     "casual_user": "faculties",
@@ -32,10 +30,6 @@ _EXPORTS = {
     "laptop_platform": "platform",
     "pda_platform": "platform",
     "soc_platform": "platform",
-    "OrganizationDenied": "storage",
-    "StorageFull": "storage",
-    "StorageVolume": "storage",
-    "StoredObject": "storage",
 }
 
 __all__ = sorted(_EXPORTS)

@@ -19,7 +19,6 @@ _EXPORTS = {
     "ContentGenerator": "content",
     "MixedContent": "content",
     "SlideShow": "content",
-    "TypingContent": "content",
     "DiagnosticsAgent": "errorsvc",
     "Fault": "errorsvc",
     "FaultInjector": "errorsvc",

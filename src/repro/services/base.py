@@ -65,7 +65,7 @@ class RpcService:
         self.endpoint = device.reliable(port, self._on_call)
         self.calls_served = 0
         self.calls_failed = 0
-        self.service_id = new_service_id(name)
+        self.service_id = new_service_id(sim, name)
 
     def expose(self, method: str, handler: Callable[..., Any]) -> None:
         if method in self._methods:

@@ -9,8 +9,8 @@ animation" — needs two contrasting workloads:
 * :class:`Animation` — a moving region redrawn many times a second,
   poorly compressible.  What kills a 2 Mb/s radio.
 
-Plus :class:`TypingContent` (small frequent updates) and
-:class:`MixedContent` for realistic sessions.
+Plus :class:`MixedContent`, slides with an embedded animation, for
+realistic sessions.
 """
 
 from __future__ import annotations
@@ -99,34 +99,6 @@ class Animation(ContentGenerator):
         y = int(self._rng.integers(0, max(1, self.fb.height - h)))
         self.fb.touch_rect(x, y, w, h, self.compression_ratio)
         self.updates_generated += 1
-
-
-class TypingContent(ContentGenerator):
-    """Small localized updates — editing speaker notes live."""
-
-    def __init__(self, sim: Simulator, fb: Framebuffer,
-                 keystrokes_per_s: float = 4.0, name: str = "typing") -> None:
-        super().__init__(sim, fb, name)
-        if keystrokes_per_s <= 0:
-            raise ConfigurationError("rate must be positive")
-        self.keystrokes_per_s = keystrokes_per_s
-        self._rng = sim.rng(f"content.{name}")
-        self._caret = [64, 64]
-
-    def start(self) -> "TypingContent":
-        self._task = self.sim.every(1.0 / self.keystrokes_per_s, self._key,
-                                    start=0.0)
-        return self
-
-    def _key(self) -> None:
-        self.fb.touch_rect(self._caret[0], self._caret[1], 12, 20, 0.05)
-        self.updates_generated += 1
-        self._caret[0] += 12
-        if self._caret[0] > self.fb.width - 24:
-            self._caret[0] = 64
-            self._caret[1] += 24
-            if self._caret[1] > self.fb.height - 40:
-                self._caret[1] = 64
 
 
 class MixedContent(ContentGenerator):

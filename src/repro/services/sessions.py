@@ -153,16 +153,6 @@ class SessionManager:
     def queue_length(self) -> int:
         return len(self._waiters)
 
-    def cancel_wait(self, owner: str) -> bool:
-        """Leave the queue (the user gave up or went elsewhere)."""
-        for entry in self._waiters:
-            if entry[0] == owner:
-                self._waiters.remove(entry)
-                self._m_wait.cancel(owner)
-                self._m_waiters.set(len(self._waiters))
-                return True
-        return False
-
     def _grant_next(self) -> None:
         while self._waiters and self.available:
             owner, duration, callback, _enqueued_at = self._waiters.pop(0)

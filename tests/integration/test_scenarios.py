@@ -124,7 +124,7 @@ def test_multi_device_smart_space_discovery():
         dev = Device(room.sim, room.world, f"extra-{i}", (10 + i, 20),
                      medium=room.medium)
         disc = ServiceDiscoveryClient(room.sim, dev)
-        item = ServiceItem(new_service_id(), service_type,
+        item = ServiceItem(new_service_id(room.sim), service_type,
                            ServiceProxy(dev.name, 40 + i, service_type))
         disc.discover(lambda loc, d=disc, it=item: d.register(it, 60.0))
     room.sim.run(until=5.0)

@@ -27,8 +27,8 @@ def _registry(seed: int) -> LookupService:
     return LookupService(sim, hub, "reg", sweep_interval=0.5)
 
 
-def _item() -> ServiceItem:
-    return ServiceItem(new_service_id(), "svc",
+def _item(sim: Simulator) -> ServiceItem:
+    return ServiceItem(new_service_id(sim), "svc",
                        ServiceProxy("provider", 9, "p"))
 
 
@@ -43,7 +43,7 @@ def test_registry_items_always_match_live_leases(ops, seed):
     leases = []
     for op, value in ops:
         if op == "register":
-            leases.append(registry.register(_item(), value))
+            leases.append(registry.register(_item(sim), value))
         elif op == "cancel" and leases:
             lease = leases.pop(0)
             try:
@@ -79,7 +79,7 @@ def test_event_sequences_strictly_increase(count, seed):
     registry.notify(ServiceTemplate(), "listener", 600.0)
     registry._event_tx.send = lambda dst, ev, n, **k: sent.append(ev)
     for _ in range(count):
-        registry.register(_item(), 60.0)
+        registry.register(_item(registry.sim), 60.0)
     sequences = [ev.sequence for ev in sent]
     assert sequences == sorted(sequences)
     assert len(set(sequences)) == len(sequences)

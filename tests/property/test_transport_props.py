@@ -5,9 +5,9 @@ from __future__ import annotations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from tests.p2p_link import PointToPointLink
 
 from repro.kernel.scheduler import Simulator
-from repro.net.link import WiredLink
 from repro.net.stack import NetworkStack
 from repro.net.transport import ReliableEndpoint
 from repro.services.framebuffer import Framebuffer
@@ -24,8 +24,8 @@ def test_exactly_once_in_order_per_peer(sizes, loss, seed):
     """Whatever the sizes and loss rate, every message is delivered
     exactly once and in order (per-destination serialisation)."""
     sim = Simulator(seed=seed, trace=False)
-    link = WiredLink(sim, "a", "b", loss=loss, queue_frames=512)
-    sa, sb = NetworkStack(sim, link.port_a), NetworkStack(sim, link.port_b)
+    link = PointToPointLink(sim, "a", "b", loss=loss)
+    sa, sb = NetworkStack(sim, link.a), NetworkStack(sim, link.b)
     inbox = []
     ReliableEndpoint(sim, sb, 5,
                      on_message=lambda src, obj, n: inbox.append(obj))

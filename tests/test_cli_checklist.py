@@ -57,6 +57,14 @@ def test_cli_run_with_seed(capsys):
     assert "hijacks_succeeded" in capsys.readouterr().out
 
 
+def test_cli_rejects_a_negative_seed_in_one_line(capsys):
+    for command in (["run", "E2"], ["demo"]):
+        assert main(command + ["--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == \
+            "error: seed must be a non-negative integer, not -1\n"
+
+
 def test_cli_run_lets_an_experiments_own_type_error_propagate(monkeypatch):
     from repro.experiments import harness
     from repro.experiments.harness import ExperimentResult

@@ -13,6 +13,7 @@ from repro.discovery.records import (
     new_service_id,
 )
 from repro.kernel.errors import ConfigurationError, LeaseError
+from repro.experiments.workloads import projector_room
 
 
 # ---------------------------------------------------------------------------
@@ -123,13 +124,25 @@ def test_stop_halts_sweeping(sim):
 # Records
 # ---------------------------------------------------------------------------
 
-def _item(**attrs) -> ServiceItem:
-    return ServiceItem(new_service_id(), "projection",
+def _item(sim, **attrs) -> ServiceItem:
+    return ServiceItem(new_service_id(sim), "projection",
                        ServiceProxy("adapter", 21, "vnc"), attrs)
 
 
-def test_service_ids_unique():
-    assert new_service_id() != new_service_id()
+def test_service_ids_unique(sim):
+    assert new_service_id(sim) != new_service_id(sim)
+
+
+def test_rooms_built_in_one_process_mint_equal_service_ids():
+    """The counter lives in the simulator: a second room gets the ids
+    the first got, whatever ran earlier in the process."""
+    def ids(room):
+        return (room.smart.projection_service.service_id,
+                room.smart.control_service.service_id)
+
+    first = projector_room(seed=1, trace=False, register=False)
+    second = projector_room(seed=1, trace=False, register=False)
+    assert ids(first) == ids(second)
 
 
 def test_item_requires_type_and_id():
@@ -146,41 +159,41 @@ def test_proxy_validation():
         ServiceProxy("a", 1, "p", code_bytes=-5)
 
 
-def test_item_wire_bytes_grow_with_attributes_and_code():
-    small = _item()
-    big = ServiceItem(new_service_id(), "projection",
+def test_item_wire_bytes_grow_with_attributes_and_code(sim):
+    small = _item(sim)
+    big = ServiceItem(new_service_id(sim), "projection",
                       ServiceProxy("adapter", 21, "vnc", code_bytes=50000),
                       {"room": "A", "building": "221"})
     assert big.wire_bytes > small.wire_bytes
 
 
-def test_match_all_template():
-    assert MATCH_ALL.matches(_item())
+def test_match_all_template(sim):
+    assert MATCH_ALL.matches(_item(sim))
 
 
-def test_template_type_matching():
+def test_template_type_matching(sim):
     template = ServiceTemplate(service_type="projection")
-    assert template.matches(_item())
+    assert template.matches(_item(sim))
     assert not template.matches(ServiceItem(
-        new_service_id(), "printer", ServiceProxy("x", 1, "ipp")))
+        new_service_id(sim), "printer", ServiceProxy("x", 1, "ipp")))
 
 
-def test_template_id_matching():
-    item = _item()
+def test_template_id_matching(sim):
+    item = _item(sim)
     assert ServiceTemplate(service_id=item.service_id).matches(item)
     assert not ServiceTemplate(service_id="svc-9999").matches(item)
 
 
-def test_template_attribute_subset_matching():
-    item = _item(room="A", floor=2)
+def test_template_attribute_subset_matching(sim):
+    item = _item(sim, room="A", floor=2)
     assert ServiceTemplate(attributes={"room": "A"}).matches(item)
     assert ServiceTemplate(attributes={"room": "A", "floor": 2}).matches(item)
     assert not ServiceTemplate(attributes={"room": "B"}).matches(item)
     assert not ServiceTemplate(attributes={"wing": "N"}).matches(item)
 
 
-def test_template_combined_fields():
-    item = _item(room="A")
+def test_template_combined_fields(sim):
+    item = _item(sim, room="A")
     good = ServiceTemplate("projection", item.service_id, {"room": "A"})
     assert good.matches(item)
     assert not ServiceTemplate("projection", item.service_id,

@@ -31,8 +31,8 @@ def deployment(sim, world, medium):
     return hub, provider, consumer, registry, announcer
 
 
-def _item(provider="provider", **attrs):
-    return ServiceItem(new_service_id(), "projection",
+def _item(sim, provider="provider", **attrs):
+    return ServiceItem(new_service_id(sim), "projection",
                        ServiceProxy(provider, 33, "vnc"), attrs)
 
 
@@ -58,7 +58,7 @@ def test_active_probe_speeds_discovery(sim, deployment):
 
 def test_register_and_find_end_to_end(sim, deployment):
     _hub, provider, consumer, registry, _announcer = deployment
-    item = _item(room="A")
+    item = _item(sim, room="A")
     prov = ServiceDiscoveryClient(sim, provider)
     prov.discover(lambda loc: prov.register(item, 30.0))
     cons = ServiceDiscoveryClient(sim, consumer)
@@ -92,7 +92,7 @@ def test_require_registry_before_discovery_raises(sim, deployment):
 def test_auto_renewal_keeps_registration_alive(sim, deployment):
     _hub, provider, _consumer, registry, _announcer = deployment
     prov = ServiceDiscoveryClient(sim, provider)
-    item = _item()
+    item = _item(sim)
     prov.discover(lambda loc: prov.register(item, 10.0))
     sim.run(until=60.0)
     assert len(registry.items()) == 1
@@ -102,7 +102,7 @@ def test_auto_renewal_keeps_registration_alive(sim, deployment):
 def test_registration_without_renewal_expires(sim, deployment):
     _hub, provider, _consumer, registry, _announcer = deployment
     prov = ServiceDiscoveryClient(sim, provider)
-    item = _item()
+    item = _item(sim)
     prov.discover(lambda loc: prov.register(item, 10.0, auto_renew=False))
     sim.run(until=30.0)
     assert registry.items() == []
@@ -111,7 +111,7 @@ def test_registration_without_renewal_expires(sim, deployment):
 def test_cancel_registration(sim, deployment):
     _hub, provider, _consumer, registry, _announcer = deployment
     prov = ServiceDiscoveryClient(sim, provider)
-    item = _item()
+    item = _item(sim)
     outcomes = []
 
     def registered(registration):
@@ -132,7 +132,7 @@ def test_subscription_delivers_remote_events(sim, deployment):
         ServiceTemplate(service_type="projection"),
         lambda ev: events.append(ev.kind), lease_duration=60.0))
     prov = ServiceDiscoveryClient(sim, provider)
-    item = _item()
+    item = _item(sim)
     sim.schedule(1.0, lambda: prov.register(item, 5.0, auto_renew=False))
     sim.run(until=15.0)
     assert events == [ADDED, EXPIRED]
@@ -159,7 +159,7 @@ def test_request_timeout_returns_none(sim, world, medium):
 
 def _event(seq, registration=1):
     return RemoteEvent(seq, ADDED, ServiceItem(
-        new_service_id(), "t", ServiceProxy("p", 1, "x")), registration)
+        "svc-0001", "t", ServiceProxy("p", 1, "x")), registration)
 
 
 def test_mailbox_delivers_and_dedupes():

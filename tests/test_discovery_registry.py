@@ -26,13 +26,13 @@ def registry(sim, hub):
     return LookupService(sim, hub, "reg", sweep_interval=0.5)
 
 
-def _item(provider="adapter", service_type="projection", **attrs):
-    return ServiceItem(new_service_id(), service_type,
+def _item(sim, provider="adapter", service_type="projection", **attrs):
+    return ServiceItem(new_service_id(sim), service_type,
                        ServiceProxy(provider, 21, "vnc"), attrs)
 
 
 def test_register_and_lookup(sim, registry):
-    item = _item(room="A")
+    item = _item(sim, room="A")
     lease = registry.register(item, 30.0)
     assert lease.resource == item.service_id
     found = registry.lookup(ServiceTemplate(service_type="projection"))
@@ -40,8 +40,8 @@ def test_register_and_lookup(sim, registry):
 
 
 def test_lookup_respects_template(sim, registry):
-    registry.register(_item(room="A"), 30.0)
-    registry.register(_item(service_type="printer"), 30.0)
+    registry.register(_item(sim, room="A"), 30.0)
+    registry.register(_item(sim, service_type="printer"), 30.0)
     assert len(registry.lookup(ServiceTemplate())) == 2
     assert len(registry.lookup(ServiceTemplate(service_type="printer"))) == 1
     assert len(registry.lookup(ServiceTemplate(attributes={"room": "A"}))) == 1
@@ -49,12 +49,12 @@ def test_lookup_respects_template(sim, registry):
 
 def test_lookup_bounded_by_max_matches(sim, registry):
     for _ in range(10):
-        registry.register(_item(), 30.0)
+        registry.register(_item(sim), 30.0)
     assert len(registry.lookup(ServiceTemplate(), max_matches=3)) == 3
 
 
 def test_reregistration_replaces(sim, registry):
-    item = _item()
+    item = _item(sim)
     first = registry.register(item, 30.0)
     second = registry.register(item, 30.0)
     assert second.lease_id != first.lease_id
@@ -68,7 +68,7 @@ def test_cancel_removes_and_notifies(sim, registry, hub):
     # through the subscription list, so intercept the event tx.
     sent = []
     registry._event_tx.send = lambda dst, ev, n, **k: sent.append((dst, ev))
-    item = _item()
+    item = _item(sim)
     lease = registry.register(item, 30.0)
     registry.cancel(lease.lease_id)
     assert registry.items() == []
@@ -85,7 +85,7 @@ def test_registration_expiry_emits_event_and_issue(sim, registry):
     sent = []
     registry.notify(ServiceTemplate(), "listener", 600.0)
     registry._event_tx.send = lambda dst, ev, n, **k: sent.append(ev)
-    registry.register(_item(), 2.0)
+    registry.register(_item(sim), 2.0)
     sim.run(until=10.0)
     kinds = [ev.kind for ev in sent]
     assert kinds == [ADDED, EXPIRED]
@@ -97,9 +97,9 @@ def test_notify_template_filtering(sim, registry):
     sent = []
     registry.notify(ServiceTemplate(service_type="printer"), "l", 600.0)
     registry._event_tx.send = lambda dst, ev, n, **k: sent.append(ev)
-    registry.register(_item(service_type="projection"), 30.0)
+    registry.register(_item(sim, service_type="projection"), 30.0)
     assert sent == []
-    registry.register(_item(service_type="printer"), 30.0)
+    registry.register(_item(sim, service_type="printer"), 30.0)
     assert len(sent) == 1
 
 
@@ -108,7 +108,7 @@ def test_subscription_expiry_stops_events(sim, registry):
     registry.notify(ServiceTemplate(), "l", 1.0)  # 1 s subscription
     registry._event_tx.send = lambda dst, ev, n, **k: sent.append(ev)
     sim.run(until=5.0)  # subscription swept
-    registry.register(_item(), 30.0)
+    registry.register(_item(sim), 30.0)
     assert sent == []
 
 
@@ -128,6 +128,6 @@ def test_event_sequence_numbers_increase(sim, registry):
     sent = []
     registry.notify(ServiceTemplate(), "l", 600.0)
     registry._event_tx.send = lambda dst, ev, n, **k: sent.append(ev)
-    registry.register(_item(), 30.0)
-    registry.register(_item(), 30.0)
+    registry.register(_item(sim), 30.0)
+    registry.register(_item(sim), 30.0)
     assert sent[1].sequence > sent[0].sequence

@@ -5,22 +5,16 @@ simulator keeps with tracing off, so E9 and E9-report run the week
 untraced.  A listener, here the process-default hook a ``--trace-out``
 export installs, turns tracing on in ``stream`` mode.  Both weeks must
 give the same table, model and metrics.
-
-Service ids come from a process-wide sequence and appear in the model's
-issue messages, so each week here starts that sequence afresh, as a new
-process would.
 """
 
 from __future__ import annotations
 
 import contextlib
-import itertools
 import json
 from typing import Any, Dict, List, NamedTuple, Tuple
 
 import pytest
 
-from repro.discovery import records
 from repro.experiments import e9_analysis
 from repro.experiments.harness import run_experiment
 from repro.kernel.trace import add_default_subscriber
@@ -50,7 +44,6 @@ def _run_e9(seed: int, listen: bool) -> Week:
     with pytest.MonkeyPatch.context() as patch, \
             contextlib.ExitStack() as listeners:
         patch.setattr(e9_analysis, "_scripted_week", recording)
-        patch.setattr(records, "_service_seq", itertools.count(1))
         if listen:
             listeners.callback(add_default_subscriber(
                 "", lambda record: heard.append(record.category)))

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro.kernel.errors import ConfigurationError
 from repro.kernel.random import RandomStreams
 from repro.kernel.scheduler import Simulator
 from repro.kernel.trace import Tracer, TraceRecord
@@ -20,6 +21,13 @@ def test_same_seed_same_stream():
     a = RandomStreams(1).stream("mac")
     b = RandomStreams(1).stream("mac")
     assert a.random() == b.random()
+
+
+@pytest.mark.parametrize("seed, error", [
+    (1.5, TypeError), (True, ConfigurationError), (-1, ConfigurationError)])
+def test_a_seed_must_be_a_non_negative_integer(seed, error):
+    with pytest.raises(error):
+        RandomStreams(seed)
 
 
 def test_different_names_independent():

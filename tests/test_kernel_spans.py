@@ -12,8 +12,6 @@ from repro.kernel.trace import (
     Tracer,
     add_default_span_hook,
     add_default_subscriber,
-    span_ancestry,
-    span_children,
 )
 
 
@@ -150,11 +148,15 @@ def test_multi_hop_chain_reconstructable(sim):
 
     hop("root", then=lambda: hop("hop1", then=lambda: hop("hop2")))
     sim.run()
-    chain = span_ancestry(sim.tracer.spans, spans["hop2"])
+    stored = sim.tracer.spans
+    by_id = {s.span_id: s for s in stored}
+    chain = [spans["hop2"]]
+    while chain[-1].parent_id is not None:
+        chain.append(by_id[chain[-1].parent_id])
     assert [s.category for s in chain] == ["hop2", "hop1", "root"]
-    tree = span_children(sim.tracer.spans)
-    assert [s.category for s in tree[None]] == ["root"]
-    assert [s.category for s in tree[spans["root"].span_id]] == ["hop1"]
+    assert [s.category for s in stored if s.parent_id is None] == ["root"]
+    assert [s.category for s in stored
+            if s.parent_id == spans["root"].span_id] == ["hop1"]
 
 
 def test_process_spans_cover_resumptions(sim):

@@ -1,14 +1,12 @@
-"""Tests for counters, gauges, time series, latency and statistics."""
+"""Tests for counters, gauges, latency and statistics."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.kernel.errors import ConfigurationError
 from repro.metrics.counters import Counter, CounterSet, Gauge
 from repro.metrics.recorder import LatencyRecorder
-from repro.metrics.series import TimeSeries, periodic_sampler
 from repro.metrics.stats import (
     confidence_halfwidth,
     jains_fairness,
@@ -58,56 +56,6 @@ def test_gauge_adjust(sim):
     gauge.adjust(+1)
     gauge.adjust(-1)
     assert gauge.value == 1
-
-
-# ---------------------------------------------------------------------------
-# TimeSeries
-# ---------------------------------------------------------------------------
-
-def test_series_records_and_grows(sim):
-    series = TimeSeries(sim, "s", capacity=2)
-    for i in range(10):
-        series.record(float(i), time=float(i))
-    assert len(series) == 10
-    assert np.allclose(series.values, np.arange(10.0))
-    assert np.allclose(series.times, np.arange(10.0))
-
-
-def test_series_uses_sim_clock(sim):
-    series = TimeSeries(sim, "s")
-    sim.schedule(3.5, series.record, 1.0)
-    sim.run()
-    assert series.times[0] == 3.5
-
-
-def test_series_window(sim):
-    series = TimeSeries(sim, "s")
-    for t in range(10):
-        series.record(float(t), time=float(t))
-    times, values = series.window(3.0, 7.0)
-    assert list(times) == [3.0, 4.0, 5.0, 6.0]
-
-
-def test_series_mean_and_rate(sim):
-    series = TimeSeries(sim, "s")
-    assert series.mean() == 0.0
-    for t in (0.0, 1.0, 2.0):
-        series.record(6.0, time=t)
-    assert series.mean() == 6.0
-    sim.schedule(2.0, lambda: None)
-    sim.run()
-    # Samples at t=0,1,2 all fall in the trailing 2 s window ending at t=2.
-    assert series.rate_per_second(2.0) == pytest.approx(1.5)
-
-
-def test_periodic_sampler(sim):
-    series = TimeSeries(sim, "depth")
-    state = {"v": 0}
-    periodic_sampler(sim, series, 1.0, lambda: state["v"])
-    sim.schedule(2.5, lambda: state.update(v=7))
-    sim.run(until=5.0)
-    assert len(series) == 5
-    assert series.values[-1] == 7.0
 
 
 # ---------------------------------------------------------------------------

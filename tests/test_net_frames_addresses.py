@@ -1,18 +1,12 @@
-"""Tests for frames, addressing and queueing primitives."""
+"""Tests for frames and addressing."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.kernel.errors import AddressError, ConfigurationError
-from repro.net.addresses import (
-    BROADCAST,
-    AddressAllocator,
-    is_broadcast,
-    validate_address,
-)
+from repro.net.addresses import BROADCAST, validate_address
 from repro.net.frames import HEADER_BYTES, MTU_BYTES, Frame
-from repro.net.queueing import DropTailQueue, TokenBucket
 
 
 # ---------------------------------------------------------------------------
@@ -26,29 +20,12 @@ def test_validate_accepts_normal_names():
 
 def test_validate_accepts_broadcast():
     assert validate_address(BROADCAST) == BROADCAST
-    assert is_broadcast(BROADCAST)
-    assert not is_broadcast("laptop")
 
 
 def test_validate_rejects_malformed():
     for bad in ("", " lead", "-dash-first", None, 42):
         with pytest.raises(AddressError):
             validate_address(bad)  # type: ignore[arg-type]
-
-
-def test_allocator_unique_sequence():
-    allocator = AddressAllocator()
-    assert allocator.allocate("pda") == "pda-1"
-    assert allocator.allocate("pda") == "pda-2"
-    assert allocator.allocate("laptop") == "laptop-1"
-
-
-def test_allocator_reserve_conflicts():
-    allocator = AddressAllocator()
-    allocator.reserve("hub")
-    with pytest.raises(AddressError):
-        allocator.reserve("hub")
-    assert "hub" in list(allocator.issued())
 
 
 # ---------------------------------------------------------------------------
@@ -98,81 +75,3 @@ def test_frame_clone_fresh_id():
     assert clone.frame_id != frame.frame_id
     assert (clone.src, clone.dst, clone.payload, clone.payload_bytes,
             clone.kind, clone.port) == ("a", "b", "payload", 10, "mgmt", 5)
-
-
-# ---------------------------------------------------------------------------
-# DropTailQueue
-# ---------------------------------------------------------------------------
-
-def test_queue_fifo_order():
-    queue = DropTailQueue(4)
-    for i in range(4):
-        assert queue.push(i)
-    assert [queue.pop() for _ in range(4)] == [0, 1, 2, 3]
-
-
-def test_queue_drops_when_full():
-    queue = DropTailQueue(2)
-    assert queue.push(1) and queue.push(2)
-    assert not queue.push(3)
-    assert queue.dropped == 1
-    assert queue.drop_rate == pytest.approx(1 / 3)
-
-
-def test_queue_peak_depth():
-    queue = DropTailQueue(10)
-    for i in range(7):
-        queue.push(i)
-    queue.pop()
-    assert queue.peak_depth == 7
-
-
-def test_queue_capacity_validation():
-    with pytest.raises(ConfigurationError):
-        DropTailQueue(0)
-
-
-def test_queue_empty_pop_raises():
-    with pytest.raises(IndexError):
-        DropTailQueue(1).pop()
-
-
-# ---------------------------------------------------------------------------
-# TokenBucket
-# ---------------------------------------------------------------------------
-
-def test_bucket_starts_full(sim):
-    bucket = TokenBucket(sim, rate=100.0, burst=50.0)
-    assert bucket.tokens == pytest.approx(50.0)
-    assert bucket.try_consume(50.0)
-    assert not bucket.try_consume(1.0)
-
-
-def test_bucket_refills_with_sim_time(sim):
-    bucket = TokenBucket(sim, rate=10.0, burst=100.0)
-    bucket.try_consume(100.0)
-    sim.schedule(5.0, lambda: None)
-    sim.run()
-    assert bucket.tokens == pytest.approx(50.0)
-
-
-def test_bucket_capped_at_burst(sim):
-    bucket = TokenBucket(sim, rate=1000.0, burst=10.0)
-    sim.schedule(100.0, lambda: None)
-    sim.run()
-    assert bucket.tokens == pytest.approx(10.0)
-
-
-def test_bucket_time_until(sim):
-    bucket = TokenBucket(sim, rate=10.0, burst=10.0)
-    bucket.try_consume(10.0)
-    assert bucket.time_until(5.0) == pytest.approx(0.5)
-    assert bucket.time_until(0.0) == 0.0
-
-
-def test_bucket_validation(sim):
-    with pytest.raises(ConfigurationError):
-        TokenBucket(sim, rate=0.0, burst=1.0)
-    bucket = TokenBucket(sim, rate=1.0, burst=1.0)
-    with pytest.raises(ConfigurationError):
-        bucket.try_consume(-1.0)

@@ -6,15 +6,15 @@ import pytest
 
 from repro.kernel.errors import ConfigurationError, TransportError
 from repro.net.frames import MTU_BYTES
-from repro.net.link import WiredLink
 from repro.net.stack import NetworkStack
 from repro.net.transport import ReliableEndpoint
+from tests.p2p_link import PointToPointLink
 
 
 def _pair(sim, loss=0.0, rate=10e6, **kwargs):
-    link = WiredLink(sim, "a", "b", loss=loss, rate_bps=rate)
-    sa = NetworkStack(sim, link.port_a)
-    sb = NetworkStack(sim, link.port_b)
+    link = PointToPointLink(sim, "a", "b", rate_bps=rate, loss=loss)
+    sa = NetworkStack(sim, link.a)
+    sb = NetworkStack(sim, link.b)
     inbox = []
     ea = ReliableEndpoint(sim, sa, 50, **kwargs)
     eb = ReliableEndpoint(sim, sb, 50,
@@ -106,13 +106,13 @@ def test_cancel_pending_drops_queued_only(sim):
 
 
 def test_window_limits_inflight(sim):
-    link = WiredLink(sim, "a", "b", rate_bps=1e4)  # slow: frames pile up
-    sa = NetworkStack(sim, link.port_a)
+    link = PointToPointLink(sim, "a", "b", rate_bps=1e4)  # slow: frames pile up
+    sa = NetworkStack(sim, link.a)
     ea = ReliableEndpoint(sim, sa, 50, window=4)
     ea.send("b", "big", 20 * MTU_BYTES)
     # Before any timer fires, exactly `window` segments have been handed
     # to the interface (1 serialising + 3 queued).
-    assert link.port_a.queue.enqueued == 4
+    assert link.a.frames_handed == 4
 
 
 def test_closed_endpoint_rejects_send(sim):
@@ -143,8 +143,8 @@ def test_bidirectional_same_port(sim):
 
 
 def test_parameter_validation(sim):
-    link = WiredLink(sim, "a", "b")
-    stack = NetworkStack(sim, link.port_a)
+    link = PointToPointLink(sim, "a", "b")
+    stack = NetworkStack(sim, link.a)
     with pytest.raises(ConfigurationError):
         ReliableEndpoint(sim, stack, 1, window=0)
     endpoint = ReliableEndpoint(sim, stack, 2)

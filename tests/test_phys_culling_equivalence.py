@@ -6,7 +6,7 @@ runs produce byte-identical delivery logs, MAC statistics and event
 counts.  These tests pin that across three scenario families — the
 projector room with E2-style interferers, a broadcast-heavy flat
 population, and a mobile population whose movers cross grid cells —
-plus the medium's station list and promiscuous tuple.
+plus the medium's station list.
 """
 
 from __future__ import annotations
@@ -182,24 +182,6 @@ def test_stations_cache_invalidated_by_attach(sim, world):
     world.place("b", (2.0, 2.0))
     CsmaMac(sim, medium, "b", channel=11)
     assert medium.stations() == ["a", "b"]
-
-
-def test_partition_tracks_retune_and_promiscuous(sim, world):
-    medium = WirelessMedium(sim, world)
-    world.place("a", (1.0, 1.0))
-    world.place("b", (2.0, 2.0))
-    a = CsmaMac(sim, medium, "a", channel=6)
-    b = CsmaMac(sim, medium, "b", channel=6)
-    assert medium._promiscuous_macs() == ()
-
-    a.promiscuous = True
-    assert medium._promiscuous_macs() == (a,)
-    b.promiscuous = True
-    b.channel = 11  # a retune keeps a station promiscuous
-    assert medium._promiscuous_macs() == (a, b)  # attach order
-    assert medium._promiscuous_macs() is medium._promiscuous_macs()
-    a.promiscuous = False
-    assert medium._promiscuous_macs() == (b,)
 
 
 def test_audible_cache_reused_until_topology_moves():

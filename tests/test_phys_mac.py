@@ -375,33 +375,6 @@ def test_airtime_accounting(sim, world, medium):
     assert a.stats["busy_time"] == pytest.approx(expected_airtime, rel=0.01)
 
 
-def test_promiscuous_station_overhears_unicast(sim, world, medium):
-    a = _station(sim, world, medium, "a", (10, 10))
-    b = _station(sim, world, medium, "b", (14, 10))
-    snoop = _station(sim, world, medium, "snoop", (12, 10))
-    snoop.promiscuous = True
-    overheard = []
-    snoop.on_receive = overheard.append
-    a.send(Frame("a", "b", "secret", 100))
-    sim.run(until=1.0)
-    assert len(overheard) == 1
-    assert overheard[0].dst == "b"
-    # The intended receiver still gets it normally.
-    assert b.stats["rx_frames"] == 1
-
-
-def test_promiscuous_acks_offsegment_destination(sim, world, medium):
-    """A frame to an address not on the medium is 'delivered' when a
-    promiscuous bridge picks it up (the AP acks for the wired side)."""
-    a = _station(sim, world, medium, "a", (10, 10))
-    ap = _station(sim, world, medium, "ap", (12, 10))
-    ap.promiscuous = True
-    a.send(Frame("a", "wired-server", None, 100))
-    sim.run(until=1.0)
-    assert a.stats["tx_success"] == 1
-    assert ap.stats["rx_frames"] == 1
-
-
 def test_non_promiscuous_never_overhears(sim, world, medium):
     a = _station(sim, world, medium, "a", (10, 10))
     _station(sim, world, medium, "b", (14, 10))

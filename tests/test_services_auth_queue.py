@@ -149,19 +149,6 @@ def test_waiter_granted_on_force_release(sim):
     assert len(grants) == 1
 
 
-def test_cancel_wait(sim):
-    manager = SessionManager(sim, "proj")
-    session = manager.acquire("alice", 60.0)
-    grants = []
-    manager.acquire_or_wait("bob", grants.append)
-    assert manager.cancel_wait("bob")
-    assert not manager.cancel_wait("bob")
-    manager.release(session.token)
-    sim.run(until=1.0)
-    assert grants == []
-    assert manager.available
-
-
 # ---------------------------------------------------------------------------
 # Atomic two-session acquisition
 # ---------------------------------------------------------------------------

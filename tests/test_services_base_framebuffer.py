@@ -7,7 +7,7 @@ import pytest
 from repro.kernel.errors import ConfigurationError, SessionError
 from repro.phys.devices import Device
 from repro.services.base import RpcClient, RpcService
-from repro.services.content import Animation, MixedContent, SlideShow, TypingContent
+from repro.services.content import Animation, MixedContent, SlideShow
 from repro.services.framebuffer import BYTES_PER_PIXEL, Framebuffer
 
 
@@ -190,15 +190,6 @@ def test_animation_rate(sim):
     animation = Animation(sim, fb, fps=10.0).start()
     sim.run(until=5.0)
     assert animation.updates_generated == pytest.approx(50, abs=2)
-
-
-def test_typing_touches_small_regions(sim):
-    fb = Framebuffer()
-    typing = TypingContent(sim, fb, keystrokes_per_s=5.0).start()
-    sim.run(until=4.0)
-    assert typing.updates_generated == pytest.approx(20, abs=1)
-    _t, cost, _p = fb.dirty_cost(0)
-    assert cost < 10_000  # keystrokes are cheap
 
 
 def test_mixed_content_cycles(sim):
