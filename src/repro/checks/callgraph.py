@@ -160,12 +160,31 @@ def _dotted(node: ast.AST) -> Optional[Tuple[str, ...]]:
     return None
 
 
+def _outer_lambdas(node: ast.AST) -> List[ast.Lambda]:
+    """The lambdas under ``node`` that no other lambda, function or
+    class under it encloses, in source order."""
+    found: List[ast.Lambda] = []
+    stack = [node]
+    while stack:
+        current = stack.pop()
+        if isinstance(current, ast.Lambda):
+            found.append(current)
+            continue
+        if current is not node and isinstance(
+                current, (ast.FunctionDef, ast.AsyncFunctionDef,
+                          ast.ClassDef)):
+            continue
+        stack.extend(reversed(list(ast.iter_child_nodes(current))))
+    return found
+
+
 class _FunctionScanner(ast.NodeVisitor):
     """Collect one function body's state facts.
 
     Nested function and class definitions are handed back to the
-    collector (they get their own scanner and qualname); everything else
-    is walked in place.
+    collector (they get their own scanner and qualname); everything else,
+    lambdas included, is walked in place.  The root may itself be a
+    lambda defined at module scope or in a class body.
     """
 
     def __init__(self, collector: "_ModuleCollector", facts: FunctionFacts,
@@ -190,16 +209,14 @@ class _FunctionScanner(ast.NodeVisitor):
         into this scope set, a deliberate over-approximation (a shadowed
         read is a missed read, never a false positive).
         """
-        args = node.args
-        for arg in (args.posonlyargs + args.args + args.kwonlyargs
-                    + ([args.vararg] if args.vararg else [])
-                    + ([args.kwarg] if args.kwarg else [])):
-            self.locals.add(arg.arg)
+        self.locals.update(self._params(node))
         for child in ast.walk(node):
             if child is not node and isinstance(
                     child, (ast.FunctionDef, ast.AsyncFunctionDef,
                             ast.ClassDef)):
                 self.locals.add(child.name)
+            elif child is not node and isinstance(child, ast.Lambda):
+                self.locals.update(self._params(child))
             elif isinstance(child, ast.Global):
                 self.globals.update(child.names)
             elif isinstance(child, (ast.Assign, ast.AnnAssign,
@@ -207,6 +224,15 @@ class _FunctionScanner(ast.NodeVisitor):
                                     ast.ExceptHandler, ast.comprehension)):
                 self.locals.update(self._targets(child))
         self.locals -= self.globals
+
+    @staticmethod
+    def _params(node: ast.AST) -> List[str]:
+        """Parameter names of a ``def`` or ``lambda``."""
+        args = node.args
+        return [arg.arg for arg in (
+            args.posonlyargs + args.args + args.kwonlyargs
+            + ([args.vararg] if args.vararg else [])
+            + ([args.kwarg] if args.kwarg else []))]
 
     @classmethod
     def _targets(cls, node: ast.AST) -> List[str]:
@@ -240,7 +266,8 @@ class _FunctionScanner(ast.NodeVisitor):
 
     # -- driving --------------------------------------------------------
     def scan(self) -> None:
-        for stmt in self.root.body:
+        body = self.root.body
+        for stmt in body if isinstance(body, list) else [body]:
             self.visit(stmt)
         state = self.collector.summary.state
         for name, line in self._global_rebinds:
@@ -411,12 +438,17 @@ class _ModuleCollector:
                     self._bind_state(target, stmt.value, stmt.lineno)
             elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
                 self._bind_state(stmt.target, stmt.value, stmt.lineno)
-        # Pass 2: function/class bodies.
+        # Pass 2: function/class bodies, and the lambdas that module-scope
+        # statements define.
+        loose = []
         for stmt in self._flat_module_statements(tree):
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 self.scan_function(stmt)
             elif isinstance(stmt, ast.ClassDef):
                 self.scan_class(stmt)
+            elif not isinstance(stmt, (ast.If, ast.Try)):
+                loose.append(stmt)
+        self.scan_lambdas(loose, "<module>")
         # Pass 3: import edges anywhere in the file — lazy imports still
         # pull modules into a forked worker at runtime.
         for node in ast.walk(tree):
@@ -507,11 +539,35 @@ class _ModuleCollector:
 
     def scan_class(self, node: ast.ClassDef, parent: str = "") -> None:
         qualname = f"{parent}.{node.name}" if parent else node.name
+        loose = []
         for stmt in node.body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 self.scan_function(stmt, parent=qualname)
             elif isinstance(stmt, ast.ClassDef):
                 self.scan_class(stmt, parent=qualname)
+            else:
+                loose.append(stmt)
+        self.scan_lambdas(loose, qualname)
+
+    def scan_lambdas(self, statements: Sequence[ast.stmt],
+                     qualname: str) -> None:
+        """Fold the lambdas that ``statements`` define into one scope.
+
+        A lambda outside any function (a module-level assignment, a
+        dataclass ``field(default_factory=lambda: ...)``) runs whenever
+        it is called, so its mutations are charged to the scope that
+        defines it: the module (``<module>``) or the class.  Lambdas in a
+        function body are walked with that function.
+        """
+        facts: Optional[FunctionFacts] = None
+        for stmt in statements:
+            for node in _outer_lambdas(stmt):
+                if facts is None:
+                    facts = FunctionFacts(qualname=qualname,
+                                          line=node.lineno)
+                _FunctionScanner(self, facts, node).scan()
+        if facts is not None and facts.interesting():
+            self.summary.functions.append(facts)
 
     def note_call(self, chain: Tuple[str, ...]) -> None:
         """Attribute-resolved call into an imported repro module.

@@ -173,8 +173,9 @@ def _assemble(sim: Simulator, layout: CellLayout,
     frame_bytes = layout.frame_bytes
     for i, mac in zip(indices, macs):
         sim.every(layout.interval,
-                  lambda m=mac: m.send(Frame(m.address, BROADCAST,
-                                             payload_bytes=frame_bytes)),
+                  lambda m=mac: m.send(Frame(
+                      m.address, BROADCAST, payload_bytes=frame_bytes,
+                      frame_id=sim.next_seq("frame"))),
                   start=layout.offsets[i])
     return CellRooms(sim, world, medium, macs, deliveries, aggregator,
                      indices=list(indices))

@@ -224,8 +224,9 @@ def broadcast_room(stations: int, *, seed: int = 7, culling: bool = True,
     interval = 1.0 / frames_per_second
     for mac in macs:
         sim.every(interval,
-                  lambda m=mac: m.send(Frame(m.address, BROADCAST,
-                                             payload_bytes=frame_bytes)),
+                  lambda m=mac: m.send(Frame(
+                      m.address, BROADCAST, payload_bytes=frame_bytes,
+                      frame_id=sim.next_seq("frame"))),
                   start=float(traffic_rng.uniform(0, interval)))
     return BroadcastRoom(sim, world, medium, macs, deliveries)
 

@@ -8,8 +8,7 @@ depend only on the declared byte count.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from ..kernel.errors import ConfigurationError
@@ -20,8 +19,6 @@ HEADER_BYTES: int = 34
 
 #: Conventional MTU for the payload portion, bytes.
 MTU_BYTES: int = 1500
-
-_frame_ids = itertools.count(1)
 
 
 @dataclass
@@ -36,7 +33,11 @@ class Frame:
         kind: coarse type tag — ``"data"``, ``"mgmt"`` (discovery, leases)
             or ``"ctrl"`` (transport acks).
         port: demultiplexing key for the receiving stack.
-        frame_id: unique id assigned at construction (monotone).
+        frame_id: the frame's number in traces.  Senders number their
+            frames per simulator, ``sim.next_seq("frame")`` at
+            construction, so a run's ids do not depend on what ran
+            before it in the process; 0 marks a frame built outside
+            a simulator.
     """
 
     src: str
@@ -45,7 +46,7 @@ class Frame:
     payload_bytes: int = 0
     kind: str = "data"
     port: int = 0
-    frame_id: int = field(default_factory=lambda: next(_frame_ids))
+    frame_id: int = 0
 
     def __post_init__(self) -> None:
         validate_address(self.src)
@@ -69,12 +70,6 @@ class Frame:
         if bits_per_second <= 0:
             raise ConfigurationError("rate must be positive")
         return preamble_s + (8.0 * self.wire_bytes) / bits_per_second
-
-    def clone(self) -> "Frame":
-        """A copy with a fresh frame id (used by retransmissions that must
-        be distinguishable in traces)."""
-        return Frame(self.src, self.dst, self.payload, self.payload_bytes,
-                     self.kind, self.port)
 
     def __repr__(self) -> str:  # pragma: no cover
         return (f"<Frame #{self.frame_id} {self.src}->{self.dst} "

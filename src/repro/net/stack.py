@@ -73,7 +73,8 @@ class NetworkStack:
     def send(self, dst: str, payload: Any = None, payload_bytes: int = 0,
              port: int = 0, kind: str = "data") -> bool:
         """Send one frame out the interface; False when the NIC refuses it."""
-        frame = Frame(self.address, dst, payload, payload_bytes, kind, port)
+        frame = Frame(self.address, dst, payload, payload_bytes, kind, port,
+                      self.sim.next_seq("frame"))
         ok = self.interface.send_frame(frame)
         if ok:
             self.tx_frames += 1

@@ -22,6 +22,7 @@ Timing constants follow 802.11b long-preamble numbers.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import deque
 from math import log10 as _math_log10
 from types import MappingProxyType
@@ -67,6 +68,12 @@ _MEDIUM_PRI: int = int(Priority.MEDIUM)
 #: The half-duplex map of a frame that overlapped nothing.
 _NO_SENDERS: Mapping["CsmaMac", int] = MappingProxyType({})
 
+#: Interference patterns one receive table memoises per topology epoch
+#: (see :meth:`WirelessMedium._fan_out_pattern`).  A room whose stations
+#: send on fixed periods repeats a handful of patterns per sender; the
+#: bound keeps a jittery room from growing the memo without limit.
+PATTERNS_PER_TABLE: int = 32
+
 #: Audibility allowance for per-frame Rayleigh fading, dB.  The fading
 #: boost is ``10*log10(Exponential(1))``; the largest value a float64
 #: uniform can produce is ~28.7 dB, so a 30 dB margin makes it *impossible*
@@ -100,6 +107,12 @@ def _decode_floor_sinr_db() -> float:
     return _DECODE_FLOOR_SINR_DB
 
 
+#: One receiver's evaluation of one frame: its SINR in dB (``None`` when
+#: the receiver sent an interferer, so it cannot decode), the frame error
+#: rate, and the number of link lookups the evaluation took.
+_Evaluation = Tuple[Optional[float], float, int]
+
+
 class Transmission:
     """One in-flight frame on the medium."""
 
@@ -120,11 +133,12 @@ class Transmission:
         self.interferers: List["Transmission"] = []
         #: causal span covering the airtime (None with tracing disabled).
         self.span = None
-        #: the interferer view :meth:`WirelessMedium._finish` builds once
-        #: the airtime is over: ``(sender address, power_dbm, overlap
-        #: factor)`` of each in-band interferer, in ``interferers`` order,
-        #: and each interferer's sender -> the number of in-band entries
-        #: ahead of its first frame (the half-duplex set).
+        #: the interferer view :meth:`WirelessMedium._interferer_view`
+        #: builds after the airtime, when a decode needs it: ``(sender
+        #: address, power_dbm, overlap factor)`` of each in-band
+        #: interferer, in ``interferers`` order, and each interferer's
+        #: sender -> the number of in-band entries ahead of its first
+        #: frame (the half-duplex set).
         self.in_band: Sequence[Tuple[str, float, float]] = ()
         self.transmitting: Mapping["CsmaMac", int] = _NO_SENDERS
 
@@ -143,13 +157,17 @@ class ReceiveTable:
     :meth:`LinkCache.rx_power_dbm`.  :meth:`fers` memoises every
     receiver's frame error rate at zero interference, so a frame with no
     in-band overlap and no fading costs each receiver one delivery draw.
+    ``patterns`` does the same for interfered frames: it maps a frame's
+    interference pattern to every receiver's evaluation under it (see
+    :meth:`WirelessMedium._fan_out_pattern`).  It is ``None`` until the
+    table's first frame in its topology epoch, and a re-key drops it.
     When only other stations moved and none of them can change the
     table, the medium re-keys it rather than rebuilding it (see
     docs/performance.md, "Receive tables" and "Moving worlds").
     """
 
     __slots__ = ("key", "tx_power", "radius", "macs", "names", "signals",
-                 "_fers")
+                 "_fers", "patterns")
 
     def __init__(self, key: Tuple[int, int], tx_power: float, radius: float,
                  entries: List[Tuple["CsmaMac", float]]) -> None:
@@ -160,6 +178,7 @@ class ReceiveTable:
         self.names = frozenset(mac.address for mac in self.macs)
         self.signals = tuple(signal for _, signal in entries)
         self._fers: Dict[Tuple[RateMode, int], Tuple[float, ...]] = {}
+        self.patterns: Optional[Dict[tuple, List[Optional[_Evaluation]]]] = None
 
     def fers(self, rate: RateMode, wire_bytes: int) -> Tuple[float, ...]:
         """Per-receiver FER at zero interference, parallel to ``macs``:
@@ -334,8 +353,9 @@ class WirelessMedium:
         Only used with culling on.  A table is reused while the topology
         epoch, the config epoch and the sender's tx power are unchanged,
         and across a topology change that provably leaves it intact
-        (:meth:`_survives_moves`): it is then re-keyed and keeps its FER
-        memo.  Otherwise it is rebuilt from a grid query.  The audible
+        (:meth:`_survives_moves`): it is then re-keyed, keeps its FER
+        memo and drops its pattern memo.  Otherwise it is rebuilt from a
+        grid query.  The audible
         predicate — cached link budget above :meth:`audibility_floor_dbm`
         — is exactly the one the exhaustive mode applies inline per
         frame; the grid radius provably covers every station the
@@ -352,6 +372,7 @@ class WirelessMedium:
                 return table
             if table.key[1] == key[1] and self._survives_moves(sender, table):
                 table.key = key
+                table.patterns = None
                 self._m_cull_reuses.add()
                 return table
         radius = self.max_audible_radius_m(tx_power)
@@ -580,40 +601,31 @@ class WirelessMedium:
         frame = tx.frame
         sender = tx.sender
         channel = tx.channel
-        if tx.interferers:
-            # The interferer view, once per frame: every decode below is
-            # of a receiver on ``channel``, so which interferers overlap
-            # its band, and by how much, does not depend on the receiver.
-            in_band = []
-            transmitting: Dict["CsmaMac", int] = {}
-            for other in tx.interferers:
-                transmitting.setdefault(other.sender, len(in_band))
-                factor = overlap_factor(channel, other.channel)
-                if factor > 0.0:
-                    in_band.append((other.sender.address, other.power_dbm,
-                                    factor))
-            tx.in_band = in_band
-            tx.transmitting = transmitting
         delivered_to_dst: Optional[bool] = None
         if frame.dst == BROADCAST:
             if self.culling:
                 # Grid-backed receive table, cached across frames: per-frame
                 # cost is O(audible neighbours), not O(stations).
                 table = self._receive_table(sender)
-                if (tx.power_dbm == table.tx_power and not self.fast_fading
-                        and not tx.in_band):
+                patterns = table.patterns
+                if patterns is None:
+                    # The table's first frame in this topology epoch; its
+                    # pattern memo starts with the second.
+                    table.patterns = {}
+                if tx.power_dbm != table.tx_power or self.fast_fading:
+                    # Fading, or a power change while the frame was in
+                    # the air (the table's signals describe the new
+                    # power): decode per receiver.
+                    self._decode_each(tx, table)
+                elif not tx.interferers:
                     self._fan_out(tx, table)
                 else:
-                    # Fading, an in-band interferer, or a power change
-                    # while the frame was in the air (the table's signals
-                    # describe the new power): decode per receiver.
-                    for mac in table.macs:
-                        if mac._channel == channel and self._decode(tx, mac):
-                            mac._deliver(frame, tx.rate)
+                    self._fan_out_pattern(tx, table, patterns)
             else:
                 # Exhaustive reference scan: every station, every frame,
                 # gated by the same audibility predicate so outcomes (and
                 # RNG consumption) match the culled path byte-for-byte.
+                self._interferer_view(tx)
                 for mac in self._macs.values():
                     if (mac is not sender and mac._channel == channel
                             and self._audible_to(sender, mac)
@@ -628,6 +640,7 @@ class WirelessMedium:
                 # attempt can never succeed, so skip it outright.
                 delivered_to_dst = False
             else:
+                self._interferer_view(tx)
                 delivered_to_dst = self._decode(tx, dst)
                 if delivered_to_dst:
                     dst._deliver(frame, tx.rate)
@@ -638,15 +651,49 @@ class WirelessMedium:
             self.sim.span_end(
                 tx.span, "failed" if delivered_to_dst is False else "ok")
 
-    def _decode(self, tx: Transmission, rx: "CsmaMac") -> bool:
-        """Did ``rx`` successfully decode ``tx``?  SINR through FER.
+    def _interferer_view(self, tx: Transmission) -> None:
+        """Build ``tx.in_band`` and ``tx.transmitting`` from
+        ``tx.interferers``, once per frame, if it overlapped anything.
 
-        ``rx`` is on ``tx.channel`` (every caller checks), so the frame's
-        interferer view holds its in-band interferers.  Their terms and
-        the signal's come from ``rx``'s link-cache row.
+        Every decode is of a receiver on ``tx.channel`` (every caller
+        checks), so which interferers overlap its band, and by how much,
+        does not depend on the receiver.
         """
-        if rx.receiving_disabled:
-            return False
+        if not tx.interferers or tx.transmitting is not _NO_SENDERS:
+            return  # nothing overlapped, or the view is built already
+        channel = tx.channel
+        in_band = []
+        transmitting: Dict["CsmaMac", int] = {}
+        for other in tx.interferers:
+            transmitting.setdefault(other.sender, len(in_band))
+            factor = overlap_factor(channel, other.channel)
+            if factor > 0.0:
+                in_band.append((other.sender.address, other.power_dbm,
+                                factor))
+        tx.in_band = in_band
+        tx.transmitting = transmitting
+
+    def _decode_each(self, tx: Transmission, table: ReceiveTable) -> None:
+        """Decode broadcast ``tx`` with :meth:`_decode` at every receiver
+        in ``table`` on its channel, in table order."""
+        self._interferer_view(tx)
+        frame = tx.frame
+        channel = tx.channel
+        for mac in table.macs:
+            if mac._channel == channel and self._decode(tx, mac):
+                mac._deliver(frame, tx.rate)
+
+    def _evaluate(self, tx: Transmission, rx: "CsmaMac") -> _Evaluation:
+        """``rx``'s SINR and FER for ``tx``, and the link lookups taken.
+
+        The one SINR evaluation of the medium: :meth:`_decode` and the
+        pattern memo (:meth:`_fan_out_pattern`) both call it.  ``rx`` is
+        on ``tx.channel`` and the frame's interferer view is built, so
+        ``tx.in_band`` holds its in-band interferers.  Their terms and the
+        signal's come from ``rx``'s link-cache row.  The SINR is ``None``
+        when ``rx`` sent an interferer: it was transmitting, so it cannot
+        decode.
+        """
         cache = self.link_cache
         rx_address = rx.address
         row = cache.row(rx_address)
@@ -683,9 +730,20 @@ class WirelessMedium:
                 10.0 ** ((power_dbm - link[0] - link[1]) / 10.0) * factor)
         cache.hits += hits
         if ahead is not None:
-            return False
+            return None, 1.0, 1 + ahead
         ratio = sinr_from_mw(10.0 ** (signal / 10.0), interference_mw)
-        failure_probability = tx.rate.fer(ratio, tx.frame.wire_bytes)
+        return (ratio, tx.rate.fer(ratio, tx.frame.wire_bytes),
+                1 + len(in_band))
+
+    def _decode(self, tx: Transmission, rx: "CsmaMac") -> bool:
+        """Did ``rx`` successfully decode ``tx``?  :meth:`_evaluate`'s
+        SINR through FER, then one delivery draw."""
+        if rx.receiving_disabled:
+            return False
+        ratio, failure_probability, _ = self._evaluate(tx, rx)
+        if ratio is None:
+            return False
+        rx_address = rx.address
         ok = self._delivery_draw(rx_address) >= failure_probability
         if ok:
             self._m_deliveries.add()
@@ -733,6 +791,76 @@ class WirelessMedium:
         self._m_deliveries.add(delivered)
         self._m_decode_failures.add(failed)
 
+    def _fan_out_pattern(
+            self, tx: Transmission, table: ReceiveTable,
+            patterns: Optional[Dict[tuple, List[Optional[_Evaluation]]]]
+    ) -> None:
+        """Decode interfered broadcast ``tx`` at every receiver in
+        ``table`` through the table's pattern memo.
+
+        Only for a frame sent at ``table.tx_power`` with fading off.
+        ``patterns`` is ``None`` for the table's first frame in its
+        topology epoch: the memo starts with the second.  The frame's
+        interference pattern is its rate, wire bytes and channel and each
+        interferer's sender, channel and power in ``tx.interferers``
+        order.  Within one topology and config epoch no link can change,
+        so every receiver's :meth:`_evaluate` is a function of the
+        pattern: ``patterns`` keeps it per receiver, parallel to
+        ``table.macs``, filled on that receiver's first eligible decode.
+        A repeated pattern is then served like :meth:`_fan_out`: the
+        channel and disabled checks and one delivery draw per receiver,
+        and no draw for a receiver that sent an interferer.  The memo adds
+        the link lookups each evaluation took, so the link cache counts
+        them as :meth:`_decode` would.  A pattern with no in-band
+        interferer goes to :meth:`_fan_out`; a new pattern when the memo
+        has not started or holds :data:`PATTERNS_PER_TABLE` patterns goes
+        to :meth:`_decode_each`.
+        """
+        evaluations = None
+        if patterns is not None:
+            key = [tx.rate, tx.frame.wire_bytes, tx.channel]
+            for other in tx.interferers:
+                key += (other.sender, other.channel, other.power_dbm)
+            pattern = tuple(key)
+            evaluations = patterns.get(pattern)
+        if evaluations is None:
+            self._interferer_view(tx)
+            if not tx.in_band:
+                self._fan_out(tx, table)
+                return
+            if patterns is None or len(patterns) >= PATTERNS_PER_TABLE:
+                self._decode_each(tx, table)
+                return
+            evaluations = patterns[pattern] = [None] * len(table.macs)
+        frame = tx.frame
+        rate = tx.rate
+        channel = tx.channel
+        draw = self._delivery_draw
+        tracer = self.sim.tracer
+        lookups = delivered = failed = 0
+        for i, mac in enumerate(table.macs):
+            if mac._channel != channel or mac.receiving_disabled:
+                continue
+            evaluation = evaluations[i]
+            if evaluation is None:
+                self._interferer_view(tx)
+                evaluation = evaluations[i] = self._evaluate(tx, mac)
+            else:
+                lookups += evaluation[2]
+            ratio, fer, _ = evaluation
+            if ratio is None:
+                continue
+            if draw(mac.address) >= fer:
+                delivered += 1
+                mac._deliver(frame, rate)
+            else:
+                failed += 1
+                if tracer.enabled:
+                    self._trace_loss(tx, mac.address, ratio, fer)
+        self.link_cache.hits += lookups
+        self._m_deliveries.add(delivered)
+        self._m_decode_failures.add(failed)
+
     def _trace_loss(self, tx: Transmission, rx_address: str, ratio: float,
                     fer: float) -> None:
         self.sim.trace("mac.loss", rx_address,
@@ -756,6 +884,8 @@ class CsmaMac:
         fixed_rate: pin the PHY rate; default is SINR-driven adaptation.
         queue_limit: outgoing queue capacity in frames.
         retry_limit: unicast retransmission budget.
+        fer_target: highest frame error rate rate adaptation accepts,
+            in [0, 1].
     """
 
     CW_MIN = 32
@@ -768,14 +898,24 @@ class CsmaMac:
                  queue_limit: int = 64, retry_limit: int = 7,
                  fer_target: float = 0.1) -> None:
         validate_channel(channel)
-        if queue_limit < 1 or retry_limit < 0:
-            raise ConfigurationError("bad queue_limit/retry_limit")
+        # A float limit would pass a range test and silently disable the
+        # MAC: a NaN queue never drops and a NaN retry budget never retries.
+        for name, value, least in (("queue_limit", queue_limit, 1),
+                                   ("retry_limit", retry_limit, 0)):
+            if (not isinstance(value, numbers.Integral)
+                    or isinstance(value, bool) or value < least):
+                raise ConfigurationError(
+                    f"{name} must be an integer >= {least}, not {value!r}")
         # Written so NaN fails too: a NaN power shrinks the culling radius
-        # to 0.1 m, and a NaN threshold never senses carrier.
+        # to 0.1 m, a NaN threshold never senses carrier, and a NaN or
+        # negative FER target makes rate adaptation fall back to 1 Mb/s.
         for name, value in (("tx_power_dbm", tx_power_dbm),
                             ("cs_threshold_dbm", cs_threshold_dbm)):
             if not -math.inf < value < math.inf:
                 raise ConfigurationError(f"{name} must be finite, not {value}")
+        if not 0.0 <= fer_target <= 1.0:
+            raise ConfigurationError(
+                f"fer_target must be in [0, 1], not {fer_target}")
         self.sim = sim
         self.medium = medium
         # DIFS/backoff expiry and the genie-ACK turnaround are

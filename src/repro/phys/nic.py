@@ -76,7 +76,8 @@ class WirelessNIC:
     def send(self, dst: str, payload=None, payload_bytes: int = 0,
              kind: str = "data", port: int = 0) -> bool:
         """Queue one frame to ``dst``; returns False on queue overflow."""
-        frame = Frame(self.address, dst, payload, payload_bytes, kind, port)
+        frame = Frame(self.address, dst, payload, payload_bytes, kind, port,
+                      self.sim.next_seq("frame"))
         return self.send_frame(frame)
 
     def send_frame(self, frame: Frame) -> bool:

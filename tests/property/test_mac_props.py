@@ -4,7 +4,6 @@ and culled broadcast delivery matching the exhaustive reference scan."""
 from __future__ import annotations
 
 import math
-import re
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -99,8 +98,6 @@ ROOM_HORIZON_S = 1.0
 #: Broadcast period of every station in a generated room (s).
 SEND_PERIOD_S = 0.05
 
-_FRAME_ID = re.compile(r"#\d+")
-
 
 @st.composite
 def broadcast_rooms(draw):
@@ -176,7 +173,8 @@ def run_broadcast_room(room, culling: bool):
                           deliveries.append((sim.now, frame.src, rx)))
         macs.append(mac)
         sim.every(SEND_PERIOD_S, lambda m=mac: m.send(
-            Frame(m.address, BROADCAST, payload_bytes=room["payload_bytes"])),
+            Frame(m.address, BROADCAST, payload_bytes=room["payload_bytes"],
+                  frame_id=sim.next_seq("frame"))),
             start=start)
 
     def set_disabled(mac, value):
@@ -200,9 +198,8 @@ def run_broadcast_room(room, culling: bool):
     sim.run(until=ROOM_HORIZON_S)
     if culling:
         assert_caches_current(medium)
-    # Frame ids come from a process-global counter: scrub them.
-    records = [(r.time, r.category, r.source, _FRAME_ID.sub("#", r.message),
-                r.data) for r in sim.tracer.records]
+    records = [(r.time, r.category, r.source, r.message, r.data)
+               for r in sim.tracer.records]
     return (sorted(deliveries), [dict(mac.stats) for mac in macs],
             sim.events_executed, medium.total_deliveries,
             medium.total_decode_failures, records)
@@ -343,10 +340,10 @@ def test_fer_memo_keys_on_frame_size_and_traces_losses():
         for k in range(40):
             sim.schedule(0.02 * k, sender.send,
                          Frame(sender.address, BROADCAST,
-                               payload_bytes=66 if k % 2 == 0 else 1400))
+                               payload_bytes=66 if k % 2 == 0 else 1400,
+                               frame_id=sim.next_seq("frame")))
         sim.run(until=1.0)
-        records = [(r.time, r.category, r.source,
-                    _FRAME_ID.sub("#", r.message), r.data)
+        records = [(r.time, r.category, r.source, r.message, r.data)
                    for r in sim.tracer.records]
         return (sorted(deliveries), [dict(mac.stats) for mac in macs],
                 medium.total_deliveries, medium.total_decode_failures,

@@ -48,6 +48,32 @@ def test_lpc301_fires_when_fork_reachable(tmp_path):
     assert ("LPC301", "repro/services/hazard.py") in codes
 
 
+def test_lpc301_sees_next_inside_a_lambda(tmp_path):
+    """A lambda outside any function runs whenever it is called; its
+    ``next()`` on a module counter is charged to the scope that defines
+    it: the class for a dataclass field's default factory, the module for
+    a module-level lambda.  A lambda parameter shadows module state."""
+    codes, report = _codes(tmp_path, {
+        "net/ids.py": (
+            "import itertools\n"
+            "from dataclasses import dataclass, field\n"
+            "_ids = itertools.count(1)\n"
+            "_tags = itertools.count(1)\n"
+            "@dataclass\n"
+            "class Packet:\n"
+            "    number: int = field(default_factory=lambda: next(_ids))\n"
+            "next_tag = lambda: next(_tags)\n"
+            "shadowed = lambda _ids: next(_ids)\n"),
+        "cli.py": "from repro.net import ids\n",
+    })
+    messages = sorted((f.line, f.message.split(";")[0])
+                      for f in report.findings if f.code == "LPC301")
+    assert messages == [
+        (7, "'Packet' mutates module-level '_ids' (next())"),
+        (8, "'<module>' mutates module-level '_tags' (next())"),
+    ]
+
+
 def test_lpc301_silent_when_unreachable(tmp_path):
     # Same hazards, but nothing connects them to a fork entry point.
     codes, _ = _codes(tmp_path, {

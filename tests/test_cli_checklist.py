@@ -122,6 +122,21 @@ def test_cli_demo_trace_writes_jsonl(capsys, tmp_path):
     assert {line["type"] for line in lines} <= {"record", "span"}
 
 
+def test_two_traced_demos_in_one_process_write_identical_exports(
+        capsys, tmp_path):
+    """Frame ids are numbered per simulator, so the trace a demo exports
+    does not depend on what ran before it in the process."""
+    exports = []
+    for name in ("first.jsonl", "second.jsonl"):
+        out = tmp_path / name
+        assert main(["demo", "--horizon", "30", "--trace", "mac",
+                     "--trace-out", str(out)]) == 0
+        exports.append(out.read_bytes())
+    capsys.readouterr()
+    assert b'"tx #1 -> ' in exports[0]
+    assert exports[0] == exports[1]
+
+
 def test_cli_demo_trace_hooks_are_removed(capsys, tmp_path):
     """A later simulator in the same process must not inherit the hooks."""
     from repro.kernel.trace import _DEFAULT_SPAN_HOOKS, _DEFAULT_SUBSCRIBERS

@@ -64,14 +64,30 @@ def test_frame_bad_kind_rejected():
         Frame("a", "b", None, 0, kind="weird")
 
 
+def _sent_frame_ids(count):
+    """Ids of ``count`` frames that a NIC and the stack above it build,
+    alternately, in a fresh simulator."""
+    from repro.env.world import World
+    from repro.kernel.scheduler import Simulator
+    from repro.net.stack import NetworkStack
+    from repro.phys.mac import WirelessMedium
+    from repro.phys.nic import WirelessNIC
+
+    sim = Simulator(seed=1)
+    world = World(50.0, 50.0)
+    world.place("a", (1.0, 1.0))
+    nic = WirelessNIC(sim, WirelessMedium(sim, world), "a")
+    stack = NetworkStack(sim, nic)
+    sent = []
+    nic.mac.send = lambda frame: sent.append(frame.frame_id) or True
+    for k in range(count):
+        (nic.send if k % 2 else stack.send)(BROADCAST, payload_bytes=10)
+    return sent
+
+
 def test_frame_ids_monotone():
-    a, b = Frame("a", "b"), Frame("a", "b")
-    assert b.frame_id > a.frame_id
-
-
-def test_frame_clone_fresh_id():
-    frame = Frame("a", "b", "payload", 10, "mgmt", 5)
-    clone = frame.clone()
-    assert clone.frame_id != frame.frame_id
-    assert (clone.src, clone.dst, clone.payload, clone.payload_bytes,
-            clone.kind, clone.port) == ("a", "b", "payload", 10, "mgmt", 5)
+    """Senders number frames per simulator, from 1 in construction
+    order, so a second simulator in the process starts again at 1."""
+    assert _sent_frame_ids(4) == [1, 2, 3, 4]
+    assert _sent_frame_ids(4) == [1, 2, 3, 4]
+    assert Frame("a", "b").frame_id == 0

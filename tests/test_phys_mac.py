@@ -48,6 +48,26 @@ def test_non_finite_radio_parameters_rejected(sim, world, medium, kwargs):
         CsmaMac(sim, medium, "a", **kwargs)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"fer_target": math.nan},
+    {"fer_target": -1.0},
+    {"fer_target": 1.5},
+    {"queue_limit": math.nan},
+    {"queue_limit": 8.5},
+    {"retry_limit": math.nan},
+    {"retry_limit": 2.5},
+    {"retry_limit": True},
+], ids=lambda kwargs: "-".join(f"{k}={v}" for k, v in kwargs.items()))
+def test_parameters_that_disable_the_mac_rejected(sim, world, medium,
+                                                  kwargs):
+    """A NaN or negative FER target made rate adaptation send a 2 m link
+    at 1 Mb/s, a NaN queue limit never dropped, and a NaN retry limit
+    never retried a lost unicast."""
+    world.place("a", (0, 0))
+    with pytest.raises(ConfigurationError):
+        CsmaMac(sim, medium, "a", **kwargs)
+
+
 def test_unicast_delivery_close_range(sim, world, medium):
     a = _station(sim, world, medium, "a", (10, 10))
     b = _station(sim, world, medium, "b", (15, 10))
@@ -310,14 +330,16 @@ MANY_INTERFERERS_SHA256 = (
 def test_many_in_band_interferers_keep_their_outcomes(sim):
     """Ten jammers on the adjacent channels 3 and 9 keep about nine
     frames on the air, in band for the four stations on channel 6.
-    Nearly every decode sums at least eight interferers, and with SINRs
-    near the decode edge the outcomes pin that sum."""
+    Nearly every SINR evaluation sums at least eight interferers (a
+    repeated interference pattern reuses its receivers' evaluations, so
+    the spy sees each once), and with SINRs near the decode edge the
+    outcomes pin that sum."""
     medium, log, macs = _jammer_room(sim, [(3, 9)[i % 2] for i in range(10)])
     sums = []
-    decode = medium._decode
-    medium._decode = lambda tx, rx: (sums.append(sum(
+    evaluate = medium._evaluate
+    medium._evaluate = lambda tx, rx: (sums.append(sum(
         overlap_factor(rx.channel, other.channel) > 0.0
-        for other in tx.interferers)) or decode(tx, rx))
+        for other in tx.interferers)) or evaluate(tx, rx))
     sim.run(until=1.0)
     assert sum(n >= 8 for n in sums) > len(sums) // 2
     assert medium.total_deliveries > 0 and medium.total_decode_failures > 0
@@ -325,21 +347,21 @@ def test_many_in_band_interferers_keep_their_outcomes(sim):
 
 
 def test_interference_sum_runs_in_interferer_order(sim, monkeypatch):
-    """Every decode's interference sum is the left-to-right float sum of
+    """Every evaluated interference sum is the left-to-right float sum of
     its in-band terms in ``tx.interferers`` order, however many there
     are.  Twenty-four jammers on channels 3, 4, 8 and 9 put 16 or more
     in-band interferers on most decodes; a sum that reorders its terms
     (pairwise, or in blocks) differs from this one in the last bits."""
     medium, _log, _macs = _jammer_room(
         sim, [(3, 4, 8, 9)[i % 4] for i in range(24)])
-    decoding = []  # the (tx, rx) of the decode running now
-    sums = []  # (tx, rx, interference_mw) of each decode that got a SINR
-    decode = medium._decode
+    decoding = []  # the (tx, rx) of the evaluation running now
+    sums = []  # (tx, rx, interference_mw) of each one that got a SINR
+    evaluate = medium._evaluate
 
-    def spy_decode(tx, rx):
+    def spy_evaluate(tx, rx):
         decoding.append((tx, rx))
         try:
-            return decode(tx, rx)
+            return evaluate(tx, rx)
         finally:
             decoding.pop()
 
@@ -350,7 +372,7 @@ def test_interference_sum_runs_in_interferer_order(sim, monkeypatch):
             sums.append((*decoding[-1], interference_mw))
         return sinr_from_mw(signal_mw, interference_mw, *args)
 
-    medium._decode = spy_decode
+    medium._evaluate = spy_evaluate
     monkeypatch.setattr(phys_mac, "sinr_from_mw", spy_sinr)
     sim.run(until=1.0)
     assert sum(len(tx.in_band) >= 16 for tx, _, _ in sums) > len(sums) // 2
@@ -363,6 +385,142 @@ def test_interference_sum_runs_in_interferer_order(sim, monkeypatch):
             expected += 10.0 ** ((power_dbm - loss - shadow) / 10.0) * factor
         mismatched += interference_mw != expected
     assert mismatched == 0, f"{mismatched} of {len(sums)} sums reordered"
+
+
+def _pattern(tx):
+    """What the receive table's pattern memo keys ``tx`` on."""
+    return (tx.rate.name, tx.frame.wire_bytes, tx.channel,
+            tuple((other.sender.address, other.channel, other.power_dbm)
+                  for other in tx.interferers))
+
+
+#: When the periodic room's move, retune and power change happen (s).
+_MOVE_AT, _RETUNE_AT, _POWER_AT = 0.3, 0.5, 0.7
+
+
+def _periodic_room(culling, evaluations=None):
+    """Six stations that broadcast 500-byte frames every 20 ms without
+    sensing carrier, so each sender's frames overlap the same others'
+    frames period after period, three of them weaker so that some
+    receivers decode near the edge, and a silent bystander too far away
+    to be heard.  The bystander moves, then retunes, and then one sender's
+    power changes.  With ``evaluations``, every SINR evaluation is logged
+    to it as ``(time, sender, pattern, receiver, by_decode)``.  Returns
+    the deliveries, the MAC stats, the ``mac.loss`` records, the delivery
+    and failure totals and the medium."""
+    from repro.kernel.scheduler import Simulator
+
+    sim = Simulator(seed=21, trace=True)
+    world = World(600.0, 60.0)
+    medium = WirelessMedium(sim, world, culling=culling)
+    if evaluations is not None:
+        evaluate, decode = medium._evaluate, medium._decode
+        decoding = []
+
+        def spy_evaluate(tx, rx):
+            evaluations.append((sim.now, tx.sender.address, _pattern(tx),
+                                rx.address, bool(decoding)))
+            return evaluate(tx, rx)
+
+        def spy_decode(tx, rx):
+            decoding.append(rx)
+            try:
+                return decode(tx, rx)
+            finally:
+                decoding.pop()
+
+        medium._evaluate, medium._decode = spy_evaluate, spy_decode
+    log = []
+    macs = []
+    for i, (x, y, channel, power) in enumerate((
+            (5, 5, 6, -12.0), (15, 9, 6, -12.0), (25, 4, 6, -12.0),
+            (40, 30, 3, -20.0), (55, 28, 6, -22.0), (45, 50, 6, -20.0))):
+        mac = _station(sim, world, medium, f"b{i}", (x, y), channel=channel,
+                       tx_power_dbm=power, cs_threshold_dbm=100.0)
+        mac.on_receive = (lambda frame, rx=mac.address:
+                          log.append((sim.now, frame.src, rx)))
+        sim.every(0.02, lambda m=mac: m.send(Frame(
+            m.address, BROADCAST, payload_bytes=500,
+            frame_id=sim.next_seq("frame"))), start=0.0031 * i)
+        macs.append(mac)
+    bystander = _station(sim, world, medium, "far", (590.0, 50.0),
+                         channel=11)
+    sim.schedule(_MOVE_AT, world.move, "far", (590.0, 10.0))
+    sim.schedule(_RETUNE_AT, setattr, bystander, "channel", 1)
+    sim.schedule(_POWER_AT, setattr, macs[0], "tx_power_dbm", -10.0)
+    sim.run(until=0.9)
+    losses = [(r.time, r.source, r.message, r.data)
+              for r in sim.tracer.select("mac.loss")]
+    return (sorted(log), [dict(mac.stats) for mac in macs + [bystander]],
+            losses, medium.total_deliveries, medium.total_decode_failures,
+            medium)
+
+
+def test_repeated_patterns_are_evaluated_once_per_epoch():
+    """A static periodic broadcast room repeats its interference patterns
+    frame after frame.  The receive table's pattern memo evaluates each
+    (sender, pattern, receiver) once per topology epoch, and again after
+    a move (which re-keys the tables), a retune (which rebuilds them) and
+    a power change (which rebuilds the sender's).  Deliveries, MAC stats
+    and the traced ``mac.loss`` records equal the exhaustive scan's."""
+    evaluations = []
+    *culled, medium = _periodic_room(True, evaluations)
+    *exhaustive, _ = _periodic_room(False)
+    assert culled == exhaustive
+    deliveries, _stats, losses, delivered, failed = culled
+    assert deliveries and losses
+    # The bystander was inaudible, so the move re-keyed tables.
+    assert not any("far" in table.names for table in medium._tables.values())
+    assert medium.culling_stats()["set_builds"] < 3 * 7
+    memo = [e for e in evaluations if not e[4]]
+    assert 3 * len(evaluations) < delivered + failed
+    segments = (0.0, _MOVE_AT, _RETUNE_AT, _POWER_AT, math.inf)
+    seen = []
+    for start, end in zip(segments, segments[1:]):
+        pairs = [e[1:4] for e in memo if start <= e[0] < end]
+        assert pairs and len(pairs) == len(set(pairs))
+        seen.append(set(pairs))
+    for before, after in zip(seen, seen[1:]):
+        assert before & after  # evaluated again after the event
+    assert any(sender == "b0" for sender, _, _ in seen[2] & seen[3])
+
+
+def test_pattern_memo_stays_within_its_bound(sim):
+    """A sender whose frames all differ in size never repeats a pattern
+    while a jammer keeps a frame on the air.  Its table's memo stops at
+    ``PATTERNS_PER_TABLE`` patterns; later frames are decoded per
+    receiver, with the exhaustive scan's outcomes."""
+    def run(culling):
+        from repro.kernel.scheduler import Simulator
+
+        sim = Simulator(seed=4, trace=False)
+        world = World(60.0, 20.0)
+        medium = WirelessMedium(sim, world, culling=culling)
+        log = []
+        macs = [_station(sim, world, medium, name, xy, tx_power_dbm=-15.0,
+                         cs_threshold_dbm=100.0)
+                for name, xy in (("s", (5.0, 5.0)), ("r1", (12.0, 6.0)),
+                                 ("r2", (18.0, 4.0)), ("j", (40.0, 15.0)))]
+        for mac in macs:
+            mac.on_receive = (lambda frame, rx=mac.address:
+                              log.append((sim.now, frame.src, rx)))
+        sender, jammer = macs[0], macs[3]
+        sim.every(0.0115, lambda: jammer.send(
+            Frame("j", BROADCAST, payload_bytes=1400)))
+        frames = 3 * phys_mac.PATTERNS_PER_TABLE
+        for k in range(frames):
+            sim.schedule(0.003 + 0.013 * k, sender.send,
+                         Frame("s", BROADCAST, payload_bytes=100 + 7 * k))
+        sim.run(until=0.013 * frames + 0.05)
+        return (sorted(log), [dict(mac.stats) for mac in macs],
+                medium.total_deliveries, medium.total_decode_failures), medium
+
+    culled, medium = run(True)
+    assert culled == run(False)[0]
+    sizes = {address: len(table.patterns)
+             for address, table in medium._tables.items()}
+    assert max(sizes.values()) <= phys_mac.PATTERNS_PER_TABLE
+    assert sizes["s"] == phys_mac.PATTERNS_PER_TABLE
 
 
 def test_airtime_accounting(sim, world, medium):
